@@ -105,7 +105,6 @@ def _cmd_learn_dict(args):
         epochs=args.epochs,
         batch_size=args.batch_size,
         seed=args.seed,
-        tolerance=args.tolerance,
     )
     dictionary, codes = sparse_coding.learn_dictionary(table, config)
     with _atomic_output(args.out_dict) as tmp:
@@ -159,6 +158,11 @@ def _cmd_train(args):
         "lowercase": "1" if args.lowercase else "0",
     }
     model = crf.train(batch_features, dataset.labels(), train_config, meta=meta)
+    print(
+        f"owlqn stopped: {model.meta['owlqn_stop']} after "
+        f"{model.meta['owlqn_iterations']} iteration(s)",
+        file=sys.stderr,
+    )
     with _atomic_output(args.out) as tmp:
         crf.save_model(tmp, model)
     print(
@@ -276,7 +280,6 @@ def _build_parser():
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--batch-size", type=int, default=256)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tolerance", type=float, default=1e-7)
     p.add_argument("--out-dict", required=True)
     p.add_argument("--out-codes", required=True)
     p.set_defaults(func=_cmd_learn_dict)

@@ -14,9 +14,12 @@ is Viterbi with ties broken toward the lower label index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class CrfError(ValueError):
@@ -188,6 +191,8 @@ def compile_batch(batch_features, batch_labels, labels=None, feature_index=None,
     features are dropped (inference semantics); otherwise new features
     get ids in order of first occurrence.
     """
+    import scipy.sparse as sp  # only training and objective evaluation need it
+
     if len(batch_features) != len(batch_labels):
         raise CrfError("feature and label sequence counts differ")
     if labels is None:
@@ -363,7 +368,10 @@ def _owlqn(fun, w0, c1, max_iterations, tolerance, memory):
     """Minimize fun(w)[0] + c1*||w||_1 where fun returns (value, gradient).
 
     Orthant-wise L-BFGS: quasi-Newton directions on the pseudo-gradient,
-    projected line search that never crosses orthant boundaries.
+    projected line search that never crosses orthant boundaries. Returns
+    (w, objective, accepted iterations, stop reason); the reason is one of
+    ``converged`` (relative objective change <= tolerance),
+    ``zero_pseudo_gradient``, ``line_search_failed`` or ``max_iterations``.
     """
     w = w0.copy()
     value, grad = fun(w)
@@ -372,11 +380,12 @@ def _owlqn(fun, w0, c1, max_iterations, tolerance, memory):
     total = value + c1 * float(np.abs(w).sum())
     mem_s, mem_y = [], []
     iterations = 0
+    reason = "max_iterations"
     for iteration in range(1, max_iterations + 1):
-        iterations = iteration
         pg = _pseudo_gradient(w, grad, c1)
         pg_norm = float(np.linalg.norm(pg))
         if pg_norm < 1e-10:
+            reason = "zero_pseudo_gradient"
             break
         direction = _lbfgs_direction(pg, mem_s, mem_y)
         direction[direction * -pg <= 0] = 0.0
@@ -396,7 +405,9 @@ def _owlqn(fun, w0, c1, max_iterations, tolerance, memory):
                 break
             step *= 0.5
         if not accepted:
+            reason = "line_search_failed"
             break
+        iterations = iteration
         s = w_new - w
         y = grad_new - grad
         if float(s @ y) > 1e-10:
@@ -408,15 +419,18 @@ def _owlqn(fun, w0, c1, max_iterations, tolerance, memory):
         w, grad = w_new, grad_new
         previous_total, total = total, total_new
         if abs(previous_total - total) <= tolerance * max(1.0, abs(total)):
+            reason = "converged"
             break
-    return w, total, iterations
+    return w, total, iterations, reason
 
 
 def train(batch_features, batch_labels, config: TrainConfig, meta=None) -> CrfModel:
     """Fit CRF weights on labeled, feature-extracted sentences.
 
     Deterministic: label order is sorted, feature ids follow first
-    occurrence, and all reductions have fixed structure.
+    occurrence, and all reductions have fixed structure. The model's meta
+    records why OWL-QN stopped (``owlqn_stop``) and how many iterations it
+    accepted (``owlqn_iterations``).
     """
     if not batch_features:
         raise CrfError("training set is empty")
@@ -431,9 +445,10 @@ def train(batch_features, batch_labels, config: TrainConfig, meta=None) -> CrfMo
     def fun(params):
         return smooth_objective(params, batch, config.c2)
 
-    w, _, _ = _owlqn(
+    w, _, iterations, reason = _owlqn(
         fun, w0, config.c1, config.max_iterations, config.tolerance, config.memory
     )
+    meta = dict(meta or {}, owlqn_stop=reason, owlqn_iterations=str(iterations))
     emissions, transitions = _unpack(w, n_feat, n_lab)
     if batch.n_features == 0:
         emissions = np.zeros((0, n_lab))

@@ -8,10 +8,11 @@ Three objective variants over signals x_i (the embedding of word i):
   sc4  sc3 with the codes constrained to be nonnegative.
 
 The per-word sparse step is an l1-regularized least-squares problem solved
-by cyclic coordinate descent on precomputed covariance statistics; the
-dictionary step is block coordinate descent over columns on accumulated
-sufficient statistics. Every solver output carries an exact KKT
-certificate, checkable with :func:`kkt_violation`.
+exactly by an active-set (feature-sign) search on the precomputed Gram
+matrix, warm-started from the word's previous code during dictionary
+learning; the dictionary step is block coordinate descent over columns on
+accumulated sufficient statistics. Every solver output carries an exact
+KKT certificate, checkable with :func:`kkt_violation`.
 """
 
 from __future__ import annotations
@@ -28,15 +29,17 @@ VARIANTS = ("sc1", "sc3", "sc4")
 # Coefficients below this magnitude are stored as exact zeros.
 NONZERO_EPS = 1e-10
 
-# Internal stationarity target; stricter than the 1e-6 certificate so
-# emitted codes pass it with margin.
+# Stationarity target on zero coordinates; stricter than the 1e-6
+# certificate so emitted codes pass it with margin.
 _KKT_TOL = 1e-7
 
+# Largest support residual |rho_j - lam*sign(a_j)| at which the signed
+# active set counts as exactly stationary.
+_SUPPORT_TOL = 1e-9
 
-def _default_sweeps(m: int) -> int:
-    # 10*m sweeps, floored: tiny overcomplete problems have singular Grams
-    # and need a few hundred sweeps regardless of m.
-    return max(10 * m, 1000)
+# An atom whose squared distance from the span of the active atoms is at
+# most this fraction of its squared norm counts as lying in that span.
+_SPAN_EPS = 1e-10
 
 
 class SparseCodingError(ValueError):
@@ -44,7 +47,7 @@ class SparseCodingError(ValueError):
 
 
 class LassoConvergenceError(RuntimeError):
-    """Coordinate descent exhausted its sweep budget.
+    """The active-set lasso solver exhausted its step budget.
 
     Carries the last iterate and the residual correlations so callers can
     inspect how far from stationarity the solve stopped.
@@ -65,7 +68,6 @@ class SparseCodingConfig:
     epochs: int = 10
     batch_size: int = 256
     seed: int = 42
-    tolerance: float = 1e-7
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -78,8 +80,6 @@ class SparseCodingConfig:
             raise SparseCodingError("tau must be >= 0")
         if self.epochs < 1 or self.batch_size < 1:
             raise SparseCodingError("epochs and batch_size must be >= 1")
-        if not self.tolerance > 0:
-            raise SparseCodingError("tolerance must be > 0")
 
     @property
     def nonneg(self) -> bool:
@@ -183,22 +183,6 @@ class BasisReport:
     correlation: float
 
 
-def _sparsify(vector, threshold=NONZERO_EPS):
-    idx = np.nonzero(np.abs(vector) >= threshold)[0]
-    return idx.astype(np.int64), vector[idx].copy()
-
-
-def _kkt_violation_rows(grad, alpha, lam, nonneg):
-    """Max stationarity violation per row; grad = D^T (x - D alpha)."""
-    if nonneg:
-        on_zero = np.where(alpha > 0, 0.0, np.maximum(grad - lam, 0.0))
-        on_support = np.where(alpha > 0, np.abs(grad - lam), 0.0)
-    else:
-        on_zero = np.where(alpha != 0, 0.0, np.maximum(np.abs(grad) - lam, 0.0))
-        on_support = np.where(alpha != 0, np.abs(grad - lam * np.sign(alpha)), 0.0)
-    return np.maximum(on_zero, on_support).max(axis=1)
-
-
 def kkt_violation(D, x, alpha, lam, nonneg=False):
     """Stationarity certificate for a lasso solution.
 
@@ -211,192 +195,207 @@ def kkt_violation(D, x, alpha, lam, nonneg=False):
     x = np.asarray(x, dtype=np.float64)
     alpha = np.asarray(alpha, dtype=np.float64)
     grad = D.T @ (x - D @ alpha)
-    return float(_kkt_violation_rows(grad[None, :], alpha[None, :], lam, nonneg)[0])
+    on = alpha > 0 if nonneg else alpha != 0
+    off_zero = grad - lam if nonneg else np.abs(grad) - lam
+    violation = np.where(on, np.abs(grad - lam * np.sign(alpha)), np.maximum(off_zero, 0.0))
+    return float(violation.max(initial=0.0))
 
 
-def lasso_objective(D, x, alpha, lam):
-    r = x - D @ alpha
-    return 0.5 * float(r @ r) + lam * float(np.abs(alpha).sum())
+class _ActiveSetLasso:
+    """Feature-sign search (Lee et al. 2007) against one Gram matrix G.
 
+    ``solve(c)`` minimizes 0.5 a^T G a - c^T a + lam*||a||_1 (a >= 0 when
+    nonneg) for c = D^T x, tracking rho = c - G a. While the signed support
+    A is not stationary it takes the exact Newton step on A, cut at the
+    first zero crossing, whose coordinate leaves A; once A is stationary it
+    adds the zero coordinate with the largest |rho_j| (rho_j under nonneg)
+    if that exceeds lam. Each move descends, so the search ends; it returns
+    once the KKT conditions hold against a freshly computed rho.
 
-def _quad_objective_row(gram, c_row, alpha_row, lam):
-    """Per-row objective up to the constant 0.5*||x||^2."""
-    return (
-        0.5 * float(alpha_row @ (gram @ alpha_row))
-        - float(c_row @ alpha_row)
-        + lam * float(np.abs(alpha_row).sum())
-    )
-
-
-def _optimize_signed_set(gram, c_row, alpha, theta, lam, nonneg):
-    """Inner phase: stationary sign-consistent point on the signed set.
-
-    Solves the equality system on the active coordinates; a consistent,
-    sign-consistent solution is taken outright, otherwise the move is cut
-    at a sign crossing (which removes at least one coordinate) and the
-    solve repeats. The active set shrinks monotonically, so this ends in
-    at most |active| passes. Returns the updated (alpha, theta) or None
-    when floating-point degeneracy blocks progress.
+    A holds independent atoms in insertion order with R = L^-1, the inverse
+    of the Cholesky factor of G_AA (G_AA^-1 = R^T R): adding an atom appends
+    a row to R, dropping one rotates R's later rows back to triangular
+    form. An atom in the span of A enters along the null direction of the
+    enlarged block, which lowers the objective linearly until a coefficient
+    of A reaches zero and leaves. One instance serves one thread.
     """
-    alpha = alpha.copy()
-    theta = theta.copy()
-    for _ in range(c_row.size + 2):
-        active = np.nonzero(theta != 0.0)[0]
-        if active.size == 0:
-            return alpha, theta
-        sub = gram[np.ix_(active, active)]
-        target = c_row[active] - lam * theta[active]
-        solution = np.linalg.lstsq(sub, target, rcond=None)[0]
-        current = alpha[active]
-        gap = target - sub @ solution
-        if np.max(np.abs(gap)) > 1e-9 * max(1.0, float(np.max(np.abs(target)))):
-            # No stationary point with these signs: the fixed-sign model
-            # descends along this (numerical) null direction, so ride it
-            # to the first sign crossing and drop what it zeroes.
-            crossing = current * gap < 0.0
-            if not crossing.any():
-                return None
-            tau = float(np.min(-current[crossing] / gap[crossing]))
-            point = current + tau * gap
-        else:
-            sign_ok = np.sign(solution) == theta[active]
-            if nonneg:
-                sign_ok &= solution >= 0.0
-            if sign_ok.all():
-                alpha[active] = solution
-                return alpha, theta
-            # Cut the move at the first sign crossing. A just-activated
-            # coordinate starts at exactly zero and does not count.
-            move = solution - current
-            crossing = (current * solution < 0.0) | ((solution == 0.0) & (current != 0.0))
-            if not crossing.any():
-                return None
-            taus = current[crossing] / (current[crossing] - solution[crossing])
-            tau = float(np.clip(np.min(taus), 0.0, 1.0))
-            point = current + tau * move
-        point[np.abs(point) < 1e-14] = 0.0
-        if np.count_nonzero(point) >= active.size:
-            point[np.argmin(np.abs(point))] = 0.0
-        alpha[active] = point
-        theta = np.sign(alpha)
-    return None
 
+    def __init__(self, gram, lam, nonneg, rank, max_steps=None):
+        m = gram.shape[0]
+        self.gram = gram
+        self.diag = gram.diagonal().copy()
+        self.lam = lam
+        self.nonneg = nonneg
+        self.max_steps = 4 * m + 16 if max_steps is None else max_steps
+        self.cap = max(1, min(rank, m))
+        self.inv_chol = np.zeros((self.cap, self.cap))
+        self.rows = np.zeros((self.cap, m))  # rows[i] = G[act[i]]
+        self.act = np.zeros(self.cap, dtype=np.int64)
+        self.coef = np.zeros(self.cap)
+        self.sign = np.zeros(self.cap)
+        self.size = 0
 
-def _polish_row(gram, c_row, alpha_row, lam, nonneg):
-    """Active-set finisher for one lasso problem, Lawson-Hanson style.
+    def solve(self, c, warm=None):
+        """Codes for one signal as (strictly increasing indices, values).
 
-    Cyclic updates crawl when near-parallel atoms trade mass or a
-    coordinate leaves the support slowly. Once a row stalls we alternate
-    two phases: optimize exactly over the current signed active set, then
-    check the full stationarity conditions and admit the worst violating
-    coordinate. The result is accepted only when it passes the KKT
-    certificate and is no worse than the iterate it started from; any
-    degenerate failure just returns the row to coordinate descent.
-    Returns (alpha, residual correlations) or (None, None).
-    """
-    alpha = alpha_row.copy()
-    theta = np.sign(alpha)
-    start_obj = _quad_objective_row(gram, c_row, alpha_row, lam)
-    best_obj = np.inf
-    for _ in range(4 * c_row.size + 16):
-        inner = _optimize_signed_set(gram, c_row, alpha, theta, lam, nonneg)
-        if inner is None:
-            return None, None
-        alpha, theta = inner
-        obj = _quad_objective_row(gram, c_row, alpha, lam)
-        if obj >= best_obj:
-            return None, None  # degenerate cycling: no strict progress
-        best_obj = obj
-        resid = c_row - gram @ alpha
-        if _kkt_violation_rows(resid[None, :], alpha[None, :], lam, nonneg)[0] <= _KKT_TOL:
-            if obj <= start_obj:
-                return alpha, resid
-            return None, None
-        violation = resid - lam if nonneg else np.abs(resid) - lam
-        violation = np.where(alpha == 0.0, violation, -np.inf)
-        worst = int(np.argmax(violation))
-        if violation[worst] <= 0.0:
-            return None, None  # support-side violation the solve cannot fix
-        theta[worst] = 1.0 if (nonneg or resid[worst] > 0) else -1.0
-    return None, None
-
-
-def _lasso_cd_batch(gram, ctx, lam, nonneg, tol, max_sweeps, warm=None):
-    """Cyclic coordinate descent on rows of ctx = X_batch @ D.
-
-    Rows are independent problems sharing the Gram matrix; each is frozen
-    once its sweep-level coordinate change drops below ``tol`` and an
-    exact stationarity recheck (or a certified support polish) passes.
-    Raises on sweep exhaustion.
-    """
-    n_rows, m = ctx.shape
-    diag = np.ascontiguousarray(np.diag(gram))
-    usable = diag > 0.0
-    if warm is None:
-        alpha = np.zeros((n_rows, m))
-        grad = ctx.copy()
-    else:
-        alpha = warm.copy()
-        grad = ctx - alpha @ gram
-    active = np.arange(n_rows)
-    max_delta = np.zeros(n_rows)
-    for sweep in range(max_sweeps):
-        if active.size == 0:
-            break
-        max_delta[active] = 0.0
-        for j in range(m):
-            if not usable[j]:
-                continue
-            rho = grad[active, j] + diag[j] * alpha[active, j]
-            if nonneg:
-                new = np.maximum(rho - lam, 0.0) / diag[j]
+        ``warm`` is an optional (indices, values) starting point.
+        """
+        lam = self.lam
+        self.size = 0
+        if warm is not None:
+            self._start(*warm)
+        rho = c - self.coef[: self.size] @ self.rows[: self.size]
+        fresh, stationary = True, False
+        for _ in range(self.max_steps):
+            s = self.size
+            act = self.act[:s]
+            if not stationary:
+                resid = rho[act] - lam * self.sign[:s]
+                if s and np.abs(resid).max() > _SUPPORT_TOL:
+                    inv = self.inv_chol[:s, :s]
+                    stationary = self._advance(inv.T @ (inv @ resid), rho)
+                    fresh = False
+                    continue
+                stationary = True
+            score = rho.copy() if self.nonneg else np.abs(rho)
+            score[act] = -np.inf
+            j = int(score.argmax())
+            if score[j] > lam + _KKT_TOL:
+                sign = 1.0 if (self.nonneg or rho[j] > 0.0) else -1.0
+                stationary = self._enter(j, sign, rho)
+                fresh = False
+            elif fresh:
+                order = act.argsort()
+                return act[order], self.coef[:s][order]
             else:
-                new = np.sign(rho) * np.maximum(np.abs(rho) - lam, 0.0) / diag[j]
-            delta = new - alpha[active, j]
-            changed = np.nonzero(delta)[0]
-            if changed.size:
-                rows = active[changed]
-                alpha[rows, j] = new[changed]
-                grad[rows] -= delta[changed, None] * gram[j][None, :]
-                np.maximum.at(max_delta, rows, np.abs(delta[changed]))
-        # Zigzags between correlated coordinates can keep per-sweep deltas
-        # just above tol indefinitely, so force a recheck periodically.
-        settled = max_delta[active] < tol
-        if sweep % 50 == 49:
-            settled = np.ones(active.size, dtype=bool)
-        if settled.any():
-            cand = active[settled]
-            fresh = ctx[cand] - alpha[cand] @ gram
-            grad[cand] = fresh
-            ok = _kkt_violation_rows(fresh, alpha[cand], lam, nonneg) <= _KKT_TOL
-            for pos in np.nonzero(~ok)[0]:
-                row = cand[pos]
-                polished, polished_grad = _polish_row(
-                    gram, ctx[row], alpha[row], lam, nonneg
-                )
-                if polished is not None:
-                    alpha[row] = polished
-                    grad[row] = polished_grad
-                    ok[pos] = True
-            active = np.sort(np.concatenate([active[~settled], cand[~ok]]))
-    if active.size:
-        residual = ctx[active] - alpha[active] @ gram
+                rho = c - self.coef[:s] @ self.rows[:s]
+                fresh, stationary = True, False
+        alpha = np.zeros(c.size)
+        alpha[self.act[: self.size]] = self.coef[: self.size]
         raise LassoConvergenceError(
-            f"lasso failed to converge for {active.size} signal(s) "
-            f"within {max_sweeps} sweeps",
-            alpha=alpha[active],
-            residual=residual,
+            f"lasso failed to converge within {self.max_steps} steps",
+            alpha=alpha,
+            residual=c - alpha @ self.gram,
         )
-    return alpha
+
+    def _start(self, idx, val):
+        """Load a warm start; entries that cannot join the support stay zero."""
+        keep = val > 0.0 if self.nonneg else val != 0.0
+        idx, val = idx[keep], val[keep]
+        s = idx.size
+        try:  # factor the whole warm support at once when it is independent
+            chol = np.linalg.cholesky(self.gram[np.ix_(idx, idx)])
+            whole = s <= self.cap and np.all(np.diagonal(chol) ** 2 > _SPAN_EPS * self.diag[idx])
+        except np.linalg.LinAlgError:
+            whole = False
+        if whole:
+            self.inv_chol[:s, :s] = np.tril(np.linalg.inv(chol))
+            self.rows[:s] = self.gram[idx]
+            self.act[:s] = idx
+            self.coef[:s] = val
+            self.sign[:s] = np.sign(val)
+            self.size = s
+            return
+        for j, v in zip(idx, val):
+            if self._append(j) is None:
+                self.coef[self.size - 1] = v
+                self.sign[self.size - 1] = np.sign(v)
+
+    def _append(self, j):
+        """Add atom j to the support, or return w = R G[A, j] if in its span."""
+        s = self.size
+        inv = self.inv_chol[:s, :s]
+        w = inv @ self.rows[:s, j]
+        pivot_sq = self.diag[j] - w.dot(w)
+        if s == self.cap or pivot_sq <= _SPAN_EPS * self.diag[j]:
+            return w
+        pivot = math.sqrt(pivot_sq)
+        self.inv_chol[s, :s] = (w @ inv) / -pivot
+        self.inv_chol[s, s] = 1.0 / pivot
+        self.rows[s] = self.gram[j]
+        self.act[s] = j
+        self.coef[s] = 0.0
+        self.size = s + 1
+        return None
+
+    def _enter(self, j, sign, rho):
+        """Bring zero coordinate j into the support; True if it ends stationary."""
+        coef_j = 0.0
+        while (w := self._append(j)) is not None:
+            # Moving a_j by t*sign and a_A by -t*sign*R^T w keeps D a fixed.
+            s = self.size
+            move = -sign * (self.inv_chol[:s, :s].T @ w)
+            coef = self.coef[:s]
+            hits = (coef * move < 0.0).nonzero()[0]
+            if hits.size == 0:
+                raise LassoConvergenceError(f"atom {j} is in the span but no move reaches zero")
+            t_all = -coef[hits] / move[hits]
+            pos = int(hits[t_all.argmin()])
+            t = t_all.min()
+            step = t * move
+            step[pos] = -coef[pos]
+            rho -= step @ self.rows[:s] + (t * sign) * self.gram[j]
+            coef += step
+            coef_j += t * sign
+            self._drop(pos)
+        s = self.size - 1
+        self.coef[s] = coef_j
+        self.sign[s] = sign
+        if coef_j != 0.0:
+            return False
+        # The rest of A is stationary, so the exact step is along
+        # R^T e_s = R_ss R[s] and a_j takes the sign of rho_j.
+        row = self.inv_chol[s, : s + 1]
+        return self._advance((rho[j] - self.lam * sign) * row[s] * row, rho)
+
+    def _advance(self, delta, rho):
+        """Move the support by delta, cut at the first zero crossing; True if uncut."""
+        s = self.size
+        coef = self.coef[:s]
+        new = coef + delta
+        crossed = (new * self.sign[:s] <= 0.0).nonzero()[0]
+        if crossed.size:
+            t_all = coef[crossed] / (coef[crossed] - new[crossed])
+            pos = int(crossed[t_all.argmin()])
+            delta = t_all.min() * delta
+            delta[pos] = -coef[pos]
+        rho -= delta @ self.rows[:s]
+        coef += delta
+        if crossed.size:
+            self._drop(pos)
+        return not crossed.size
+
+    def _drop(self, pos):
+        """Remove support position pos from the support and from R.
+
+        With column pos deleted, Givens rotations pairing row pos with each
+        later row in turn collect the weights r = R[pos:, pos] in row pos,
+        which is then discarded (G^-1 loses r r^T / |r|^2). In closed form
+        they use the running norms of r and running r-weighted row sums.
+        """
+        s = self.size
+        if pos + 1 < s:
+            inv = self.inv_chol
+            weights = inv[pos:s, pos].copy()
+            inv[pos:s, pos : s - 1] = inv[pos:s, pos + 1 : s]
+            rows = inv[pos:s, : s - 1]
+            norms = np.sqrt(np.cumsum(weights * weights))
+            sums = np.cumsum(weights[:, None] * rows, axis=0)
+            inv[pos : s - 1, : s - 1] = (
+                norms[:-1, None] * rows[1:] - (weights[1:] / norms[:-1])[:, None] * sums[:-1]
+            ) / norms[1:, None]
+            for buf in (self.rows, self.act, self.coef, self.sign):
+                buf[pos : s - 1] = buf[pos + 1 : s]
+        self.size = s - 1
 
 
-def solve_lasso(D, x, lam, nonneg=False, tol=1e-7, max_sweeps=None, warm_start=None):
+def solve_lasso(D, x, lam, nonneg=False, max_steps=None, warm_start=None):
     """Minimize 0.5*||x - D a||^2 + lam*||a||_1 (a >= 0 when nonneg).
 
-    Cyclic coordinate descent over coordinates in ascending order with
-    covariance updates; stops when the largest coordinate change in a
-    sweep falls below ``tol`` and the KKT conditions hold. The default
-    sweep cap is 10*m.
+    Exact active-set (feature-sign) search on the Gram matrix D^T D; the
+    result satisfies the KKT conditions to 1e-7. ``warm_start`` is a
+    starting code; ``max_steps`` caps the active-set moves (default
+    4*m + 16) and LassoConvergenceError is raised when it runs out.
     """
     D = np.asarray(D, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
@@ -406,14 +405,22 @@ def solve_lasso(D, x, lam, nonneg=False, tol=1e-7, max_sweeps=None, warm_start=N
         raise SparseCodingError("non-finite input to solve_lasso")
     if not lam > 0:
         raise SparseCodingError("lambda must be > 0")
-    m = D.shape[1]
-    if max_sweeps is None:
-        max_sweeps = _default_sweeps(m)
-    gram = D.T @ D
-    ctx = (x @ D)[None, :]
-    warm = None if warm_start is None else np.asarray(warm_start, dtype=np.float64)[None, :]
-    alpha = _lasso_cd_batch(gram, ctx, lam, nonneg, tol, max_sweeps, warm=warm)
-    return alpha[0]
+    solver = _ActiveSetLasso(D.T @ D, lam, nonneg, D.shape[0], max_steps)
+    warm = None
+    if warm_start is not None:
+        warm_start = np.asarray(warm_start, dtype=np.float64)
+        if warm_start.shape != (D.shape[1],) or not np.all(np.isfinite(warm_start)):
+            raise SparseCodingError("warm_start must be a finite vector of length m")
+        warm = (np.flatnonzero(warm_start), warm_start[warm_start != 0.0])
+    alpha = np.zeros(D.shape[1])
+    idx, val = solver.solve(x @ D, warm)
+    alpha[idx] = val
+    return alpha
+
+
+def _significant(idx, val):
+    keep = np.abs(val) >= NONZERO_EPS
+    return idx[keep], val[keep]
 
 
 def _dictionary_pass(D, A, B, variant, tau, n_signals):
@@ -493,40 +500,31 @@ def learn_dictionary(table, config: SparseCodingConfig):
     D = _init_dictionary(X, m, config.variant, rng)
     sum_sq = float(np.sum(X * X))
     slices = _batch_slices(n, config.batch_size)
-    max_sweeps = _default_sweeps(m)
     warm_entries = [None] * n
     objectives = []
 
     def sparse_pass(current_d, epoch_label):
-        gram = current_d.T @ current_d
+        solver = _ActiveSetLasso(current_d.T @ current_d, config.lam, config.nonneg, k)
         A = np.zeros((m, m))
         B = np.zeros((k, m))
         l1_sum = 0.0
-        codes = [None] * n
         for lo, hi in slices:
             Xb = X[lo:hi]
             ctx = Xb @ current_d
-            warm = np.zeros((hi - lo, m))
+            alpha = np.zeros((hi - lo, m))
             for row, i in enumerate(range(lo, hi)):
-                ent = warm_entries[i]
-                if ent is not None:
-                    warm[row, ent[0]] = ent[1]
-            alpha = _lasso_cd_batch(
-                gram, ctx, config.lam, config.nonneg, config.tolerance, max_sweeps, warm=warm
-            )
+                idx, val = solver.solve(ctx[row], warm_entries[i])
+                alpha[row, idx] = val
+                warm_entries[i] = (idx, val)
             if not np.all(np.isfinite(alpha)):
                 raise SparseCodingError(f"non-finite codes during {epoch_label}")
             A += alpha.T @ alpha
             B += Xb.T @ alpha
             l1_sum += float(np.abs(alpha).sum())
-            for row, i in enumerate(range(lo, hi)):
-                ent = _sparsify(alpha[row], threshold=0.0)
-                warm_entries[i] = ent
-                codes[i] = ent
-        return A, B, l1_sum, codes
+        return A, B, l1_sum
 
     for epoch in range(1, config.epochs + 1):
-        A, B, l1_sum, _ = sparse_pass(D, f"epoch {epoch}")
+        A, B, l1_sum = sparse_pass(D, f"epoch {epoch}")
         for _ in slices:
             _dictionary_pass(D, A, B, config.variant, config.tau, n)
         if not np.all(np.isfinite(D)):
@@ -538,14 +536,11 @@ def learn_dictionary(table, config: SparseCodingConfig):
             raise SparseCodingError(f"objective diverged at epoch {epoch}")
         objectives.append(obj)
 
-    A, B, l1_sum, raw_codes = sparse_pass(D, "final refit")
+    A, B, l1_sum = sparse_pass(D, "final refit")
     objectives.append(
         _objective_from_stats(D, A, B, sum_sq, l1_sum, config.lam, config.tau, config.variant, n)
     )
-    entries = []
-    for idx, val in raw_codes:
-        keep = np.abs(val) >= NONZERO_EPS
-        entries.append((idx[keep], val[keep]))
+    entries = [_significant(idx, val) for idx, val in warm_entries]
     dictionary = Dictionary(
         atoms=D,
         variant=config.variant,
@@ -565,7 +560,7 @@ def _thread_count() -> int:
         return 1
 
 
-def encode(dictionary: Dictionary, table, tol=1e-7) -> SparseCodes:
+def encode(dictionary: Dictionary, table) -> SparseCodes:
     """Sparse-code every table row against a fixed dictionary.
 
     Uses the dictionary's own lambda and variant. Words are chunked and
@@ -578,18 +573,14 @@ def encode(dictionary: Dictionary, table, tol=1e-7) -> SparseCodes:
             f"dimension mismatch: table k={X.shape[1]}, dictionary k={dictionary.k}"
         )
     D = dictionary.atoms
-    m = dictionary.m
     gram = D.T @ D
     nonneg = dictionary.variant == "sc4"
-    max_sweeps = _default_sweeps(m)
     slices = _batch_slices(X.shape[0], 512)
 
     def solve_chunk(bounds):
         lo, hi = bounds
-        alpha = _lasso_cd_batch(
-            gram, X[lo:hi] @ D, dictionary.lam, nonneg, tol, max_sweeps
-        )
-        return [_sparsify(alpha[r]) for r in range(alpha.shape[0])]
+        solver = _ActiveSetLasso(gram, dictionary.lam, nonneg, dictionary.k)
+        return [_significant(*solver.solve(c)) for c in X[lo:hi] @ D]
 
     threads = _thread_count()
     if threads > 1 and len(slices) > 1:
@@ -598,7 +589,7 @@ def encode(dictionary: Dictionary, table, tol=1e-7) -> SparseCodes:
     else:
         chunk_results = [solve_chunk(b) for b in slices]
     entries = [entry for chunk in chunk_results for entry in chunk]
-    return SparseCodes(table.words, entries, m)
+    return SparseCodes(table.words, entries, dictionary.m)
 
 
 def sparsity_level(codes: SparseCodes, m: int) -> float:
@@ -650,18 +641,25 @@ def save_dictionary(path, dictionary: Dictionary) -> None:
 def load_dictionary(path) -> Dictionary:
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 5:
-            raise SparseCodingError(f"{path}: bad dictionary header")
-        m, k = int(header[0]), int(header[1])
-        variant = header[2]
-        lam, tau = float(header[3]), float(header[4])
-        atoms = np.zeros((k, m))
+        try:
+            m, k, lam, tau = int(header[0]), int(header[1]), float(header[3]), float(header[4])
+            if len(header) != 5 or m < 1 or k < 1:
+                raise ValueError
+        except (ValueError, IndexError):
+            raise SparseCodingError(
+                f"{path}:1: bad dictionary header, expected `m k variant lambda tau`, m, k >= 1"
+            ) from None
+        columns = []  # grown line by line: the header's m is not trusted
         for j in range(m):
             fields = fh.readline().split()
-            if len(fields) != k:
-                raise SparseCodingError(f"{path}: basis {j} has {len(fields)} values, expected {k}")
-            atoms[:, j] = [float(v) for v in fields]
-    return Dictionary(atoms=atoms, variant=variant, lam=lam, tau=tau)
+            try:
+                if len(fields) != k:
+                    raise ValueError(f"has {len(fields)} values, expected {k}")
+                columns.append([float(v) for v in fields])
+            except ValueError as exc:
+                raise SparseCodingError(f"{path}:{j + 2}: basis {j}: {exc}") from None
+    atoms = np.array(columns, dtype=np.float64).T.copy()
+    return Dictionary(atoms=atoms, variant=header[2], lam=lam, tau=tau)
 
 
 def save_codes(path, codes: SparseCodes) -> None:

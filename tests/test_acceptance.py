@@ -21,7 +21,6 @@ from sparsetag.sparse_coding import (
     SparseCodes,
     SparseCodingConfig,
     kkt_violation,
-    lasso_objective,
     learn_dictionary,
     solve_lasso,
     sparsity_level,
@@ -32,6 +31,7 @@ from oracles import (
     crf_enumerate,
     finite_difference_gradient,
     lasso_bruteforce,
+    lasso_objective,
     random_bio_sequence,
 )
 

@@ -133,6 +133,20 @@ class TestTrainTagEval:
         seen = {name.split("w=", 1)[1] for name in model.feature_index}
         assert seen and seen <= allowed
 
+    def test_train_reports_why_owlqn_stopped(self, small_task_files, tmp_path, capsys):
+        from sparsetag.crf import load_model
+
+        model_path = tmp_path / "m"
+        code = run(
+            "train", "--task", "pos", "--scheme", "wi",
+            "--train", small_task_files["train"], "--format", "conllx",
+            "--max-iterations", 1, "--out", model_path,
+        )
+        assert code == 0
+        assert capsys.readouterr().err == "owlqn stopped: max_iterations after 1 iteration(s)\n"
+        meta = load_model(model_path).meta
+        assert (meta["owlqn_stop"], meta["owlqn_iterations"]) == ("max_iterations", "1")
+
     def test_tag_then_eval_round_trip(self, small_task_files, trained_sc_model, tmp_path, capsys):
         pred = tmp_path / "pred.conll"
         code = run(
@@ -331,6 +345,22 @@ class TestCoverage:
         assert "types 7/10 0.700000" in out
 
 
+class TestImports:
+    def test_cli_import_leaves_out_scipy_sparse(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = "import sys, sparsetag.cli; print('scipy.sparse' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        ).stdout
+        assert out.strip() == "False"
+
+
 class TestAnalyzeBasis:
     def test_sc1_norms_in_tsv(self, trained_sc_model, tmp_path, capsys):
         out = tmp_path / "basis.tsv"
@@ -345,3 +375,21 @@ class TestAnalyzeBasis:
             _, norm, freq = line.split("\t")
             assert float(norm) <= 1 + 1e-9
             assert 0.0 <= float(freq) <= 1.0
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("2 2 sc1 x 0\n1 0\n0 1\n", ":1: bad dictionary header"),
+            ("2 2 sc1 0.1 0\n1 0\n0 one\n", ":3: basis 1: could not convert"),
+            ("1000000000 2 sc1 0.1 0\n1 0\n", ":3: basis 1: has 0 values"),
+        ],
+    )
+    def test_malformed_dictionary_exits_1_with_location(self, tmp_path, capsys, text, where):
+        bad = tmp_path / "bad-dict.txt"
+        bad.write_text(text, encoding="utf-8")
+        codes = tmp_path / "codes.txt"
+        codes.write_text("w 0:0.5\n", encoding="utf-8")
+        assert run("analyze-basis", "--dict", bad, "--codes", codes, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"sparsetag: {bad}{where}")
+        assert err.count("\n") == 1

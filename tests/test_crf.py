@@ -222,6 +222,26 @@ class TestTrain:
         with pytest.raises(CrfError):
             train([], [], TrainConfig())
 
+    def test_iteration_cap_is_reported_in_meta(self, tmp_path):
+        sentences, labels = self._separable()
+        model = train(sentences, labels, TrainConfig(max_iterations=1))
+        assert model.meta["owlqn_stop"] == "max_iterations"
+        assert model.meta["owlqn_iterations"] == "1"
+        path = tmp_path / "m"
+        save_model(path, model)
+        assert load_model(path).meta["owlqn_stop"] == "max_iterations"
+
+    def test_zero_weights_stop_on_zero_pseudo_gradient(self):
+        sentences, labels = self._separable()
+        model = train(sentences, labels, TrainConfig(c1=1e6))
+        assert model.meta["owlqn_stop"] == "zero_pseudo_gradient"
+        assert model.meta["owlqn_iterations"] == "0"
+
+    def test_default_training_converges(self):
+        sentences, labels = self._separable()
+        model = train(sentences, labels, TrainConfig())
+        assert model.meta["owlqn_stop"] == "converged"
+
 
 class TestModelFile:
     def test_round_trip(self, tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsetag.embeddings import EmbeddingTable
 from sparsetag.sparse_coding import (
@@ -10,7 +12,6 @@ from sparsetag.sparse_coding import (
     basis_statistics,
     encode,
     kkt_violation,
-    lasso_objective,
     learn_dictionary,
     load_codes,
     load_dictionary,
@@ -20,7 +21,7 @@ from sparsetag.sparse_coding import (
     sparsity_level,
 )
 
-from oracles import lasso_bruteforce
+from oracles import lasso_bruteforce, lasso_objective
 
 
 def random_unit_rows(rng, n, k):
@@ -79,6 +80,8 @@ class TestSolveLasso:
             solve_lasso(np.array([[np.nan]]), np.array([1.0]), lam=0.1)
         with pytest.raises(SparseCodingError):
             solve_lasso(np.eye(2), np.array([np.inf, 0.0]), lam=0.1)
+        with pytest.raises(SparseCodingError):
+            solve_lasso(np.eye(2), np.ones(2), lam=0.1, warm_start=np.ones(3))
 
     def test_zero_column_stays_zero(self):
         D = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -92,7 +95,7 @@ class TestSolveLasso:
         base = rng.standard_normal(5)
         D = np.column_stack([base, base + 1e-6 * rng.standard_normal(5), rng.standard_normal(5)])
         with pytest.raises(LassoConvergenceError) as exc:
-            solve_lasso(D, base * 2.0, lam=0.01, max_sweeps=1)
+            solve_lasso(D, base * 2.0, lam=0.01, max_steps=1)
         assert exc.value.alpha is not None
         assert exc.value.residual is not None
         assert exc.value.alpha.shape[-1] == 3
@@ -104,6 +107,72 @@ class TestSolveLasso:
         cold = solve_lasso(D, x, lam=0.15)
         warm = solve_lasso(D, x, lam=0.15, warm_start=cold + 0.01)
         np.testing.assert_allclose(cold, warm, atol=1e-5)
+
+
+@st.composite
+def lasso_problems(draw):
+    """Small lasso instances with duplicated, negated and zero columns."""
+    k = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    D = rng.standard_normal((k, m))
+    for j in range(m):
+        kind = draw(st.sampled_from(("fresh", "fresh", "duplicate", "negated", "zero")))
+        if kind == "zero":
+            D[:, j] = 0.0
+        elif kind != "fresh" and j > 0:
+            source = D[:, draw(st.integers(0, j - 1))]
+            D[:, j] = source if kind == "duplicate" else -source
+    x = rng.standard_normal(k)
+    lam = draw(st.sampled_from((0.05, 0.1, 0.5)))
+    nonneg = draw(st.booleans())
+    warm = None
+    if draw(st.booleans()):
+        warm = rng.standard_normal(m) * (rng.random(m) < 0.6)
+    return D, x, lam, nonneg, warm
+
+
+class TestSolveLassoProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(lasso_problems())
+    def test_matches_bruteforce_with_kkt(self, problem):
+        D, x, lam, nonneg, warm = problem
+        alpha = solve_lasso(D, x, lam, nonneg=nonneg, warm_start=warm)
+        if nonneg:
+            assert np.all(alpha >= 0.0)
+        assert kkt_violation(D, x, alpha, lam, nonneg=nonneg) <= 1e-6
+        _, best = lasso_bruteforce(D, x, lam, nonneg=nonneg)
+        assert lasso_objective(D, x, alpha, lam) <= best + 1e-6
+
+
+class TestActiveSetFactor:
+    def test_inverse_factor_tracks_appends_and_drops(self):
+        from sparsetag.sparse_coding import _ActiveSetLasso
+
+        rng = np.random.default_rng(21)
+        D = rng.standard_normal((12, 30))
+        gram = D.T @ D
+        solver = _ActiveSetLasso(gram, 0.1, False, 12)
+        for _ in range(100):
+            solver.size = 0
+            for j in rng.choice(30, size=int(rng.integers(2, 12)), replace=False):
+                assert solver._append(j) is None
+            solver._drop(int(rng.integers(solver.size)))
+            s = solver.size
+            act = solver.act[:s]
+            inv = solver.inv_chol[:s, :s]
+            assert np.all(np.triu(inv, 1) == 0.0)
+            product = inv.T @ inv @ gram[np.ix_(act, act)]
+            np.testing.assert_allclose(product, np.eye(s), atol=1e-10)
+
+    def test_atom_in_span_is_not_appended(self):
+        from sparsetag.sparse_coding import _ActiveSetLasso
+
+        D = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+        solver = _ActiveSetLasso(D.T @ D, 0.1, False, 3)
+        assert solver._append(0) is None and solver._append(1) is None
+        assert solver._append(2) is not None
+        assert solver.size == 2
 
 
 class TestLearnDictionary:
