@@ -28,6 +28,7 @@ _RUNTIME_ERRORS = (
     sparse_coding.LassoConvergenceError,
     evaluation.EvaluationError,
     OSError,
+    UnicodeDecodeError,
 )
 
 
@@ -148,7 +149,6 @@ def _cmd_train(args):
         c2=args.c2,
         max_iterations=args.max_iterations,
         tolerance=args.tolerance,
-        seed=args.seed,
     )
     meta = {
         "scheme": args.scheme,
@@ -266,7 +266,6 @@ def _build_parser():
     parser = argparse.ArgumentParser(
         prog="sparsetag",
         description="Sparse-coded word-embedding features for CRF sequence labeling.",
-        epilog="SPARSETAG_THREADS controls worker threads for encoding.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -300,7 +299,6 @@ def _build_parser():
     p.add_argument("--c2", type=float, default=0.001)
     p.add_argument("--max-iterations", type=int, default=500)
     p.add_argument("--tolerance", type=float, default=1e-5)
-    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--cpostag", action="store_true",
                    help="use the coarse POS column of CoNLL-X input")
     p.add_argument("--lowercase", action="store_true",

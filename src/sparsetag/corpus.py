@@ -5,6 +5,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .evaluation import extract_spans
+
 
 class CorpusError(ValueError):
     """Malformed corpus file or inconsistent labeling."""
@@ -128,27 +130,14 @@ def read_conllu(path) -> Dataset:
     return Dataset(sentences=sentences, task="pos")
 
 
-def _iob1_to_bio(sentence):
-    """Rewrite IOB1 tags so every span starts with B- (IOB2/BIO)."""
-    fixed = []
-    prev = "O"
-    for tok in sentence:
-        tag = tok.label
-        if tag.startswith("I-"):
-            same_span = prev != "O" and prev[2:] == tag[2:]
-            if not same_span:
-                tag = "B-" + tag[2:]
-        fixed.append(Token(form=tok.form, label=tag))
-        prev = tok.label
-    return fixed
-
-
 def read_conll_ner(path, fmt="2003", normalize=True) -> Dataset:
     """Read a CoNLL-2002/2003 NER file (whitespace columns, tag last).
 
     ``-DOCSTART-`` lines are dropped. 2003-style files use IOB1 and are
     normalized to BIO on read (unless ``normalize`` is off, e.g. for
-    prediction files that are already canonical). Tags must look like
+    prediction files that are already canonical): each sentence's spans,
+    as :func:`~sparsetag.evaluation.extract_spans` reads them, are
+    rewritten with a B- tag on every span start. Tags must look like
     ``O`` or ``B-TYPE``/``I-TYPE`` (``E-``/``S-`` accepted so IOBES
     prediction files can be re-read).
     """
@@ -178,7 +167,7 @@ def read_conll_ner(path, fmt="2003", normalize=True) -> Dataset:
     if not sentences:
         raise CorpusError(f"{path}: no sentences found")
     if fmt == "2003" and normalize:
-        sentences = [_iob1_to_bio(sent) for sent in sentences]
+        sentences = [_respan(sent, iobes=False)[0] for sent in sentences]
     return Dataset(sentences=sentences, task="ner")
 
 
@@ -210,82 +199,54 @@ def map_universal(dataset: Dataset, tagmap: dict) -> Dataset:
     return Dataset(sentences=sentences, task=dataset.task)
 
 
-def _bio_spans_lenient(tags):
-    """Spans (type, start, end_inclusive) of a BIO sequence.
+def _span_tags(spans, length, iobes=False):
+    """Tags of ``length`` tokens holding the given (type, start, end) spans.
 
-    An I- token without a live same-type span is repaired as a span start;
-    the repair count is reported alongside.
+    BIO marks a span B- then I-; IOBES marks a one-token span S- and a
+    longer one B-, I-..., E-. Tokens outside every span are O.
     """
-    spans = []
-    repairs = 0
-    start = None
-    cur_type = None
-    for i, tag in enumerate(tags):
-        if tag == "O":
-            if start is not None:
-                spans.append((cur_type, start, i - 1))
-                start = None
-            continue
-        prefix, etype = tag[0], tag[2:]
-        if prefix == "B":
-            if start is not None:
-                spans.append((cur_type, start, i - 1))
-            start, cur_type = i, etype
-        else:  # "I"
-            if start is not None and etype == cur_type:
-                continue
-            if start is not None:
-                spans.append((cur_type, start, i - 1))
-            repairs += 1
-            start, cur_type = i, etype
-    if start is not None:
-        spans.append((cur_type, start, len(tags) - 1))
-    return spans, repairs
-
-
-def _span_tags_iobes(spans, length):
     tags = ["O"] * length
     for etype, start, end in spans:
-        if start == end:
+        if start == end and iobes:
             tags[start] = "S-" + etype
-        else:
-            tags[start] = "B-" + etype
-            for i in range(start + 1, end):
-                tags[i] = "I-" + etype
+            continue
+        tags[start] = "B-" + etype
+        for i in range(start + 1, end + 1):
+            tags[i] = "I-" + etype
+        if iobes:
             tags[end] = "E-" + etype
     return tags
 
 
-def to_iobes(dataset: Dataset):
-    """Convert BIO labels to IOBES. Returns (dataset, repair count).
+def _respan(sentence, iobes):
+    """Rewrite a sentence's tags in one scheme. Returns (tokens, repairs).
 
-    Ill-formed I- tags are repaired as span starts and counted.
+    Spans are read as the scorer reads them; a span whose first tag is I-
+    (no live span of its type before it) counts as one repair.
     """
-    sentences = []
-    repairs = 0
-    for sent in dataset.sentences:
-        tags = [tok.label for tok in sent]
-        spans, n = _bio_spans_lenient(tags)
-        repairs += n
-        new_tags = _span_tags_iobes(spans, len(tags))
-        sentences.append(
-            [Token(form=tok.form, label=tag) for tok, tag in zip(sent, new_tags)]
-        )
-    return Dataset(sentences=sentences, task=dataset.task), repairs
+    tags = [tok.label for tok in sentence]
+    spans = extract_spans(tags)
+    repairs = sum(tags[start].startswith("I-") for _, start, _ in spans)
+    new_tags = _span_tags(spans, len(tags), iobes=iobes)
+    return [Token(form=tok.form, label=tag) for tok, tag in zip(sentence, new_tags)], repairs
+
+
+def to_iobes(dataset: Dataset):
+    """Convert BIO (or IOBES) labels to IOBES. Returns (dataset, repair count).
+
+    Spans are read as :func:`~sparsetag.evaluation.extract_spans` reads
+    them, so the converted tags hold exactly the entities the scorer
+    counts. A span that starts with an I- tag is repaired as a span start
+    and counted.
+    """
+    converted = [_respan(sent, iobes=True) for sent in dataset.sentences]
+    sentences = [tokens for tokens, _ in converted]
+    return Dataset(sentences=sentences, task=dataset.task), sum(n for _, n in converted)
 
 
 def from_iobes(dataset: Dataset) -> Dataset:
-    """Inverse of :func:`to_iobes`: S- becomes B-, E- becomes I-."""
-    remap = {"S": "B", "E": "I", "B": "B", "I": "I"}
-    sentences = []
-    for sent in dataset.sentences:
-        new = []
-        for tok in sent:
-            tag = tok.label
-            if tag != "O":
-                tag = remap[tag[0]] + tag[1:]
-            new.append(Token(form=tok.form, label=tag))
-        sentences.append(new)
+    """Inverse of :func:`to_iobes`: the same spans, rewritten in BIO."""
+    sentences = [_respan(sent, iobes=False)[0] for sent in dataset.sentences]
     return Dataset(sentences=sentences, task=dataset.task)
 
 

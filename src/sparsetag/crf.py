@@ -37,7 +37,6 @@ class TrainConfig:
     max_iterations: int = 500
     tolerance: float = 1e-5
     memory: int = 10
-    seed: int = 42
 
     def __post_init__(self):
         if self.c1 < 0 or self.c2 < 0:
@@ -56,36 +55,51 @@ def _logsumexp(a, axis):
     return np.squeeze(mx, axis=axis) + np.log(np.sum(np.exp(a - mx), axis=axis))
 
 
+def _lattice(em, transitions):
+    """Forward-backward over n equal-length sentences, ``em`` (n, T, L).
+
+    Returns (logZ (n,), unary marginals (n, T, L), pairwise marginals as a
+    lazy sequence of one (n, L, L) array per t = 1..T-1).
+    """
+    length = em.shape[1]
+    alpha = np.zeros_like(em)
+    alpha[:, 0] = em[:, 0]
+    for t in range(1, length):
+        alpha[:, t] = (
+            _logsumexp(alpha[:, t - 1][:, :, None] + transitions[None], axis=1) + em[:, t]
+        )
+    beta = np.zeros_like(em)
+    for t in range(length - 2, -1, -1):
+        beta[:, t] = _logsumexp(
+            transitions[None] + (em[:, t + 1] + beta[:, t + 1])[:, None, :], axis=2
+        )
+    logz = _logsumexp(alpha[:, -1], axis=1)
+    unary = np.exp(alpha + beta - logz[:, None, None])
+    pairwise = (
+        np.exp(
+            alpha[:, t - 1][:, :, None]
+            + transitions[None]
+            + (em[:, t] + beta[:, t])[:, None, :]
+            - logz[:, None, None]
+        )
+        for t in range(1, length)
+    )
+    return logz, unary, pairwise
+
+
 def log_partition(emissions, transitions) -> float:
-    """log sum over all label paths of exp(path score), by forward recursion."""
-    emissions = np.asarray(emissions, dtype=np.float64)
-    transitions = np.asarray(transitions, dtype=np.float64)
-    alpha = emissions[0].copy()
-    for t in range(1, emissions.shape[0]):
-        alpha = _logsumexp(alpha[:, None] + transitions, axis=0) + emissions[t]
-    return float(_logsumexp(alpha, axis=0))
+    """log sum over all label paths of exp(path score)."""
+    return forward_backward(emissions, transitions)[0]
 
 
 def forward_backward(emissions, transitions):
     """(logZ, unary marginals (T,L), pairwise marginals (T-1,L,L))."""
     emissions = np.asarray(emissions, dtype=np.float64)
     transitions = np.asarray(transitions, dtype=np.float64)
-    n_pos, n_lab = emissions.shape
-    alpha = np.zeros((n_pos, n_lab))
-    alpha[0] = emissions[0]
-    for t in range(1, n_pos):
-        alpha[t] = _logsumexp(alpha[t - 1][:, None] + transitions, axis=0) + emissions[t]
-    beta = np.zeros((n_pos, n_lab))
-    for t in range(n_pos - 2, -1, -1):
-        beta[t] = _logsumexp(transitions + (emissions[t + 1] + beta[t + 1])[None, :], axis=1)
-    logz = float(_logsumexp(alpha[-1], axis=0))
-    unary = np.exp(alpha + beta - logz)
-    pairwise = np.zeros((max(n_pos - 1, 0), n_lab, n_lab))
-    for t in range(1, n_pos):
-        pairwise[t - 1] = np.exp(
-            alpha[t - 1][:, None] + transitions + (emissions[t] + beta[t])[None, :] - logz
-        )
-    return logz, unary, pairwise
+    logz, unary, pairs = _lattice(emissions[None], transitions)
+    n_lab = emissions.shape[1]
+    pairwise = np.array([pair[0] for pair in pairs]).reshape(-1, n_lab, n_lab)
+    return float(logz[0]), unary[0], pairwise
 
 
 def viterbi_path(emissions, transitions):
@@ -274,29 +288,10 @@ def smooth_objective(params, batch: CompiledBatch, c2):
     nll = 0.0
     for length in sorted(batch.groups):
         rows = batch.groups[length]
-        em = emissions_all[rows]
-        alpha = np.zeros_like(em)
-        alpha[:, 0] = em[:, 0]
-        for t in range(1, length):
-            alpha[:, t] = (
-                _logsumexp(alpha[:, t - 1][:, :, None] + transitions[None], axis=1)
-                + em[:, t]
-            )
-        beta = np.zeros_like(em)
-        for t in range(length - 2, -1, -1):
-            beta[:, t] = _logsumexp(
-                transitions[None] + (em[:, t + 1] + beta[:, t + 1])[:, None, :], axis=2
-            )
-        logz = _logsumexp(alpha[:, -1], axis=1)
+        logz, unary, pairs = _lattice(emissions_all[rows], transitions)
         nll += float(logz.sum())
-        marginals[rows] = np.exp(alpha + beta - logz[:, None, None])
-        for t in range(1, length):
-            pair = np.exp(
-                alpha[:, t - 1][:, :, None]
-                + transitions[None]
-                + (em[:, t] + beta[:, t])[:, None, :]
-                - logz[:, None, None]
-            )
+        marginals[rows] = unary
+        for pair in pairs:
             trans_expected += pair.sum(axis=0)
 
     gold_rows = np.arange(n_pos)

@@ -94,10 +94,6 @@ class EmbeddingTable:
         return lowercase_fallback and word.lower() in self._index
 
 
-def lookup(table: EmbeddingTable, word: str, lowercase_fallback: bool = False):
-    return table.lookup(word, lowercase_fallback=lowercase_fallback)
-
-
 def _looks_like_header(fields) -> bool:
     if len(fields) != 2:
         return False

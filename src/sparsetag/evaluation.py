@@ -105,7 +105,8 @@ def extract_spans(tags):
 
     Works for BIO and IOBES alike; ill-formed transitions (such as O
     followed by I-X) leniently start a new span, matching the official
-    scorer's reading.
+    scorer's reading. The corpus tag conversions read spans through this
+    function too, so training and scoring agree on every entity.
     """
     spans = set()
     prev = ("O", None)
@@ -125,15 +126,12 @@ def extract_spans(tags):
     return spans
 
 
-def entity_f1(gold_dataset, pred_sequences, scheme="bio") -> EvalReport:
+def entity_f1(gold_dataset, pred_sequences) -> EvalReport:
     """Exact-boundary, exact-type entity matching over all sentences.
 
-    ``scheme`` documents the tag inventory in use; span extraction itself
-    is scheme-agnostic, so BIO and IOBES inputs for identical spans give
-    identical scores.
+    Span extraction is scheme-agnostic, so BIO and IOBES inputs for
+    identical spans give identical scores.
     """
-    if scheme not in ("bio", "iobes"):
-        raise EvaluationError(f"unsupported scheme {scheme!r}")
     _check_shapes(gold_dataset.sentences, pred_sequences)
     correct = {}
     predicted = {}

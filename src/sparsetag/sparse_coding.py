@@ -18,8 +18,6 @@ KKT certificate, checkable with :func:`kkt_violation`.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,7 +215,7 @@ class _ActiveSetLasso:
     a row to R, dropping one rotates R's later rows back to triangular
     form. An atom in the span of A enters along the null direction of the
     enlarged block, which lowers the objective linearly until a coefficient
-    of A reaches zero and leaves. One instance serves one thread.
+    of A reaches zero and leaves.
     """
 
     def __init__(self, gram, lam, nonneg, rank, max_steps=None):
@@ -552,20 +550,11 @@ def learn_dictionary(table, config: SparseCodingConfig):
     return dictionary, codes
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SPARSETAG_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def encode(dictionary: Dictionary, table) -> SparseCodes:
     """Sparse-code every table row against a fixed dictionary.
 
-    Uses the dictionary's own lambda and variant. Words are chunked and
-    may be solved on SPARSETAG_THREADS worker threads; chunks are
-    independent, so the result does not depend on scheduling.
+    Uses the dictionary's own lambda and variant. Each word is solved on
+    its own, so its code does not depend on the other rows.
     """
     X = np.asarray(table.vectors, dtype=np.float64)
     if X.shape[1] != dictionary.k:
@@ -573,22 +562,9 @@ def encode(dictionary: Dictionary, table) -> SparseCodes:
             f"dimension mismatch: table k={X.shape[1]}, dictionary k={dictionary.k}"
         )
     D = dictionary.atoms
-    gram = D.T @ D
     nonneg = dictionary.variant == "sc4"
-    slices = _batch_slices(X.shape[0], 512)
-
-    def solve_chunk(bounds):
-        lo, hi = bounds
-        solver = _ActiveSetLasso(gram, dictionary.lam, nonneg, dictionary.k)
-        return [_significant(*solver.solve(c)) for c in X[lo:hi] @ D]
-
-    threads = _thread_count()
-    if threads > 1 and len(slices) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunk_results = list(pool.map(solve_chunk, slices))
-    else:
-        chunk_results = [solve_chunk(b) for b in slices]
-    entries = [entry for chunk in chunk_results for entry in chunk]
+    solver = _ActiveSetLasso(D.T @ D, dictionary.lam, nonneg, dictionary.k)
+    entries = [_significant(*solver.solve(x @ D)) for x in X]
     return SparseCodes(table.words, entries, dictionary.m)
 
 

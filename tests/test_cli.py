@@ -328,6 +328,19 @@ class TestNerPipeline:
         assert out.startswith("f1 ")
         assert float(out.split()[1]) == 1.0
 
+    def test_iobes_singletons_train_as_two_entities(self, tmp_path, capsys):
+        train = tmp_path / "train.ner"
+        train.write_text("Ann S-PER\nBob S-PER\nmet O\n\n", encoding="utf-8")
+        model = tmp_path / "ner-model"
+        assert run(
+            "train", "--task", "ner", "--scheme", "wi",
+            "--train", train, "--format", "ner2002", "--iobes", "--out", model,
+        ) == 0
+        assert "repaired" not in capsys.readouterr().err
+        labels = [ln for ln in model.read_text(encoding="utf-8").splitlines()
+                  if ln.startswith("labels ")]
+        assert labels == ["labels O S-PER"]
+
 
 class TestCoverage:
     def test_seventy_percent(self, tmp_path, capsys):
@@ -393,3 +406,29 @@ class TestAnalyzeBasis:
         err = capsys.readouterr().err
         assert err.startswith(f"sparsetag: {bad}{where}")
         assert err.count("\n") == 1
+
+
+class TestUndecodableInput:
+    def _assert_one_line_error(self, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("sparsetag: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_codes_file_exits_1(self, tmp_path, capsys):
+        dictionary = tmp_path / "dict.txt"
+        dictionary.write_text("2 2 sc1 0.1 0\n1 0\n0 1\n", encoding="utf-8")
+        codes = tmp_path / "codes.txt"
+        codes.write_bytes(b"w 0:0.5\n\xff 1:0.5\n")
+        assert run("analyze-basis", "--dict", dictionary, "--codes", codes,
+                   "--out", tmp_path / "o") == 1
+        self._assert_one_line_error(capsys)
+
+    def test_corpus_file_exits_1(self, tmp_path, capsys):
+        gold = tmp_path / "gold.ner"
+        gold.write_text("Ann B-PER\n\n", encoding="utf-8")
+        pred = tmp_path / "pred.ner"
+        pred.write_bytes(b"Ann\xff B-PER\n\n")
+        assert run("eval", "--gold", gold, "--pred", pred,
+                   "--format", "ner2002", "--task", "ner") == 1
+        self._assert_one_line_error(capsys)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsetag import corpus
 from sparsetag.corpus import (
@@ -13,6 +15,7 @@ from sparsetag.corpus import (
     subset_first_n,
     to_iobes,
 )
+from sparsetag.evaluation import extract_spans
 
 from conftest import make_dataset
 from oracles import random_bio_sequence
@@ -203,6 +206,13 @@ class TestIobes:
         assert out.labels() == [["S-PER", "S-LOC"]]
         assert repaired == 1
 
+    def test_iobes_input_kept(self):
+        data = make_dataset([[("Ann", "S-PER"), ("Bob", "S-PER")]], task="ner")
+        out, repaired = to_iobes(data)
+        assert out.labels() == [["S-PER", "S-PER"]]
+        assert repaired == 0
+        assert from_iobes(out).labels() == [["B-PER", "B-PER"]]
+
     def test_round_trip_random_layouts(self):
         rng = np.random.default_rng(17)
         for _ in range(300):
@@ -217,6 +227,20 @@ class TestIobes:
         labels = iobes_labels(["PER", "LOC", "ORG", "MISC"])
         assert len(labels) == 17
         assert "O" in labels and "S-MISC" in labels
+
+
+_ANY_TAG = st.sampled_from(["O"] + [f"{p}-{t}" for p in "BIES" for t in "XY"])
+
+
+class TestConversionsKeepScorerSpans:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_ANY_TAG, min_size=1, max_size=12))
+    def test_to_iobes_and_from_iobes(self, tags):
+        data = make_dataset([[("w", tag) for tag in tags]], task="ner")
+        spans = extract_spans(tags)
+        there, _ = to_iobes(data)
+        assert extract_spans(there.labels()[0]) == spans
+        assert extract_spans(from_iobes(data).labels()[0]) == spans
 
 
 class TestSubset:

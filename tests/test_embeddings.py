@@ -6,7 +6,6 @@ from sparsetag.embeddings import (
     EmbeddingTable,
     coverage,
     load_embeddings,
-    lookup,
     save_embeddings,
 )
 
@@ -79,11 +78,11 @@ class TestLoad:
 class TestLookup:
     def test_exact_hit(self, tiny_embedding_file):
         table = load_embeddings(tiny_embedding_file)
-        np.testing.assert_array_equal(lookup(table, "a"), [1.0, 0.0])
+        np.testing.assert_array_equal(table.lookup("a"), [1.0, 0.0])
 
     def test_miss_without_unknown_row(self, tiny_embedding_file):
         table = load_embeddings(tiny_embedding_file)
-        assert lookup(table, "zzz") is None
+        assert table.lookup("zzz") is None
 
     def test_miss_with_unknown_row(self):
         table = EmbeddingTable(

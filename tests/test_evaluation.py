@@ -113,7 +113,7 @@ class TestEntityF1:
                 [tok.label for tok in sent]
                 for sent in to_iobes(ner_dataset(pred_tags))[0].sentences
             ]
-            conv = entity_f1(gold_iobes, pred_iobes, scheme="iobes")
+            conv = entity_f1(gold_iobes, pred_iobes)
             assert conv.overall == base.overall
             assert conv.per_type == base.per_type
 

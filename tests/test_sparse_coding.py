@@ -290,14 +290,13 @@ class TestEncode:
         with pytest.raises(SparseCodingError, match="mismatch"):
             encode(dictionary, table)
 
-    def test_deterministic_and_thread_invariant(self, monkeypatch):
+    def test_deterministic(self):
         rng = np.random.default_rng(15)
         X = random_unit_rows(rng, 600, 6)
         table = table_from("w", X)
         atoms = rng.standard_normal((6, 12))
         dictionary = Dictionary(atoms=atoms, variant="sc1", lam=0.1, tau=0.0)
         codes1 = encode(dictionary, table)
-        monkeypatch.setenv("SPARSETAG_THREADS", "4")
         codes2 = encode(dictionary, table)
         for (i1, v1), (i2, v2) in zip(codes1.entries, codes2.entries):
             np.testing.assert_array_equal(i1, i2)
