@@ -10,10 +10,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
-from contextlib import contextmanager
 
 from . import corpus, crf, evaluation, features, sparse_coding
+from ._textfiles import atomic_output
 from .embeddings import EmbeddingError, coverage as corpus_coverage, load_embeddings
 
 CORPUS_FORMATS = ("conllx", "conllu", "ner2002", "ner2003")
@@ -28,27 +27,11 @@ _RUNTIME_ERRORS = (
     sparse_coding.LassoConvergenceError,
     evaluation.EvaluationError,
     OSError,
-    UnicodeDecodeError,
 )
 
 
 class UsageError(Exception):
     """Inconsistent flag combination; maps to exit code 2."""
-
-
-@contextmanager
-def _atomic_output(path):
-    """Yield a temp path in the target directory, renamed over on success."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sparsetag-")
-    os.close(fd)
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _existing_path(value):
@@ -108,9 +91,9 @@ def _cmd_learn_dict(args):
         seed=args.seed,
     )
     dictionary, codes = sparse_coding.learn_dictionary(table, config)
-    with _atomic_output(args.out_dict) as tmp:
+    with atomic_output(args.out_dict) as tmp:
         sparse_coding.save_dictionary(tmp, dictionary)
-    with _atomic_output(args.out_codes) as tmp:
+    with atomic_output(args.out_codes) as tmp:
         sparse_coding.save_codes(tmp, codes)
     sparsity = sparse_coding.sparsity_level(codes, config.m)
     print(f"dictionary m={config.m} k={table.dim} variant={config.variant}")
@@ -163,7 +146,7 @@ def _cmd_train(args):
         f"{model.meta['owlqn_iterations']} iteration(s)",
         file=sys.stderr,
     )
-    with _atomic_output(args.out) as tmp:
+    with atomic_output(args.out) as tmp:
         crf.save_model(tmp, model)
     print(
         f"trained {args.scheme} model: {len(model.labels)} labels, "
@@ -191,7 +174,7 @@ def _cmd_tag(args):
         sent_feats = features.sentence_features(forms, feat_config, resources)
         predictions.append(model.decode(sent_feats))
     tagged = corpus.replace_labels(dataset, predictions)
-    with _atomic_output(args.out) as tmp:
+    with atomic_output(args.out) as tmp:
         corpus.write_dataset(tmp, tagged, args.format)
     print(f"tagged {len(dataset)} sentences")
     return 0
@@ -247,7 +230,7 @@ def _cmd_analyze_basis(args):
     dictionary = sparse_coding.load_dictionary(args.dict)
     codes = sparse_coding.load_codes(args.codes, m=dictionary.m)
     report = sparse_coding.basis_statistics(dictionary, codes)
-    with _atomic_output(args.out) as tmp:
+    with atomic_output(args.out) as tmp:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(f"# pearson {report.correlation:.6f}\n")
             fh.write("basis\tl2_norm\tusage_frequency\n")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from ._textfiles import read_lines
 from .evaluation import extract_spans
 
 
@@ -67,20 +68,18 @@ def read_conllx(path, use_cpostag=False) -> Dataset:
     tag_col = 3 if use_cpostag else 4
 
     def rows():
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    yield None
-                    continue
-                cols = line.split("\t")
-                if len(cols) < 5:
-                    raise CorpusError(
-                        f"{path}:{lineno}: expected >= 5 tab-separated columns, found {len(cols)}"
-                    )
-                if not cols[1]:
-                    raise CorpusError(f"{path}:{lineno}: empty word form")
-                yield Token(form=cols[1], label=cols[tag_col])
+        for lineno, line in read_lines(path, CorpusError):
+            if not line.strip():
+                yield None
+                continue
+            cols = line.split("\t")
+            if len(cols) < 5:
+                raise CorpusError(
+                    f"{path}:{lineno}: expected >= 5 tab-separated columns, found {len(cols)}"
+                )
+            if not cols[1]:
+                raise CorpusError(f"{path}:{lineno}: empty word form")
+            yield Token(form=cols[1], label=cols[tag_col])
 
     sentences = _sentences_from_rows(rows())
     if not sentences:
@@ -102,27 +101,25 @@ def read_conllu(path) -> Dataset:
     """
 
     def rows():
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    yield None
-                    continue
-                if line.startswith("#"):
-                    continue
-                cols = line.split("\t")
-                if len(cols) < 4:
-                    raise CorpusError(
-                        f"{path}:{lineno}: expected >= 4 tab-separated columns, found {len(cols)}"
-                    )
-                tok_id = cols[0]
-                if _CONLLU_RANGE_ID.match(tok_id) or _CONLLU_EMPTY_ID.match(tok_id):
-                    continue
-                if not _CONLLU_PLAIN_ID.match(tok_id):
-                    raise CorpusError(f"{path}:{lineno}: malformed token id {tok_id!r}")
-                if not cols[1]:
-                    raise CorpusError(f"{path}:{lineno}: empty word form")
-                yield Token(form=cols[1], label=cols[3])
+        for lineno, line in read_lines(path, CorpusError):
+            if not line.strip():
+                yield None
+                continue
+            if line.startswith("#"):
+                continue
+            cols = line.split("\t")
+            if len(cols) < 4:
+                raise CorpusError(
+                    f"{path}:{lineno}: expected >= 4 tab-separated columns, found {len(cols)}"
+                )
+            tok_id = cols[0]
+            if _CONLLU_RANGE_ID.match(tok_id) or _CONLLU_EMPTY_ID.match(tok_id):
+                continue
+            if not _CONLLU_PLAIN_ID.match(tok_id):
+                raise CorpusError(f"{path}:{lineno}: malformed token id {tok_id!r}")
+            if not cols[1]:
+                raise CorpusError(f"{path}:{lineno}: empty word form")
+            yield Token(form=cols[1], label=cols[3])
 
     sentences = _sentences_from_rows(rows())
     if not sentences:
@@ -145,23 +142,21 @@ def read_conll_ner(path, fmt="2003", normalize=True) -> Dataset:
         raise CorpusError(f"unsupported NER format: {fmt!r}")
 
     def rows():
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    yield None
-                    continue
-                cols = line.split()
-                if cols[0] == "-DOCSTART-":
-                    continue
-                if len(cols) < 2:
-                    raise CorpusError(
-                        f"{path}:{lineno}: expected at least 'form tag', found {line!r}"
-                    )
-                tag = cols[-1]
-                if not _NER_TAG_RE.match(tag):
-                    raise CorpusError(f"{path}:{lineno}: malformed NER tag {tag!r}")
-                yield Token(form=cols[0], label=tag)
+        for lineno, line in read_lines(path, CorpusError):
+            if not line.strip():
+                yield None
+                continue
+            cols = line.split()
+            if cols[0] == "-DOCSTART-":
+                continue
+            if len(cols) < 2:
+                raise CorpusError(
+                    f"{path}:{lineno}: expected at least 'form tag', found {line!r}"
+                )
+            tag = cols[-1]
+            if not _NER_TAG_RE.match(tag):
+                raise CorpusError(f"{path}:{lineno}: malformed NER tag {tag!r}")
+            yield Token(form=cols[0], label=tag)
 
     sentences = _sentences_from_rows(rows())
     if not sentences:
@@ -174,15 +169,13 @@ def read_conll_ner(path, fmt="2003", normalize=True) -> Dataset:
 def load_tagmap(path) -> dict:
     """Read a two-column ``fine<TAB>universal`` tag map; '#' comments allowed."""
     mapping = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise CorpusError(f"{path}:{lineno}: expected 'fine<TAB>universal'")
-            mapping[cols[0]] = cols[1]
+    for lineno, line in read_lines(path, CorpusError):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        cols = line.split("\t")
+        if len(cols) != 2:
+            raise CorpusError(f"{path}:{lineno}: expected 'fine<TAB>universal'")
+        mapping[cols[0]] = cols[1]
     return mapping
 
 

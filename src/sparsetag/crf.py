@@ -13,10 +13,14 @@ is Viterbi with ties broken toward the lower label index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from ._textfiles import read_lines
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -163,16 +167,36 @@ class CrfModel:
 def score_lattice(model: CrfModel, sent_features):
     """Per-position per-label emission scores plus the transition matrix.
 
-    Features absent from the model's index are skipped.
+    Feature names are resolved to ids in one pass over the sentence;
+    names absent from the model's index are skipped. One gather of the
+    weight rows and one unbuffered ``np.add.at`` then sum each position's
+    rows in feature order, so the scores equal those of a per-feature
+    loop bit for bit.
     """
-    n_lab = len(model.labels)
-    emissions = np.zeros((len(sent_features), n_lab))
-    for t, feats in enumerate(sent_features):
-        for name, value in feats:
-            fid = model.feature_index.get(name)
-            if fid is not None:
-                emissions[t] += value * model.emissions[fid]
+    emissions = np.zeros((len(sent_features), len(model.labels)))
+    rows, ids, vals = _feature_entries(sent_features, model.feature_index)
+    np.add.at(emissions, rows, vals[:, None] * model.emissions[ids])
     return emissions, model.transitions
+
+
+def _feature_entries(positions, feature_index, grow=False):
+    """(rows, feature ids, values) arrays of per-position features, in order.
+
+    ``positions`` is a sequence of (name, value) lists, one per row.
+    Names missing from ``feature_index`` are skipped, or with ``grow``
+    first added to it in order of first occurrence.
+    """
+    pairs = [pair for feats in positions for pair in feats]
+    names = [name for name, _ in pairs]
+    if grow:
+        for name in names:
+            if name not in feature_index:
+                feature_index[name] = len(feature_index)
+    ids = np.fromiter(map(feature_index.get, names, repeat(-1)), dtype=np.int64, count=len(names))
+    vals = np.fromiter((value for _, value in pairs), dtype=np.float64, count=len(pairs))
+    rows = np.repeat(np.arange(len(positions)), [len(feats) for feats in positions])
+    found = ids >= 0
+    return rows[found], ids[found], vals[found]
 
 
 @dataclass
@@ -214,41 +238,29 @@ def compile_batch(batch_features, batch_labels, labels=None, feature_index=None,
     label_index = {lab: i for i, lab in enumerate(labels)}
     feature_index = {} if feature_index is None else dict(feature_index)
 
-    rows, cols, vals = [], [], []
     gold = []
     groups = {}
     n_lab = len(labels)
     trans_counts = np.zeros((n_lab, n_lab))
-    pos = 0
     for feats_seq, labs_seq in zip(batch_features, batch_labels):
         if len(feats_seq) != len(labs_seq) or not labs_seq:
             raise CrfError("sentence feature/label shape mismatch")
-        row_ids = []
-        prev = None
-        for feats, lab in zip(feats_seq, labs_seq):
+        pos = len(gold)
+        for lab in labs_seq:
             if lab not in label_index:
                 raise CrfError(f"gold label {lab!r} not in label set")
-            y = label_index[lab]
-            gold.append(y)
-            if prev is not None:
-                trans_counts[prev, y] += 1.0
-            prev = y
-            for name, value in feats:
-                fid = feature_index.get(name)
-                if fid is None:
-                    if not grow_index:
-                        continue
-                    fid = len(feature_index)
-                    feature_index[name] = fid
-                rows.append(pos)
-                cols.append(fid)
-                vals.append(float(value))
-            row_ids.append(pos)
-            pos += 1
-        groups.setdefault(len(row_ids), []).append(row_ids)
+            gold.append(label_index[lab])
+        for prev, y in zip(gold[pos:], gold[pos + 1:]):
+            trans_counts[prev, y] += 1.0
+        groups.setdefault(len(labs_seq), []).append(range(pos, len(gold)))
+    rows, cols, vals = _feature_entries(
+        [feats for feats_seq in batch_features for feats in feats_seq],
+        feature_index,
+        grow=grow_index,
+    )
 
     matrix = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(pos, max(len(feature_index), 1)), dtype=np.float64
+        (vals, (rows, cols)), shape=(len(gold), max(len(feature_index), 1)), dtype=np.float64
     )
     groups = {length: np.asarray(ids, dtype=np.int64) for length, ids in groups.items()}
     return CompiledBatch(
@@ -498,56 +510,85 @@ def save_model(path, model: CrfModel) -> None:
                     fh.write(f"{name} {lab_b} {weight:.17g}\n")
 
 
+def _model_number(text, path, lineno, finite=False):
+    try:
+        value = float(text)
+    except ValueError:
+        raise CrfError(f"{path}:{lineno}: {text!r} is not a number") from None
+    if finite and not math.isfinite(value):
+        raise CrfError(f"{path}:{lineno}: weight {text!r} is not finite")
+    return value
+
+
+_WEIGHT_LINES = {
+    "[transitions]": "'from_label to_label weight'",
+    "[emissions]": "'feature label weight'",
+}
+
+
 def load_model(path) -> CrfModel:
-    with open(path, encoding="utf-8") as fh:
-        if fh.readline().rstrip("\n") != _MODEL_MAGIC:
-            raise CrfError(f"{path}: not a model file")
-        section = None
-        c1 = c2 = None
-        labels = None
-        meta = {}
-        trans_rows = []
-        emit_rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line in ("[meta]", "[transitions]", "[emissions]"):
-                # exact match only: feature names may start with '['
-                section = line
-                continue
-            if section == "[meta]":
-                key, _, value = line.partition(" ")
-                if key == "c1":
-                    c1 = float(value)
-                elif key == "c2":
-                    c2 = float(value)
-                elif key == "labels":
-                    labels = value.split(" ")
-                else:
-                    meta[key] = value
-            elif section == "[transitions]":
-                a, b, weight = line.split(" ")
-                trans_rows.append((a, b, float(weight)))
-            elif section == "[emissions]":
-                name, lab, weight = line.split(" ")
-                emit_rows.append((name, lab, float(weight)))
-            elif section is None:
-                raise CrfError(f"{path}:{lineno}: content outside any section")
+    """Read a model written by :func:`save_model`.
+
+    A malformed line (wrong field count, a weight that is not a finite
+    number, a label missing from the ``labels`` line) raises
+    ``CrfError("<path>:<line>: ...")``.
+    """
+    lines = read_lines(path, CrfError)
+    if next(lines, (1, ""))[1] != _MODEL_MAGIC:
+        raise CrfError(f"{path}: not a model file")
+    section = None
+    c1 = c2 = None
+    labels = None
+    meta = {}
+    weights = {"[transitions]": [], "[emissions]": []}
+    for lineno, line in lines:
+        if not line:
+            continue
+        if line in ("[meta]", "[transitions]", "[emissions]"):
+            # exact match only: feature names may start with '['
+            section = line
+            continue
+        if section == "[meta]":
+            key, _, value = line.partition(" ")
+            if key == "c1":
+                c1 = _model_number(value, path, lineno)
+            elif key == "c2":
+                c2 = _model_number(value, path, lineno)
+            elif key == "labels":
+                labels = value.split(" ")
+            else:
+                meta[key] = value
+        elif section is None:
+            raise CrfError(f"{path}:{lineno}: content outside any section")
+        else:
+            fields = line.split(" ")
+            if len(fields) != 3:
+                raise CrfError(
+                    f"{path}:{lineno}: expected {_WEIGHT_LINES[section]}, "
+                    f"found {len(fields)} field(s)"
+                )
+            weight = _model_number(fields[2], path, lineno, finite=True)
+            weights[section].append((lineno, fields[0], fields[1], weight))
     if c1 is None or c2 is None or labels is None:
         raise CrfError(f"{path}: incomplete [meta] section")
     label_index = {lab: i for i, lab in enumerate(labels)}
+
+    def label_id(lab, lineno):
+        if lab not in label_index:
+            raise CrfError(f"{path}:{lineno}: label {lab!r} is not in the model's labels")
+        return label_index[lab]
+
     n_lab = len(labels)
     transitions = np.zeros((n_lab, n_lab))
-    for a, b, weight in trans_rows:
-        transitions[label_index[a], label_index[b]] = weight
+    for lineno, a, b, weight in weights["[transitions]"]:
+        transitions[label_id(a, lineno), label_id(b, lineno)] = weight
     feature_index = {}
-    for name, _, _ in emit_rows:
+    for _, name, _, _ in weights["[emissions]"]:
         if name not in feature_index:
             feature_index[name] = len(feature_index)
     emissions = np.zeros((len(feature_index), n_lab))
-    for name, lab, weight in emit_rows:
-        emissions[feature_index[name], label_index[lab]] = weight
+    for lineno, name, lab, weight in weights["[emissions]"]:
+        emissions[feature_index[name], label_id(lab, lineno)] = weight
     return CrfModel(
         labels=labels,
         feature_index=feature_index,

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._textfiles import read_lines
+
 
 class EmbeddingError(ValueError):
     """Malformed embedding file or inconsistent table."""
@@ -117,35 +119,33 @@ def load_embeddings(path, format="text", unknown_word=None) -> EmbeddingTable:
     words = []
     rows = []
     dim = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split()
-            if lineno == 1 and (format == "word2vec-text" or _looks_like_header(fields)):
-                if format == "word2vec-text" and not _looks_like_header(fields):
-                    raise EmbeddingError(
-                        f"{path}:1: word2vec-text requires a '|V| k' header line"
-                    )
-                continue
-            if len(fields) < 2:
-                raise EmbeddingError(f"{path}:{lineno}: expected 'word v1 ... vk'")
-            word, values = fields[0], fields[1:]
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
+    for lineno, line in read_lines(path, EmbeddingError):
+        if not line.strip():
+            continue
+        fields = line.split()
+        if lineno == 1 and (format == "word2vec-text" or _looks_like_header(fields)):
+            if format == "word2vec-text" and not _looks_like_header(fields):
                 raise EmbeddingError(
-                    f"{path}:{lineno}: expected {dim} values, found {len(values)}"
+                    f"{path}:1: word2vec-text requires a '|V| k' header line"
                 )
-            try:
-                vec = [float(v) for v in values]
-            except ValueError as exc:
-                raise EmbeddingError(f"{path}:{lineno}: non-numeric field ({exc})") from None
-            if not all(np.isfinite(vec)):
-                raise EmbeddingError(f"{path}:{lineno}: non-finite value")
-            words.append(word)
-            rows.append(vec)
+            continue
+        if len(fields) < 2:
+            raise EmbeddingError(f"{path}:{lineno}: expected 'word v1 ... vk'")
+        word, values = fields[0], fields[1:]
+        if dim is None:
+            dim = len(values)
+        elif len(values) != dim:
+            raise EmbeddingError(
+                f"{path}:{lineno}: expected {dim} values, found {len(values)}"
+            )
+        try:
+            vec = [float(v) for v in values]
+        except ValueError as exc:
+            raise EmbeddingError(f"{path}:{lineno}: non-numeric field ({exc})") from None
+        if not all(np.isfinite(vec)):
+            raise EmbeddingError(f"{path}:{lineno}: non-finite value")
+        words.append(word)
+        rows.append(vec)
     if not words:
         raise EmbeddingError(f"{path}: no embedding records found")
     matrix = np.array(rows, dtype=np.float64)

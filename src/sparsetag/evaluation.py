@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import os
-import tempfile
 from dataclasses import dataclass, field
+
+from ._textfiles import atomic_output, read_lines
 
 
 class EvaluationError(ValueError):
@@ -203,25 +204,17 @@ def update_report(path, row: str) -> None:
     key = _row_key(row)
     lines = []
     if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if header and header != "\t".join(REPORT_COLUMNS):
-                raise EvaluationError(f"{path}: unexpected report header")
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        lines = [line for _, line in read_lines(path, EvaluationError)]
+        if lines and lines[0] and lines[0] != "\t".join(REPORT_COLUMNS):
+            raise EvaluationError(f"{path}: unexpected report header")
+        lines = [ln for ln in lines[1:] if ln.strip()]
     lines = [ln for ln in lines if _row_key(ln) != key]
     lines.append(row)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+    with atomic_output(path) as tmp:
+        with open(tmp, "w", encoding="utf-8") as fh:
             fh.write("\t".join(REPORT_COLUMNS) + "\n")
             for ln in lines:
                 fh.write(ln + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _row_key(row: str):

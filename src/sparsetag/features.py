@@ -5,12 +5,22 @@ Brown-cluster path prefixes (brown), feature-rich word templates with and
 without character templates (fr_w, fr_wc), word identity (wi), and the
 union wi_sc. Extraction is a pure function of the sentence, position and
 immutable resources; vectors come back sorted by feature string.
+
+Under every scheme but fr_w / fr_wc a token's vector is the union, over
+the offsets of its window, of the features of the word type at that
+offset. Each (offset, word) list is built and sorted once, cached on the
+FeatureResources object, and a token's vector is the concatenation of its
+offsets' lists in the string order of their tags, which is already
+sorted and unique. Extraction therefore costs per word type, not per
+feature occurrence. fr_w / fr_wc keep per-token templates.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+
+from ._textfiles import read_lines
 
 SCHEMES = ("sc", "dense", "brown", "fr_w", "fr_wc", "wi", "wi_sc")
 
@@ -34,14 +44,21 @@ class FeatureConfig:
             raise FeatureError("window must be 1 or 2")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureResources:
-    """Immutable lookups the schemes draw on; only the needed ones are set."""
+    """Immutable lookups the schemes draw on; only the needed ones are set.
+
+    The object also caches each word type's feature list per scheme,
+    Brown prefix lengths and window offset, filled on first use. The
+    cache assumes the resources never change: build a new object rather
+    than editing the codes, table or clusters it holds.
+    """
 
     codes: object = None          # SparseCodes
     table: object = None          # EmbeddingTable
     clusters: dict = field(default=None)  # word -> bit-string path
     lowercase_fallback: bool = False
+    _type_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _safe(text: str) -> str:
@@ -51,6 +68,11 @@ def _safe(text: str) -> str:
 
 def _offset_tag(o: int) -> str:
     return "[0]" if o == 0 else f"[{o:+d}]"
+
+
+# Window offsets in the string order of their tags, [+1] [+2] [-1] [-2] [0]:
+# concatenating per-offset sorted lists in this order yields a sorted list.
+_WINDOW_OFFSETS = {w: sorted(range(-w, w + 1), key=_offset_tag) for w in (1, 2)}
 
 
 def sparse_features(alpha) -> set:
@@ -79,18 +101,16 @@ def brown_features(path: str, lengths=(4, 6, 10, 20)) -> set:
 def load_clusters(path) -> dict:
     """Read `bitstring<TAB>word<TAB>count` Brown clustering output."""
     clusters = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            cols = line.split("\t")
-            if len(cols) < 2:
-                raise FeatureError(f"{path}:{lineno}: expected 'path<TAB>word[<TAB>count]'")
-            bits, word = cols[0], cols[1]
-            if bits.strip("01"):
-                raise FeatureError(f"{path}:{lineno}: path {bits!r} is not a bit string")
-            clusters[word] = bits
+    for lineno, line in read_lines(path, FeatureError):
+        if not line.strip():
+            continue
+        cols = line.split("\t")
+        if len(cols) < 2:
+            raise FeatureError(f"{path}:{lineno}: expected 'path<TAB>word[<TAB>count]'")
+        bits, word = cols[0], cols[1]
+        if bits.strip("01"):
+            raise FeatureError(f"{path}:{lineno}: path {bits!r} is not a bit string")
+        clusters[word] = bits
     return clusters
 
 
@@ -146,17 +166,46 @@ def rich_features(sentence, t, include_chars=False) -> set:
     return feats
 
 
-def _windowed(sentence, t, window, per_word):
-    """Apply a per-word extractor at every in-bounds offset with [o] prefixes."""
+def _word_features(word, config: FeatureConfig, resources: FeatureResources):
+    """(name, value) pairs of one word type under a windowed scheme, untagged."""
+    scheme = config.scheme
+    low = resources.lowercase_fallback
     feats = []
-    n = len(sentence)
-    for o in range(-window, window + 1):
-        pos = t + o
-        if not 0 <= pos < n:
-            continue
-        tag = _offset_tag(o)
-        feats.extend((tag + name, value) for name, value in per_word(sentence[pos]))
+    if scheme in ("wi", "wi_sc"):
+        feats.append((f"w={_safe(word)}", 1.0))
+    if scheme in ("sc", "wi_sc"):
+        entry = resources.codes.get(word, lowercase_fallback=low)
+        if entry is not None:
+            feats.extend((f, 1.0) for f in sparse_features(entry))
+    elif scheme == "dense":
+        if resources.table.has_vector(word, lowercase_fallback=low):
+            feats.extend(dense_features(resources.table.lookup(word, lowercase_fallback=low)))
+    elif scheme == "brown":
+        path = resources.clusters.get(word)
+        if path is not None:
+            feats.extend((f, 1.0) for f in brown_features(path, config.brown_prefix_lengths))
     return feats
+
+
+def _type_features(word, offset, config: FeatureConfig, resources: FeatureResources):
+    """Sorted, offset-tagged features of ``word`` seen at ``offset``; cached."""
+    key = (config.scheme, tuple(config.brown_prefix_lengths), offset, word)
+    feats = resources._type_cache.get(key)
+    if feats is None:
+        tag = _offset_tag(offset)
+        feats = sorted(
+            (tag + name, value) for name, value in _word_features(word, config, resources)
+        )
+        resources._type_cache[key] = feats
+    return feats
+
+
+_REQUIRED = {
+    "sc": ("codes", "sparse codes"),
+    "wi_sc": ("codes", "sparse codes"),
+    "dense": ("table", "embedding table"),
+    "brown": ("clusters", "cluster table"),
+}
 
 
 def token_features(sentence, t, config: FeatureConfig, resources: FeatureResources):
@@ -170,56 +219,21 @@ def token_features(sentence, t, config: FeatureConfig, resources: FeatureResourc
     if not 0 <= t < n:
         raise FeatureError(f"position {t} out of range for sentence of length {n}")
     scheme = config.scheme
-    low = resources.lowercase_fallback
 
     if scheme in ("fr_w", "fr_wc"):
         out = [(f, 1.0) for f in rich_features(sentence, t, include_chars=scheme == "fr_wc")]
         out.sort()
         return out
 
-    def sc_word(word):
-        entry = resources.codes.get(word, lowercase_fallback=low)
-        if entry is None:
-            return []
-        return [(f, 1.0) for f in sparse_features(entry)]
-
-    def dense_word(word):
-        if not resources.table.has_vector(word, lowercase_fallback=low):
-            return []
-        return dense_features(resources.table.lookup(word, lowercase_fallback=low))
-
-    def brown_word(word):
-        path = resources.clusters.get(word)
-        if path is None:
-            return []
-        return [(f, 1.0) for f in brown_features(path, config.brown_prefix_lengths)]
-
-    def wi_word(word):
-        return [(f"w={_safe(word)}", 1.0)]
-
-    if scheme == "sc":
-        _require(resources.codes, "sc", "sparse codes")
-        feats = _windowed(sentence, t, config.window, sc_word)
-    elif scheme == "dense":
-        _require(resources.table, "dense", "embedding table")
-        feats = _windowed(sentence, t, config.window, dense_word)
-    elif scheme == "brown":
-        _require(resources.clusters, "brown", "cluster table")
-        feats = _windowed(sentence, t, config.window, brown_word)
-    elif scheme == "wi":
-        feats = _windowed(sentence, t, config.window, wi_word)
-    else:  # wi_sc
-        _require(resources.codes, "wi_sc", "sparse codes")
-        feats = _windowed(sentence, t, config.window, wi_word)
-        feats += _windowed(sentence, t, config.window, sc_word)
-
-    out = sorted(dict(feats).items())
+    if scheme in _REQUIRED:
+        attr, what = _REQUIRED[scheme]
+        if getattr(resources, attr) is None:
+            raise FeatureError(f"scheme {scheme!r} needs a {what}")
+    out = []
+    for o in _WINDOW_OFFSETS[config.window]:
+        if 0 <= t + o < n:
+            out += _type_features(sentence[t + o], o, config, resources)
     return out
-
-
-def _require(resource, scheme, what):
-    if resource is None:
-        raise FeatureError(f"scheme {scheme!r} needs a {what}")
 
 
 def sentence_features(sentence, config: FeatureConfig, resources: FeatureResources):

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._textfiles import read_lines
+
 VARIANTS = ("sc1", "sc3", "sc4")
 
 # Coefficients below this magnitude are stored as exact zeros.
@@ -615,25 +617,25 @@ def save_dictionary(path, dictionary: Dictionary) -> None:
 
 
 def load_dictionary(path) -> Dictionary:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
+    lines = read_lines(path, SparseCodingError)
+    header = next(lines, (1, ""))[1].split()
+    try:
+        m, k, lam, tau = int(header[0]), int(header[1]), float(header[3]), float(header[4])
+        if len(header) != 5 or m < 1 or k < 1:
+            raise ValueError
+    except (ValueError, IndexError):
+        raise SparseCodingError(
+            f"{path}:1: bad dictionary header, expected `m k variant lambda tau`, m, k >= 1"
+        ) from None
+    columns = []  # grown line by line: the header's m is not trusted
+    for j in range(m):
+        fields = next(lines, (j + 2, ""))[1].split()
         try:
-            m, k, lam, tau = int(header[0]), int(header[1]), float(header[3]), float(header[4])
-            if len(header) != 5 or m < 1 or k < 1:
-                raise ValueError
-        except (ValueError, IndexError):
-            raise SparseCodingError(
-                f"{path}:1: bad dictionary header, expected `m k variant lambda tau`, m, k >= 1"
-            ) from None
-        columns = []  # grown line by line: the header's m is not trusted
-        for j in range(m):
-            fields = fh.readline().split()
-            try:
-                if len(fields) != k:
-                    raise ValueError(f"has {len(fields)} values, expected {k}")
-                columns.append([float(v) for v in fields])
-            except ValueError as exc:
-                raise SparseCodingError(f"{path}:{j + 2}: basis {j}: {exc}") from None
+            if len(fields) != k:
+                raise ValueError(f"has {len(fields)} values, expected {k}")
+            columns.append([float(v) for v in fields])
+        except ValueError as exc:
+            raise SparseCodingError(f"{path}:{j + 2}: basis {j}: {exc}") from None
     atoms = np.array(columns, dtype=np.float64).T.copy()
     return Dictionary(atoms=atoms, variant=header[2], lam=lam, tau=tau)
 
@@ -651,27 +653,26 @@ def load_codes(path, m=None) -> SparseCodes:
     words = []
     entries = []
     max_idx = -1
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.rstrip("\n").split(" ")
-            if not fields or not fields[0]:
-                raise SparseCodingError(f"{path}:{lineno}: missing word")
-            words.append(fields[0])
-            idx = []
-            val = []
-            for part in fields[1:]:
-                if not part:
-                    continue
-                try:
-                    i_str, v_str = part.split(":")
-                    i, v = int(i_str), float(v_str)
-                except ValueError:
-                    raise SparseCodingError(f"{path}:{lineno}: bad entry {part!r}") from None
-                idx.append(i)
-                val.append(v)
-            if idx:
-                max_idx = max(max_idx, max(idx))
-            entries.append((np.array(idx, dtype=np.int64), np.array(val)))
+    for lineno, line in read_lines(path, SparseCodingError):
+        fields = line.split(" ")
+        if not fields or not fields[0]:
+            raise SparseCodingError(f"{path}:{lineno}: missing word")
+        words.append(fields[0])
+        idx = []
+        val = []
+        for part in fields[1:]:
+            if not part:
+                continue
+            try:
+                i_str, v_str = part.split(":")
+                i, v = int(i_str), float(v_str)
+            except ValueError:
+                raise SparseCodingError(f"{path}:{lineno}: bad entry {part!r}") from None
+            idx.append(i)
+            val.append(v)
+        if idx:
+            max_idx = max(max_idx, max(idx))
+        entries.append((np.array(idx, dtype=np.int64), np.array(val)))
     if m is None:
         m = max(max_idx + 1, 1)
     return SparseCodes(words, entries, m)

@@ -102,3 +102,63 @@ def random_bio_sequence(rng, length, types=("PER", "LOC", "ORG", "MISC")):
             tags.append("B-" + etype)
             tags.extend(["I-" + etype] * (span - 1))
     return tags
+
+
+def token_features_per_token(sentence, t, config, resources):
+    """The windowed schemes' features of token t, rebuilt from scratch.
+
+    The per-token extractor that preceded the per-word-type cache: every
+    feature string of every offset is built again and the union is sorted
+    once per token. Covers sc, dense, brown, wi and wi_sc.
+    """
+    low = resources.lowercase_fallback
+
+    def safe(text):
+        return "".join("_" if ch.isspace() else ch for ch in text)
+
+    def sc_word(word):
+        entry = resources.codes.get(word, lowercase_fallback=low)
+        if entry is None:
+            return []
+        return [(("+" if v > 0 else "-") + str(int(i)), 1.0) for i, v in zip(*entry)]
+
+    def dense_word(word):
+        if not resources.table.has_vector(word, lowercase_fallback=low):
+            return []
+        vector = resources.table.lookup(word, lowercase_fallback=low)
+        return [(f"d:{j}", float(v)) for j, v in enumerate(vector)]
+
+    def brown_word(word):
+        path = resources.clusters.get(word)
+        if path is None:
+            return []
+        return [(f"bp{p}={path[:p]}", 1.0) for p in config.brown_prefix_lengths]
+
+    def wi_word(word):
+        return [(f"w={safe(word)}", 1.0)]
+
+    per_word = {
+        "sc": [sc_word],
+        "dense": [dense_word],
+        "brown": [brown_word],
+        "wi": [wi_word],
+        "wi_sc": [wi_word, sc_word],
+    }[config.scheme]
+    feats = []
+    for extract in per_word:
+        for o in range(-config.window, config.window + 1):
+            if 0 <= t + o < len(sentence):
+                tag = "[0]" if o == 0 else f"[{o:+d}]"
+                feats.extend((tag + name, value) for name, value in extract(sentence[t + o]))
+    return sorted(dict(feats).items())
+
+
+def score_lattice_per_feature(model, sent_features):
+    """Emission scores by one row addition per feature occurrence."""
+    emissions = np.zeros((len(sent_features), len(model.labels)))
+    for t, feats in enumerate(sent_features):
+        for name, value in feats:
+            fid = model.feature_index.get(name)
+            if fid is not None:
+                emissions[t] += value * model.emissions[fid]
+    return emissions

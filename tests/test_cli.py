@@ -408,13 +408,14 @@ class TestAnalyzeBasis:
         assert err.count("\n") == 1
 
 
-class TestUndecodableInput:
-    def _assert_one_line_error(self, capsys):
-        err = capsys.readouterr().err
-        assert err.startswith("sparsetag: ")
-        assert err.count("\n") == 1
-        assert "Traceback" not in err
+def _assert_one_line_error(capsys, where):
+    err = capsys.readouterr().err
+    assert err.startswith(f"sparsetag: {where}: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
+
+class TestUndecodableInput:
     def test_codes_file_exits_1(self, tmp_path, capsys):
         dictionary = tmp_path / "dict.txt"
         dictionary.write_text("2 2 sc1 0.1 0\n1 0\n0 1\n", encoding="utf-8")
@@ -422,7 +423,7 @@ class TestUndecodableInput:
         codes.write_bytes(b"w 0:0.5\n\xff 1:0.5\n")
         assert run("analyze-basis", "--dict", dictionary, "--codes", codes,
                    "--out", tmp_path / "o") == 1
-        self._assert_one_line_error(capsys)
+        _assert_one_line_error(capsys, f"{codes}:2")
 
     def test_corpus_file_exits_1(self, tmp_path, capsys):
         gold = tmp_path / "gold.ner"
@@ -431,4 +432,67 @@ class TestUndecodableInput:
         pred.write_bytes(b"Ann\xff B-PER\n\n")
         assert run("eval", "--gold", gold, "--pred", pred,
                    "--format", "ner2002", "--task", "ner") == 1
-        self._assert_one_line_error(capsys)
+        _assert_one_line_error(capsys, f"{pred}:1")
+
+    def test_line_number_exact_past_the_first_read_chunk(self, tmp_path, capsys):
+        # 3000 lines (24 kB) come before the bad byte, more than one
+        # buffered read; CRLF and CR endings count one line each
+        gold = tmp_path / "gold.ner"
+        gold.write_text("Ann B-PER\n\n", encoding="utf-8")
+        pred = tmp_path / "pred.ner"
+        pred.write_bytes(b"Ann B-PER\r\n" * 1000 + b"Ann B-PER\r" * 2000 + b"Bo\xffb O\n")
+        assert run("eval", "--gold", gold, "--pred", pred,
+                   "--format", "ner2002", "--task", "ner") == 1
+        _assert_one_line_error(capsys, f"{pred}:3001")
+
+    def test_model_file_exits_1(self, tmp_path, capsys):
+        model, data = _wi_model_files(tmp_path)
+        model.write_bytes(model.read_bytes().replace(b"c2 0.001", b"c2 0.\xe9"))
+        assert run("tag", "--model", model, "--input", data, "--format", "conllx",
+                   "--out", tmp_path / "pred") == 1
+        _assert_one_line_error(capsys, f"{model}:4")
+
+
+_WI_MODEL = """sparsetag-crf 1
+[meta]
+c1 1
+c2 0.001
+labels A B
+scheme wi
+task pos
+window 1
+[transitions]
+A B 0.5
+[emissions]
+[0]w=x A 1.5
+"""
+
+
+def _wi_model_files(tmp_path, replace=None):
+    """A hand-written word-identity model (line N of ``replace`` swapped) and a corpus."""
+    lines = _WI_MODEL.split("\n")
+    for lineno, text in (replace or {}).items():
+        lines[lineno - 1] = text
+    model = tmp_path / "model.txt"
+    model.write_text("\n".join(lines), encoding="utf-8")
+    data = tmp_path / "data.conll"
+    data.write_text("1\tx\t_\tA\tA\n2\ty\t_\tB\tB\n\n", encoding="utf-8")
+    return model, data
+
+
+class TestMalformedModel:
+    @pytest.mark.parametrize("lineno, text, message", [
+        (10, "A C 0.5", "label 'C' is not in the model's labels"),
+        (12, "[0]w=x C 1.5", "label 'C' is not in the model's labels"),
+        (10, "A B heavy", "'heavy' is not a number"),
+        (12, "[0]w=x A nan", "weight 'nan' is not finite"),
+        (10, "A B", "expected 'from_label to_label weight', found 2 field(s)"),
+        (12, "[0]w=x A 1.5 2", "expected 'feature label weight', found 4 field(s)"),
+        (4, "c2 small", "'small' is not a number"),
+    ])
+    def test_tag_exits_1_with_location(self, tmp_path, capsys, lineno, text, message):
+        model, data = _wi_model_files(tmp_path, {lineno: text})
+        assert run("tag", "--model", model, "--input", data, "--format", "conllx",
+                   "--out", tmp_path / "pred") == 1
+        err = capsys.readouterr().err
+        assert err == f"sparsetag: {model}:{lineno}: {message}\n"

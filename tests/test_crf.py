@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsetag.crf import (
     CrfError,
@@ -18,7 +20,7 @@ from sparsetag.crf import (
     viterbi_path,
 )
 
-from oracles import crf_enumerate, finite_difference_gradient
+from oracles import crf_enumerate, finite_difference_gradient, score_lattice_per_feature
 
 
 def toy_model(labels=("A", "B"), features=("fa", "fb")):
@@ -55,6 +57,26 @@ class TestScoreLattice:
         model = toy_model()
         em, _ = score_lattice(model, [[("never-seen", 1.0)]])
         np.testing.assert_array_equal(em, np.zeros((1, 2)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bit_identical_to_per_feature_loop(self, data):
+        n_lab = data.draw(st.integers(1, 4))
+        n_feat = data.draw(st.integers(0, 6))
+        # wide magnitudes make any change in summation order visible
+        weight = st.floats(-1e17, 1e17, allow_nan=False) | st.sampled_from((0.0, 1.0, 1e-17))
+        weights = data.draw(st.lists(weight, min_size=n_feat * n_lab, max_size=n_feat * n_lab))
+        model = toy_model(
+            labels=[f"L{j}" for j in range(n_lab)], features=[f"[0]+{i}" for i in range(n_feat)]
+        )
+        model.emissions[:] = np.reshape(weights, (n_feat, n_lab))
+        name = st.sampled_from([f"[0]+{i}" for i in range(n_feat)] + ["[0]missing", "[-1]+0"])
+        value = st.just(1.0) | st.floats(-3.0, 3.0, allow_nan=False)  # indicators and dense
+        position = st.lists(st.tuples(name, value), max_size=8)
+        sentence = data.draw(st.lists(position, min_size=1, max_size=5))
+        emissions, transitions = score_lattice(model, sentence)
+        assert np.array_equal(emissions, score_lattice_per_feature(model, sentence))
+        assert transitions is model.transitions
 
 
 class TestInference:

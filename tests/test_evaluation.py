@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -151,3 +153,14 @@ class TestReport:
         update_report(path, report_row("en", "pos", "sc", 0.5, 64, None, "accuracy", 0.8))
         lines = path.read_text(encoding="utf-8").strip().split("\n")
         assert len(lines) == 3
+
+    def test_failed_write_keeps_old_report_and_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "report.tsv"
+        update_report(path, report_row("en", "pos", "sc", 0.1, 64, None, "accuracy", 0.9))
+        before = path.read_bytes()
+        # a lone surrogate cannot be encoded, so writing the new row fails
+        bad = report_row("\ud800", "pos", "sc", 0.1, 64, None, "accuracy", 0.8)
+        with pytest.raises(UnicodeEncodeError):
+            update_report(path, bad)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["report.tsv"]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsetag.embeddings import EmbeddingTable
 from sparsetag.features import (
@@ -10,10 +12,13 @@ from sparsetag.features import (
     dense_features,
     load_clusters,
     rich_features,
+    sentence_features,
     sparse_features,
     token_features,
 )
 from sparsetag.sparse_coding import SparseCodes
+
+from oracles import token_features_per_token
 
 
 def entry(dense):
@@ -236,3 +241,56 @@ class TestTokenFeatures:
         res = FeatureResources(codes=self.codes, lowercase_fallback=True)
         feats = dict(token_features(["A"], 0, config, res))
         assert "[0]+0" in feats
+
+
+# Lowercase word types carry resources; the capitalized forms and "oov"
+# reach them only through the lowercase fallback, or not at all.
+_VOCAB = ("a", "b", "dog", "the", "x y")
+_FORMS = _VOCAB + ("A", "Dog", "THE", "oov", "Oov")
+_WINDOWED = ("sc", "dense", "brown", "wi", "wi_sc")
+
+
+@st.composite
+def _resources_and_runs(draw):
+    known = draw(st.lists(st.sampled_from(_VOCAB), unique=True))
+    m = draw(st.integers(1, 12))
+    coefficient = st.sampled_from((0.0, 0.0, 0.5, -0.25, 1.5))
+    codes = codes_table(
+        {w: draw(st.lists(coefficient, min_size=m, max_size=m)) for w in known}, m
+    )
+    dim = draw(st.integers(1, 12))  # 11+ coordinates put "d:10" before "d:2"
+    value = st.floats(-2.0, 2.0, allow_nan=False)
+    vectors = [draw(st.lists(value, min_size=dim, max_size=dim)) for _ in known]
+    table = EmbeddingTable(known, np.array(vectors).reshape(len(known), dim))
+    clusters = {w: draw(st.text("01", min_size=1, max_size=12)) for w in known}
+    resources = FeatureResources(
+        codes=codes, table=table, clusters=clusters, lowercase_fallback=draw(st.booleans())
+    )
+    runs = draw(st.lists(
+        st.tuples(
+            st.sampled_from(_WINDOWED),
+            st.sampled_from((1, 2)),
+            st.sampled_from(((4, 6, 10, 20), (1, 3))),
+            st.lists(st.sampled_from(_FORMS), min_size=1, max_size=6),
+        ),
+        min_size=1,
+        max_size=8,
+    ))
+    return resources, runs
+
+
+class TestCachedExtractionMatchesPerTokenOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_resources_and_runs())
+    def test_sentence_features_equal_per_token_extractor(self, setup):
+        # one resources object serves every run, so later runs hit the
+        # cache filled by earlier ones under other schemes and windows
+        resources, runs = setup
+        for scheme, window, prefixes, sentence in runs:
+            config = FeatureConfig(scheme=scheme, window=window, brown_prefix_lengths=prefixes)
+            expected = [
+                token_features_per_token(sentence, t, config, resources)
+                for t in range(len(sentence))
+            ]
+            assert sentence_features(sentence, config, resources) == expected
+            assert token_features(sentence, 0, config, resources) == expected[0]
