@@ -7,8 +7,10 @@ transition scores. Training minimizes
     sum_sentences (logZ - gold score) + c1*||w||_1 + (c2/2)*||w||_2^2
 
 with an orthant-wise limited-memory quasi-Newton method, so the l1 term
-is handled exactly. Inference is forward-backward in log space; decoding
-is Viterbi with ties broken toward the lower label index.
+is handled exactly. Inference is one forward-backward in scaled
+probabilities (CRFsuite's scaling) over a batch of sentences sorted by
+length, with log-space steps only for rows whose products underflow;
+decoding is Viterbi with ties broken toward the lower label index.
 """
 
 from __future__ import annotations
@@ -54,56 +56,136 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 
-def _logsumexp(a, axis):
-    mx = np.max(a, axis=axis, keepdims=True)
-    return np.squeeze(mx, axis=axis) + np.log(np.sum(np.exp(a - mx), axis=axis))
+# A forward product below _TINY, or a backward value outside
+# [_TINY, 1/_TINY], may have lost digits to underflow, so its row is
+# redone in log space. Such values need label scores hundreds of nats
+# apart; the benchmark's trained models never come near them.
+_TINY = 1e-100
 
 
-def _lattice(em, transitions):
-    """Forward-backward over n equal-length sentences, ``em`` (n, T, L).
+def _scaled_forward_backward(emissions, batch_sizes, transitions):
+    """Forward-backward over a packed batch of sentences, in scaled probabilities.
 
-    Returns (logZ (n,), unary marginals (n, T, L), pairwise marginals as a
-    lazy sequence of one (n, L, L) array per t = 1..T-1).
+    ``emissions`` (n_positions, L) is in packed order: step t holds the
+    t-th position of the ``batch_sizes[t]`` sentences longer than t, longest
+    first, so the sentences active at step t are a prefix of those at t-1.
+    With Psi = exp(T - max T) and each position's emissions shifted by
+    their maximum, every step is one (n_t x L)(L x L) product forward and
+    one backward, normalized by the forward scales (Okazaki's CRFsuite).
+    Where a product underflows, those rows of that step are computed in
+    log space from exact logs of the previous step, so the result equals
+    log-space arithmetic for any finite weights.
+
+    Returns (sum of the sentences' logZ, unary marginals (n_positions, L)
+    in packed order, pairwise marginals summed over each step's rows
+    (max length - 1, L, L)).
     """
-    length = em.shape[1]
-    alpha = np.zeros_like(em)
-    alpha[:, 0] = em[:, 0]
-    for t in range(1, length):
-        alpha[:, t] = (
-            _logsumexp(alpha[:, t - 1][:, :, None] + transitions[None], axis=1) + em[:, t]
-        )
-    beta = np.zeros_like(em)
-    for t in range(length - 2, -1, -1):
-        beta[:, t] = _logsumexp(
-            transitions[None] + (em[:, t + 1] + beta[:, t + 1])[:, None, :], axis=2
-        )
-    logz = _logsumexp(alpha[:, -1], axis=1)
-    unary = np.exp(alpha + beta - logz[:, None, None])
-    pairwise = (
-        np.exp(
-            alpha[:, t - 1][:, :, None]
-            + transitions[None]
-            + (em[:, t] + beta[:, t])[:, None, :]
-            - logz[:, None, None]
-        )
-        for t in range(1, length)
+    n_pos, n_lab = emissions.shape
+    starts = np.concatenate(([0], np.cumsum(batch_sizes)))
+    em_max = np.ascontiguousarray(emissions.T).max(axis=0)[:, None]  # faster than axis=1
+    shifted = emissions - em_max
+    q = np.exp(shifted)
+    t_max = transitions.max()
+    log_psi = transitions - t_max
+    psi = np.exp(log_psi)
+
+    alpha = np.empty((n_pos, n_lab))
+    prod = np.ones((n_pos, n_lab))      # alpha[t-1] @ psi; 1 at first positions
+    scale = np.empty(n_pos)
+    beta = np.ones((n_pos, n_lab))
+    pairs = np.empty((max(len(batch_sizes) - 1, 0), n_lab, n_lab))
+    # exact logs of what the linear arrays could not hold; a flagged row's
+    # linear entries are 1 (prod, scale, beta) so that no step overflows
+    log_prod = np.empty((n_pos, n_lab))
+    log_scale = np.empty(n_pos)
+    log_beta = np.empty((n_pos, n_lab))
+    fwd_exact = np.zeros(n_pos, dtype=bool)
+    bwd_exact = np.zeros(n_pos, dtype=bool)
+    pairs_exact = np.zeros_like(pairs)
+
+    def exact_log_alpha(idx):
+        lp = np.where(fwd_exact[idx, None], log_prod[idx], np.log(prod[idx]))
+        ls = np.where(fwd_exact[idx], log_scale[idx], np.log(scale[idx]))
+        return lp + shifted[idx] - ls[:, None]
+
+    ones = np.ones(n_lab)
+    n0 = batch_sizes[0] if n_pos else 0
+    np.matmul(q[:n0], ones, out=scale[:n0])
+    np.divide(q[:n0], scale[:n0, None], out=alpha[:n0])
+    for t in range(1, len(batch_sizes)):
+        n, cur, prev = batch_sizes[t], starts[t], starts[t - 1]
+        m_t = np.matmul(alpha[prev:prev + n], psi, out=prod[cur:cur + n])
+        a_t = np.multiply(m_t, q[cur:cur + n], out=alpha[cur:cur + n])
+        np.matmul(a_t, ones, out=scale[cur:cur + n])
+        if m_t.min() < _TINY:
+            rows = np.flatnonzero(m_t.min(axis=1) < _TINY)
+            lp = np.logaddexp.reduce(
+                exact_log_alpha(prev + rows)[:, :, None] + log_psi, axis=1
+            )
+            la = lp + shifted[cur + rows]
+            ls = np.logaddexp.reduce(la, axis=1)
+            alpha[cur + rows] = np.exp(la - ls[:, None])
+            prod[cur + rows] = 1.0
+            scale[cur + rows] = 1.0
+            log_prod[cur + rows] = lp
+            log_scale[cur + rows] = ls
+            fwd_exact[cur + rows] = True
+        a_t /= scale[cur:cur + n, None]
+
+    any_exact = bool(fwd_exact.any())
+    q /= scale[:, None]                 # from here on q is emissions over scale
+    psi_t = psi.T
+    for t in range(len(batch_sizes) - 1, 0, -1):
+        n, cur, prev = batch_sizes[t], starts[t], starts[t - 1]
+        q_t = q[cur:cur + n] * beta[cur:cur + n]
+        b_prev = np.matmul(q_t, psi_t, out=beta[prev:prev + n])
+        if any_exact or b_prev.min() < _TINY or b_prev.max() > 1.0 / _TINY:
+            bad = (
+                (b_prev.min(axis=1) < _TINY) | (b_prev.max(axis=1) > 1.0 / _TINY)
+                | fwd_exact[cur:cur + n] | bwd_exact[cur:cur + n]
+            )
+            rows = np.flatnonzero(bad)
+            if rows.size:
+                here, there = cur + rows, prev + rows
+                lb = np.where(bwd_exact[here, None], log_beta[here], np.log(beta[here]))
+                ls = np.where(fwd_exact[here], log_scale[here], np.log(scale[here]))
+                lq = shifted[here] + lb - ls[:, None]
+                lb_prev = np.logaddexp.reduce(log_psi + lq[:, None, :], axis=2)
+                pairs_exact[t - 1] = np.exp(
+                    exact_log_alpha(there)[:, :, None] + log_psi + lq[:, None, :]
+                ).sum(axis=0)
+                q_t[rows] = 0.0
+                out = np.abs(lb_prev).max(axis=1) > -np.log(_TINY)
+                beta[there] = 1.0
+                beta[there[~out]] = np.exp(lb_prev[~out])
+                log_beta[there] = lb_prev
+                bwd_exact[there] = out
+                any_exact = any_exact or bool(out.any())
+        np.matmul(alpha[prev:prev + n].T, q_t, out=pairs[t - 1])
+
+    unary = alpha * beta
+    if bwd_exact.any():
+        idx = np.flatnonzero(bwd_exact)
+        unary[idx] = np.exp(exact_log_alpha(idx) + log_beta[idx])
+    pairs *= psi
+    pairs += pairs_exact
+    log_z = (
+        float(np.log(scale).sum()) + float(log_scale[fwd_exact].sum()) + float(em_max.sum())
+        + (n_pos - n0) * float(t_max)
     )
-    return logz, unary, pairwise
-
-
-def log_partition(emissions, transitions) -> float:
-    """log sum over all label paths of exp(path score)."""
-    return forward_backward(emissions, transitions)[0]
+    return log_z, unary, pairs
 
 
 def forward_backward(emissions, transitions):
-    """(logZ, unary marginals (T,L), pairwise marginals (T-1,L,L))."""
+    """(logZ, unary marginals (T,L), pairwise marginals (T-1,L,L)) of one sentence.
+
+    The batch kernel called with one sentence: its per-step pairwise sums
+    are then the sentence's pairwise marginals.
+    """
     emissions = np.asarray(emissions, dtype=np.float64)
     transitions = np.asarray(transitions, dtype=np.float64)
-    logz, unary, pairs = _lattice(emissions[None], transitions)
-    n_lab = emissions.shape[1]
-    pairwise = np.array([pair[0] for pair in pairs]).reshape(-1, n_lab, n_lab)
-    return float(logz[0]), unary[0], pairwise
+    batch_sizes = np.ones(emissions.shape[0], dtype=np.int64)
+    return _scaled_forward_backward(emissions, batch_sizes, transitions)
 
 
 def viterbi_path(emissions, transitions):
@@ -122,13 +204,6 @@ def viterbi_path(emissions, transitions):
         path.append(int(back[t][path[-1]]))
     path.reverse()
     return path
-
-
-def path_score(emissions, transitions, path) -> float:
-    score = float(emissions[0][path[0]])
-    for t in range(1, len(path)):
-        score += float(transitions[path[t - 1]][path[t]]) + float(emissions[t][path[t]])
-    return score
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +276,19 @@ def _feature_entries(positions, feature_index, grow=False):
 
 @dataclass
 class CompiledBatch:
-    """Sentences flattened to a sparse design matrix plus gold indices."""
+    """Sentences flattened to a sparse design matrix plus gold indices.
+
+    The matrix keeps the sentences' order, so ``matrix.T @ marginals``
+    sums in that order. ``packed_rows`` lists its rows in the order the
+    forward-backward kernel visits them: sentences sorted by length,
+    longest first (ties in input order), and step by step, so step t is
+    the t-th position of the ``batch_sizes[t]`` sentences longer than t.
+    """
 
     matrix: sp.csr_matrix            # (n_positions, n_features)
     gold: np.ndarray                 # (n_positions,) label indices
-    groups: dict                     # length -> (n_sent, length) row-id array
+    packed_rows: np.ndarray          # (n_positions,) matrix row of each packed position
+    batch_sizes: np.ndarray          # (max length,) sentences active at each step
     trans_counts: np.ndarray         # empirical gold bigram counts (L, L)
     labels: list
     feature_index: dict
@@ -239,7 +322,7 @@ def compile_batch(batch_features, batch_labels, labels=None, feature_index=None,
     feature_index = {} if feature_index is None else dict(feature_index)
 
     gold = []
-    groups = {}
+    starts = []
     n_lab = len(labels)
     trans_counts = np.zeros((n_lab, n_lab))
     for feats_seq, labs_seq in zip(batch_features, batch_labels):
@@ -252,7 +335,7 @@ def compile_batch(batch_features, batch_labels, labels=None, feature_index=None,
             gold.append(label_index[lab])
         for prev, y in zip(gold[pos:], gold[pos + 1:]):
             trans_counts[prev, y] += 1.0
-        groups.setdefault(len(labs_seq), []).append(range(pos, len(gold)))
+        starts.append(pos)
     rows, cols, vals = _feature_entries(
         [feats for feats_seq in batch_features for feats in feats_seq],
         feature_index,
@@ -262,11 +345,20 @@ def compile_batch(batch_features, batch_labels, labels=None, feature_index=None,
     matrix = sp.csr_matrix(
         (vals, (rows, cols)), shape=(len(gold), max(len(feature_index), 1)), dtype=np.float64
     )
-    groups = {length: np.asarray(ids, dtype=np.int64) for length, ids in groups.items()}
+    lengths = np.diff(np.asarray(starts + [len(gold)], dtype=np.int64))
+    order = np.argsort(-lengths, kind="stable")
+    batch_sizes = np.count_nonzero(
+        lengths[order][None, :] > np.arange(lengths.max(initial=0))[:, None], axis=1
+    )
+    first = np.asarray(starts, dtype=np.int64)[order]
+    packed_rows = np.concatenate(
+        [first[:n] + t for t, n in enumerate(batch_sizes)] or [np.zeros(0, dtype=np.int64)]
+    )
     return CompiledBatch(
         matrix=matrix,
         gold=np.asarray(gold, dtype=np.int64),
-        groups=groups,
+        packed_rows=packed_rows,
+        batch_sizes=batch_sizes,
         trans_counts=trans_counts,
         labels=list(labels),
         feature_index=feature_index,
@@ -287,24 +379,22 @@ def smooth_objective(params, batch: CompiledBatch, c2):
     """Negative log-likelihood plus the l2 term, with its exact gradient.
 
     The l1 term is intentionally excluded; the optimizer treats it
-    through orthant projection. Length groups are processed in ascending
-    order so accumulation order (and hence the result) is fixed.
+    through orthant projection. One forward-backward call covers the
+    whole batch; emissions are gathered into its packed order and the
+    marginals scattered back, so the gradient sums rows in batch order.
     """
     n_feat = max(batch.n_features, 1)
     n_lab = len(batch.labels)
     weights, transitions = _unpack(params, n_feat, n_lab)
     emissions_all = batch.matrix @ weights
     n_pos = batch.n_positions
-    marginals = np.zeros((n_pos, n_lab))
-    trans_expected = np.zeros((n_lab, n_lab))
-    nll = 0.0
-    for length in sorted(batch.groups):
-        rows = batch.groups[length]
-        logz, unary, pairs = _lattice(emissions_all[rows], transitions)
-        nll += float(logz.sum())
-        marginals[rows] = unary
-        for pair in pairs:
-            trans_expected += pair.sum(axis=0)
+    log_z, unary, pairs = _scaled_forward_backward(
+        emissions_all[batch.packed_rows], batch.batch_sizes, transitions
+    )
+    marginals = np.empty((n_pos, n_lab))
+    marginals[batch.packed_rows] = unary
+    trans_expected = pairs.sum(axis=0)
+    nll = log_z
 
     gold_rows = np.arange(n_pos)
     nll -= float(emissions_all[gold_rows, batch.gold].sum())
@@ -316,25 +406,6 @@ def smooth_objective(params, batch: CompiledBatch, c2):
     value = nll + 0.5 * c2 * float(params @ params)
     grad = _pack(grad_w, grad_t) + c2 * params
     return value, grad
-
-
-def nll_and_gradient(model: CrfModel, batch_features, batch_labels):
-    """Penalized objective and smooth-part gradient at the model's weights.
-
-    Returns (objective, (grad_emissions, grad_transitions)).
-    """
-    batch = compile_batch(
-        batch_features,
-        batch_labels,
-        labels=model.labels,
-        feature_index=model.feature_index,
-        grow_index=False,
-    )
-    params = _pack(model.emissions, model.transitions)
-    value, grad = smooth_objective(params, batch, model.c2)
-    objective = value + model.c1 * float(np.abs(params).sum())
-    n_feat = max(len(model.feature_index), 1)
-    return objective, _unpack(grad, n_feat, len(model.labels))
 
 
 # ---------------------------------------------------------------------------

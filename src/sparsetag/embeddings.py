@@ -10,7 +10,15 @@ from ._textfiles import read_lines
 
 
 class EmbeddingError(ValueError):
-    """Malformed embedding file or inconsistent table."""
+    """Malformed embedding file or inconsistent table.
+
+    ``row`` is the index of the offending word when one word is at fault,
+    so a reader can name its line.
+    """
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -51,7 +59,7 @@ class EmbeddingTable:
         index = {}
         for i, w in enumerate(words):
             if w in index:
-                raise EmbeddingError(f"duplicate word in vocabulary: {w!r}")
+                raise EmbeddingError(f"duplicate word in vocabulary: {w!r}", i)
             index[w] = i
         if unknown_word is not None and unknown_word not in index:
             raise EmbeddingError(f"unknown-word row {unknown_word!r} not in vocabulary")
@@ -118,6 +126,7 @@ def load_embeddings(path, format="text", unknown_word=None) -> EmbeddingTable:
         raise EmbeddingError(f"unsupported embedding format: {format!r}")
     words = []
     rows = []
+    linenos = []
     dim = None
     for lineno, line in read_lines(path, EmbeddingError):
         if not line.strip():
@@ -146,13 +155,15 @@ def load_embeddings(path, format="text", unknown_word=None) -> EmbeddingTable:
             raise EmbeddingError(f"{path}:{lineno}: non-finite value")
         words.append(word)
         rows.append(vec)
+        linenos.append(lineno)
     if not words:
         raise EmbeddingError(f"{path}: no embedding records found")
     matrix = np.array(rows, dtype=np.float64)
     try:
         return EmbeddingTable(words, matrix, unknown_word=unknown_word)
     except EmbeddingError as exc:
-        raise EmbeddingError(f"{path}: {exc}") from None
+        where = path if exc.row is None else f"{path}:{linenos[exc.row]}"
+        raise EmbeddingError(f"{where}: {exc}") from None
 
 
 def save_embeddings(path, table: EmbeddingTable, header: bool = True) -> None:

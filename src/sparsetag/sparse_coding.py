@@ -43,7 +43,15 @@ _SPAN_EPS = 1e-10
 
 
 class SparseCodingError(ValueError):
-    """Invalid configuration or degenerate input."""
+    """Invalid configuration or degenerate input.
+
+    ``row`` is the index of the rejected entry when a :class:`SparseCodes`
+    entry is invalid, so a reader can name the entry's line.
+    """
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class LassoConvergenceError(RuntimeError):
@@ -135,21 +143,21 @@ class SparseCodes:
         self.m = int(m)
         self.entries = []
         self._by_word = {}
-        for word, (idx, val) in zip(self.words, entries):
+        for row, (word, (idx, val)) in enumerate(zip(self.words, entries)):
             idx = np.asarray(idx, dtype=np.int64)
             val = np.asarray(val, dtype=np.float64)
             if idx.shape != val.shape or idx.ndim != 1:
-                raise SparseCodingError(f"bad sparse entry for {word!r}")
+                raise SparseCodingError(f"bad sparse entry for {word!r}", row)
             if idx.size:
                 if np.any(np.diff(idx) <= 0):
-                    raise SparseCodingError(f"indices not strictly increasing for {word!r}")
+                    raise SparseCodingError(f"indices not strictly increasing for {word!r}", row)
                 if idx[0] < 0 or idx[-1] >= m:
-                    raise SparseCodingError(f"index out of range for {word!r}")
+                    raise SparseCodingError(f"index out of range for {word!r}", row)
                 if not np.all(np.isfinite(val)) or np.any(val == 0.0):
-                    raise SparseCodingError(f"zero or non-finite coefficient for {word!r}")
+                    raise SparseCodingError(f"zero or non-finite coefficient for {word!r}", row)
             self.entries.append((idx, val))
             if word in self._by_word:
-                raise SparseCodingError(f"duplicate word {word!r}")
+                raise SparseCodingError(f"duplicate word {word!r}", row)
             self._by_word[word] = (idx, val)
 
     def __len__(self):
@@ -649,15 +657,21 @@ def save_codes(path, codes: SparseCodes) -> None:
 
 
 def load_codes(path, m=None) -> SparseCodes:
-    """Read a codes file; ``m`` is inferred from the largest index if absent."""
+    """Read a codes file; ``m`` is inferred from the largest index if absent.
+
+    An entry that :class:`SparseCodes` rejects raises
+    ``SparseCodingError("<path>:<line>: ...")``.
+    """
     words = []
     entries = []
+    linenos = []
     max_idx = -1
     for lineno, line in read_lines(path, SparseCodingError):
         fields = line.split(" ")
         if not fields or not fields[0]:
             raise SparseCodingError(f"{path}:{lineno}: missing word")
         words.append(fields[0])
+        linenos.append(lineno)
         idx = []
         val = []
         for part in fields[1:]:
@@ -675,4 +689,9 @@ def load_codes(path, m=None) -> SparseCodes:
         entries.append((np.array(idx, dtype=np.int64), np.array(val)))
     if m is None:
         m = max(max_idx + 1, 1)
-    return SparseCodes(words, entries, m)
+    try:
+        return SparseCodes(words, entries, m)
+    except SparseCodingError as exc:
+        if exc.row is None:
+            raise
+        raise SparseCodingError(f"{path}:{linenos[exc.row]}: {exc}") from None

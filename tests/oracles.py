@@ -78,6 +78,14 @@ def crf_enumerate(emissions, transitions):
     return logz, unary, pairwise, best, float(mx)
 
 
+def path_score(emissions, transitions, path):
+    """Score of one label path: its emissions plus its transitions."""
+    score = float(emissions[0][path[0]])
+    for t in range(1, len(path)):
+        score += float(transitions[path[t - 1]][path[t]]) + float(emissions[t][path[t]])
+    return score
+
+
 def finite_difference_gradient(fun, params, h=1e-5):
     """Central differences of a scalar function, coordinate by coordinate."""
     grad = np.zeros_like(params)

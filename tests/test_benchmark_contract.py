@@ -11,16 +11,21 @@ from pathlib import Path
 
 import sparsetag
 import sparsetag.cli  # noqa: F401  (the tracer patches attributes of every layer module)
+from sparsetag import crf
 
 PIPEBENCH = Path(__file__).resolve().parent.parent / "pipebench"
 
 
-def test_tracer_installs_and_restores(monkeypatch):
+def _spans_module(monkeypatch):
     monkeypatch.syspath_prepend(str(PIPEBENCH))
     try:
-        spans = importlib.import_module("spans")
+        return importlib.import_module("spans")
     finally:
         sys.modules.pop("spans", None)
+
+
+def test_tracer_installs_and_restores(monkeypatch):
+    spans = _spans_module(monkeypatch)
     tracer = spans.Tracer()
     tracer.install(sparsetag)
     try:
@@ -32,3 +37,39 @@ def test_tracer_installs_and_restores(monkeypatch):
         tracer.restore()
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original
+
+
+def test_training_calls_the_traced_objective(monkeypatch, tmp_path, capsys):
+    # crf.objective_evals and crf.objective_eval_s count the spans around
+    # crf.smooth_objective, so training must reach it through the module
+    spans = _spans_module(monkeypatch)
+    corpus = tmp_path / "train.conll"
+    sentence = "1\tx\t_\tA\tA\n2\ty\t_\tB\tB\n3\tx\t_\tA\tA\n\n"
+    corpus.write_text(sentence * 3 + "1\ty\t_\tB\tB\n\n", encoding="utf-8")
+    model = tmp_path / "model.txt"
+    evaluations = []
+    owlqn = crf._owlqn
+
+    def counting_owlqn(fun, *args):
+        def counted(params):
+            evaluations.append(params)
+            return fun(params)
+
+        return owlqn(counted, *args)
+
+    monkeypatch.setattr(crf, "_owlqn", counting_owlqn)
+    tracer = spans.Tracer()
+    tracer.install(sparsetag)
+    try:
+        code = sparsetag.cli.main([
+            "train", "--task", "pos", "--scheme", "wi", "--train", str(corpus),
+            "--format", "conllx", "--out", str(model),
+        ])
+    finally:
+        tracer.restore()
+    assert code == 0
+    names = [span[0] for span in tracer.spans]
+    assert names.count("crf.compile_batch") == 1
+    iterations = int(crf.load_model(model).meta["owlqn_iterations"])
+    assert iterations >= 1
+    assert names.count("crf.smooth_objective") == len(evaluations) >= iterations + 1

@@ -415,6 +415,36 @@ def _assert_one_line_error(capsys, where):
     assert "Traceback" not in err
 
 
+class TestRejectedEntries:
+    """Entries the codes and embedding tables reject name their file and line."""
+
+    @pytest.mark.parametrize("text, lineno, message", [
+        ("w 0:1\nw 1:1\n", 2, "duplicate word 'w'"),
+        ("w 0:1\nv 1:1 0:1\n", 2, "indices not strictly increasing for 'v'"),
+        ("w -1:1\n", 1, "index out of range for 'w'"),
+        ("w 0:1\nv 1:0\n", 2, "zero or non-finite coefficient for 'v'"),
+    ])
+    def test_codes_entry(self, tmp_path, capsys, text, lineno, message):
+        dictionary = tmp_path / "dict.txt"
+        dictionary.write_text("2 2 sc1 0.1 0\n1 0\n0 1\n", encoding="utf-8")
+        codes = tmp_path / "codes.txt"
+        codes.write_text(text, encoding="utf-8")
+        assert run("analyze-basis", "--dict", dictionary, "--codes", codes,
+                   "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"sparsetag: {codes}:{lineno}: {message}\n"
+
+    def test_duplicate_embedding_word(self, tmp_path, capsys):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("a 1 2\nb 3 4\na 5 6\n", encoding="utf-8")
+        data = tmp_path / "data.conll"
+        data.write_text("1\ta\t_\tA\tA\n\n", encoding="utf-8")
+        assert run("coverage", "--embeddings", vectors, "--data", data,
+                   "--format", "conllx") == 1
+        assert capsys.readouterr().err == (
+            f"sparsetag: {vectors}:3: duplicate word in vocabulary: 'a'\n"
+        )
+
+
 class TestUndecodableInput:
     def test_codes_file_exits_1(self, tmp_path, capsys):
         dictionary = tmp_path / "dict.txt"

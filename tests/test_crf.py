@@ -10,9 +10,6 @@ from sparsetag.crf import (
     compile_batch,
     forward_backward,
     load_model,
-    log_partition,
-    nll_and_gradient,
-    path_score,
     save_model,
     score_lattice,
     smooth_objective,
@@ -20,7 +17,7 @@ from sparsetag.crf import (
     viterbi_path,
 )
 
-from oracles import crf_enumerate, finite_difference_gradient, score_lattice_per_feature
+from oracles import crf_enumerate, finite_difference_gradient, path_score, score_lattice_per_feature
 
 
 def toy_model(labels=("A", "B"), features=("fa", "fb")):
@@ -81,14 +78,14 @@ class TestScoreLattice:
 
 class TestInference:
     def test_logz_single_token_uniform(self):
-        assert log_partition(np.zeros((1, 2)), np.zeros((2, 2))) == pytest.approx(np.log(2))
+        assert forward_backward(np.zeros((1, 2)), np.zeros((2, 2)))[0] == pytest.approx(np.log(2))
 
     def test_logz_matches_enumeration(self):
         rng = np.random.default_rng(1)
         em = rng.standard_normal((3, 3))
         tr = rng.standard_normal((3, 3))
         expected, *_ = crf_enumerate(em, tr)
-        assert log_partition(em, tr) == pytest.approx(expected, abs=1e-10)
+        assert forward_backward(em, tr)[0] == pytest.approx(expected, abs=1e-10)
 
     def test_logz_constant_shift(self):
         rng = np.random.default_rng(2)
@@ -96,7 +93,9 @@ class TestInference:
         tr = rng.standard_normal((3, 3))
         shifted = em.copy()
         shifted[2] += 1.75
-        assert log_partition(shifted, tr) == pytest.approx(log_partition(em, tr) + 1.75, abs=1e-10)
+        assert forward_backward(shifted, tr)[0] == pytest.approx(
+            forward_backward(em, tr)[0] + 1.75, abs=1e-10
+        )
 
     def test_marginals_sum_to_one(self):
         rng = np.random.default_rng(3)
@@ -150,13 +149,32 @@ class TestInference:
         em = rng.standard_normal((6, 3))
         tr = rng.standard_normal((3, 3))
         path = viterbi_path(em, tr)
-        assert path_score(em, tr, path) <= log_partition(em, tr)
+        assert path_score(em, tr, path) <= forward_backward(em, tr)[0]
+
+
+def penalized_objective(model, batch_features, batch_labels):
+    """(objective, (grad_emissions, grad_transitions)) at the model's weights.
+
+    The full elastic-net objective of a labeled batch compiled against
+    the model's label and feature index, and the gradient of its smooth
+    part.
+    """
+    batch = compile_batch(
+        batch_features, batch_labels, labels=model.labels,
+        feature_index=model.feature_index, grow_index=False,
+    )
+    params = np.concatenate([model.emissions.ravel(), model.transitions.ravel()])
+    value, grad = smooth_objective(params, batch, model.c2)
+    n_feat, n_lab = model.emissions.shape
+    split = n_feat * n_lab
+    grads = grad[:split].reshape(n_feat, n_lab), grad[split:].reshape(n_lab, n_lab)
+    return value + model.c1 * float(np.abs(params).sum()), grads
 
 
 class TestObjective:
     def test_uniform_single_token(self):
         model = toy_model()
-        obj, (grad_em, grad_tr) = nll_and_gradient(model, [[[("fa", 1.0)]]], [["A"]])
+        obj, (grad_em, grad_tr) = penalized_objective(model, [[[("fa", 1.0)]]], [["A"]])
         assert obj == pytest.approx(np.log(2))
         assert grad_em[0, 0] == pytest.approx(-0.5)
         assert grad_em[0, 1] == pytest.approx(0.5)
@@ -164,15 +182,15 @@ class TestObjective:
     def test_duplicated_sentence_doubles_smooth_part(self):
         model = toy_model()
         feats = [[("fa", 1.0)], [("fb", 1.0)]]
-        one, _ = nll_and_gradient(model, [feats], [["A", "B"]])
-        two, _ = nll_and_gradient(model, [feats, feats], [["A", "B"], ["A", "B"]])
+        one, _ = penalized_objective(model, [feats], [["A", "B"]])
+        two, _ = penalized_objective(model, [feats, feats], [["A", "B"], ["A", "B"]])
         # zero weights: no penalty contribution, so the smooth part doubles
         assert two == pytest.approx(2 * one)
 
     def test_unknown_gold_label_rejected(self):
         model = toy_model()
         with pytest.raises(CrfError, match="'C'"):
-            nll_and_gradient(model, [[[("fa", 1.0)]]], [["C"]])
+            penalized_objective(model, [[[("fa", 1.0)]]], [["C"]])
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(8)
@@ -196,6 +214,110 @@ class TestObjective:
         fd = finite_difference_gradient(lambda p: smooth_objective(p, batch, c2)[0], params)
         rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1.0)
         assert rel.max() < 1e-4
+
+
+def _enumerated_objective(batch_features, batch_labels, batch, params, c2):
+    """Value and gradient of the smooth objective from crf_enumerate, sentence by sentence."""
+    n_feat, n_lab = batch.n_features, len(batch.labels)
+    weights = params[: n_feat * n_lab].reshape(n_feat, n_lab)
+    transitions = params[n_feat * n_lab:].reshape(n_lab, n_lab)
+    label_index = {lab: i for i, lab in enumerate(batch.labels)}
+    value = 0.5 * c2 * float(params @ params)
+    grad_w = c2 * weights.copy()
+    grad_t = c2 * transitions.copy()
+    for sent, labs in zip(batch_features, batch_labels):
+        x = np.zeros((len(sent), n_feat))
+        for t, feats in enumerate(sent):
+            for name, val in feats:
+                x[t, batch.feature_index[name]] += val
+        em = x @ weights
+        gold = [label_index[lab] for lab in labs]
+        logz, unary, pairwise, *_ = crf_enumerate(em, transitions)
+        value += logz - path_score(em, transitions, gold)
+        unary[np.arange(len(gold)), gold] -= 1.0
+        grad_w += x.T @ unary
+        grad_t += pairwise.sum(axis=0)
+        for prev, y in zip(gold, gold[1:]):
+            grad_t[prev, y] -= 1.0
+    return value, np.concatenate([grad_w.ravel(), grad_t.ravel()])
+
+
+class TestPackedKernel:
+    """The one batch forward-backward against per-sentence enumeration."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_objective_matches_enumeration(self, data):
+        n_lab = data.draw(st.integers(2, 4))
+        labels = [f"L{j}" for j in range(n_lab)]
+        n_sent = data.draw(st.integers(1, 5))
+        shape = data.draw(st.sampled_from(["any", "all_one", "one_length"]))
+        if shape == "any":  # repeated lengths are likely with 1-6
+            lengths = data.draw(st.lists(st.integers(1, 6), min_size=n_sent, max_size=n_sent))
+        else:
+            lengths = [1 if shape == "all_one" else data.draw(st.integers(1, 5))] * n_sent
+        feature = st.tuples(st.sampled_from(["a", "b", "c", "d"]), st.floats(-2.0, 2.0))
+        position = st.lists(feature, min_size=1, max_size=3, unique_by=lambda f: f[0])
+        batch_features = [data.draw(st.lists(position, min_size=n, max_size=n)) for n in lengths]
+        batch_labels = [data.draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n))
+                        for n in lengths]
+        batch = compile_batch(batch_features, batch_labels, labels=labels)
+        n_params = batch.n_features * n_lab + n_lab * n_lab
+        params = np.array(data.draw(
+            st.lists(st.floats(-3.0, 3.0), min_size=n_params, max_size=n_params)
+        ))
+        c2 = data.draw(st.sampled_from([0.0, 0.001, 0.5]))
+        value, grad = smooth_objective(params, batch, c2)
+        expected_value, expected_grad = _enumerated_objective(
+            batch_features, batch_labels, batch, params, c2
+        )
+        assert value == pytest.approx(expected_value, abs=1e-10)
+        np.testing.assert_allclose(grad, expected_grad, rtol=0, atol=1e-9)
+
+    def test_packed_layout(self):
+        feats = [[("f", 1.0)]]
+        batch = compile_batch([feats * 2, feats * 3, feats, feats * 3], [["A"] * 2, ["A"] * 3,
+                              ["A"], ["A"] * 3])
+        # longest first, ties in input order: sentences 1, 3, 0, 2 start at rows 2, 6, 0, 5
+        assert batch.batch_sizes.tolist() == [4, 3, 2]
+        assert batch.packed_rows.tolist() == [2, 6, 0, 5, 3, 7, 1, 4, 8]
+
+    @pytest.mark.parametrize("emissions, transitions", [
+        # the step-1 scale is exactly 0 in linear arithmetic
+        ([[0, 1000], [0, 0]], [[0, 0], [-800, -800]]),
+        # label 0's forward value underflows at position 0 yet carries the mass
+        ([[0, 760], [0, 0], [3, -1]], [[0, 0], [-800, -800]]),
+        # entering label 1 costs 800 nats and 1 -> 2 is free, so at position 2
+        # the path through label 1, which underflowed at position 1 while the
+        # step's scale stayed 1, ties with the path 0 -> 2
+        ([[0, -1000, -1000], [0, 0, 0], [0, 0, 1000]],
+         [[0, -800, -800], [0, -800, 0], [0, -800, -800]]),
+        ([[0, 2000], [0, 0]], [[0, 0], [-2000, -2000]]),
+        ([[5, 0], [0, 900], [0, 0], [1, 2]], [[900, -900], [0, 0]]),
+    ])
+    def test_transitions_spanning_800_nats(self, emissions, transitions):
+        emissions = np.array(emissions, dtype=np.float64)
+        transitions = np.array(transitions, dtype=np.float64)
+        logz_bf, unary_bf, pairwise_bf, *_ = crf_enumerate(emissions, transitions)
+        logz, unary, pairwise = forward_backward(emissions, transitions)
+        assert logz == pytest.approx(logz_bf, abs=1e-10)
+        np.testing.assert_allclose(unary, unary_bf, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(pairwise, pairwise_bf, rtol=0, atol=1e-10)
+
+    def test_wide_lattices_match_enumeration(self):
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            n_pos = int(rng.integers(1, 6))
+            n_lab = int(rng.integers(2, 5))
+            transitions = rng.standard_normal((n_lab, n_lab)) * rng.choice([1.0, 400.0, 900.0])
+            emissions = rng.standard_normal((n_pos, n_lab)) * rng.choice([1.0, 400.0, 900.0])
+            transitions[int(rng.integers(n_lab))] -= 800.0
+            transitions[:, int(rng.integers(n_lab))] -= 800.0
+            logz_bf, unary_bf, pairwise_bf, *_ = crf_enumerate(emissions, transitions)
+            logz, unary, pairwise = forward_backward(emissions, transitions)
+            assert logz == pytest.approx(logz_bf, rel=1e-12, abs=1e-10)
+            np.testing.assert_allclose(unary, unary_bf, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(pairwise, pairwise_bf, rtol=0, atol=1e-10)
 
 
 class TestTrain:
