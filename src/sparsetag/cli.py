@@ -48,7 +48,7 @@ def _task_format_check(task, fmt):
         raise UsageError(f"task ner requires ner2002 or ner2003, got {fmt}")
 
 
-def _resources_for(scheme, args, meta_window=None, lowercase=False):
+def _resources_for(scheme, args, lowercase=False):
     """Load exactly the resources a scheme needs; reject mismatches."""
     needs_codes = scheme in ("sc", "wi_sc")
     needs_table = scheme == "dense"
@@ -155,16 +155,26 @@ def _cmd_train(args):
     return 0
 
 
+def _model_setting(model, path, key, choices, default=None):
+    """The model's [meta] value for key, which must be one of choices if present."""
+    value = model.meta.get(key, default)
+    if key in model.meta and value not in choices:
+        raise crf.CrfError(
+            f"{path}:{model.meta_lines[key]}: {key} {value!r} is not one of {', '.join(choices)}"
+        )
+    return value
+
+
 def _cmd_tag(args):
     model = crf.load_model(args.model)
-    scheme = model.meta.get("scheme")
+    scheme = _model_setting(model, args.model, "scheme", features.SCHEMES)
     if scheme is None:
         raise UsageError("model carries no feature scheme metadata")
-    task = model.meta.get("task")
+    task = _model_setting(model, args.model, "task", ("pos", "ner"))
     if task:
         _task_format_check(task, args.format)
-    window = int(model.meta.get("window", "1"))
-    lowercase = model.meta.get("lowercase", "0") == "1"
+    window = int(_model_setting(model, args.model, "window", ("1", "2"), default="1"))
+    lowercase = _model_setting(model, args.model, "lowercase", ("0", "1"), default="0") == "1"
     feat_config = features.FeatureConfig(scheme=scheme, window=window)
     resources = _resources_for(scheme, args, lowercase=lowercase)
     dataset = corpus.read_dataset(args.input, args.format, use_cpostag=args.cpostag)

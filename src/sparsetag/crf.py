@@ -232,6 +232,8 @@ class CrfModel:
         self.c1 = float(c1)
         self.c2 = float(c2)
         self.meta = dict(meta or {})
+        # line of each [meta] key in the file the model was loaded from
+        self.meta_lines = {}
 
     def decode(self, sent_features):
         """Predicted label sequence for one sentence's feature vectors."""
@@ -611,6 +613,7 @@ def load_model(path) -> CrfModel:
     c1 = c2 = None
     labels = None
     meta = {}
+    meta_lines = {}
     weights = {"[transitions]": [], "[emissions]": []}
     for lineno, line in lines:
         if not line:
@@ -629,6 +632,7 @@ def load_model(path) -> CrfModel:
                 labels = value.split(" ")
             else:
                 meta[key] = value
+                meta_lines[key] = lineno
         elif section is None:
             raise CrfError(f"{path}:{lineno}: content outside any section")
         else:
@@ -660,7 +664,7 @@ def load_model(path) -> CrfModel:
     emissions = np.zeros((len(feature_index), n_lab))
     for lineno, name, lab, weight in weights["[emissions]"]:
         emissions[feature_index[name], label_id(lab, lineno)] = weight
-    return CrfModel(
+    model = CrfModel(
         labels=labels,
         feature_index=feature_index,
         emissions=emissions,
@@ -669,3 +673,5 @@ def load_model(path) -> CrfModel:
         c2=c2,
         meta=meta,
     )
+    model.meta_lines = meta_lines
+    return model

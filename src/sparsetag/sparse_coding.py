@@ -9,8 +9,9 @@ Three objective variants over signals x_i (the embedding of word i):
 
 The per-word sparse step is an l1-regularized least-squares problem solved
 exactly by an active-set (feature-sign) search on the precomputed Gram
-matrix, warm-started from the word's previous code during dictionary
-learning; the dictionary step is block coordinate descent over columns on
+matrix. During dictionary learning it is warm-started from the word's
+previous code, pruned first to a support whose exact solution keeps every
+sign. The dictionary step is block coordinate descent over columns on
 accumulated sufficient statistics. Every solver output carries an exact
 KKT certificate, checkable with :func:`kkt_violation`.
 """
@@ -220,6 +221,12 @@ class _ActiveSetLasso:
     if that exceeds lam. Each move descends, so the search ends; it returns
     once the KKT conditions hold against a freshly computed rho.
 
+    A warm start is pruned before the search (see ``_start``): its support
+    is cut until the Newton point on it keeps every sign, so the search
+    begins stationary on A. Stale atoms then cost one refactoring per
+    round instead of one Newton step each, while a fresh start still
+    saves the entries it already holds.
+
     A holds independent atoms in insertion order with R = L^-1, the inverse
     of the Cholesky factor of G_AA (G_AA^-1 = R^T R): adding an atom appends
     a row to R, dropping one rotates R's later rows back to triangular
@@ -251,7 +258,7 @@ class _ActiveSetLasso:
         lam = self.lam
         self.size = 0
         if warm is not None:
-            self._start(*warm)
+            self._start(c, *warm)
         rho = c - self.coef[: self.size] @ self.rows[: self.size]
         fresh, stationary = True, False
         for _ in range(self.max_steps):
@@ -286,12 +293,33 @@ class _ActiveSetLasso:
             residual=c - alpha @ self.gram,
         )
 
-    def _start(self, idx, val):
-        """Load a warm start; entries that cannot join the support stay zero."""
+    def _start(self, c, idx, val):
+        """Load a warm start pruned to a support whose Newton point keeps its signs.
+
+        The warm support is loaded with the signs of its values and its
+        Newton point R^T R (c_A - lam s_A) is computed. While some Newton
+        coefficient does not keep its sign strictly, the support is loaded
+        again without those atoms; factoring the kept atoms at once costs
+        less than dropping stale ones one by one. The search then starts
+        from a point that is stationary on A, so it begins by adding atoms
+        rather than dropping stale ones one Newton step at a time.
+        """
         keep = val > 0.0 if self.nonneg else val != 0.0
-        idx, val = idx[keep], val[keep]
+        self._load(idx[keep], np.sign(val[keep]))
+        while s := self.size:
+            act, sign = self.act[:s], self.sign[:s]
+            inv = self.inv_chol[:s, :s]
+            coef = inv.T @ (inv @ (c[act] - self.lam * sign))
+            kept = coef * sign > 0.0
+            if kept.all():
+                self.coef[:s] = coef
+                return
+            self._load(act[kept], sign[kept])
+
+    def _load(self, idx, sign):
+        """Make A the atoms idx with signs sign; atoms that cannot join A are left out."""
         s = idx.size
-        try:  # factor the whole warm support at once when it is independent
+        try:  # factor the whole support at once when it is independent
             chol = np.linalg.cholesky(self.gram[np.ix_(idx, idx)])
             whole = s <= self.cap and np.all(np.diagonal(chol) ** 2 > _SPAN_EPS * self.diag[idx])
         except np.linalg.LinAlgError:
@@ -300,14 +328,13 @@ class _ActiveSetLasso:
             self.inv_chol[:s, :s] = np.tril(np.linalg.inv(chol))
             self.rows[:s] = self.gram[idx]
             self.act[:s] = idx
-            self.coef[:s] = val
-            self.sign[:s] = np.sign(val)
+            self.sign[:s] = sign
             self.size = s
             return
-        for j, v in zip(idx, val):
+        self.size = 0
+        for j, sj in zip(idx, sign):
             if self._append(j) is None:
-                self.coef[self.size - 1] = v
-                self.sign[self.size - 1] = np.sign(v)
+                self.sign[self.size - 1] = sj
 
     def _append(self, j):
         """Add atom j to the support, or return w = R G[A, j] if in its span."""
@@ -489,12 +516,17 @@ def learn_dictionary(table, config: SparseCodingConfig):
     """Alternating optimization of the configured variant's objective.
 
     Per epoch: every word's code is re-solved against the epoch-start
-    dictionary (warm-started from the previous epoch) while sufficient
-    statistics A = sum a a^T and B = sum x a^T accumulate per mini-batch;
-    the dictionary then takes one block-coordinate pass per processed
-    mini-batch. Both half-steps are exact minimizations, so the epoch
-    objective trace is non-increasing. A final sparse refit against the
-    finished dictionary produces the returned codes.
+    dictionary while sufficient statistics A = sum a a^T and B = sum x a^T
+    accumulate per mini-batch; the dictionary then takes one
+    block-coordinate pass per processed mini-batch. Both half-steps are
+    exact minimizations, so the epoch objective trace is non-increasing. A
+    final sparse refit against the finished dictionary produces the
+    returned codes.
+
+    Each solve is warm-started from the word's code in the previous sparse
+    pass. After a dictionary update many of that code's atoms are stale,
+    so the solver first prunes the start to a support whose Newton point
+    keeps every sign and starts the search stationary on it.
 
     Returns (Dictionary, SparseCodes); the Dictionary carries the
     objective trace (one value per epoch plus the final refit).

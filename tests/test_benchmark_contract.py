@@ -73,3 +73,35 @@ def test_training_calls_the_traced_objective(monkeypatch, tmp_path, capsys):
     iterations = int(crf.load_model(model).meta["owlqn_iterations"])
     assert iterations >= 1
     assert names.count("crf.smooth_objective") == len(evaluations) >= iterations + 1
+
+
+def test_tagging_calls_the_traced_features_and_decode_per_sentence(monkeypatch, tmp_path):
+    # features.tag_tokens_per_s and crf.decode_tokens_per_s divide the tokens
+    # these spans count by their time, so tag must reach both per sentence
+    spans = _spans_module(monkeypatch)
+    train = tmp_path / "train.conll"
+    train.write_text("1\tx\t_\tA\tA\n2\ty\t_\tB\tB\n\n" * 3, encoding="utf-8")
+    model = tmp_path / "model.txt"
+    assert sparsetag.cli.main([
+        "train", "--task", "pos", "--scheme", "wi", "--train", str(train),
+        "--format", "conllx", "--out", str(model),
+    ]) == 0
+    lengths = [2, 3, 1, 4]
+    test = tmp_path / "test.conll"
+    test.write_text("".join(
+        "".join(f"{i}\t{'xy'[i % 2]}\t_\tA\tA\n" for i in range(1, n + 1)) + "\n" for n in lengths
+    ), encoding="utf-8")
+    tracer = spans.Tracer()
+    tracer.install(sparsetag)
+    try:
+        code = sparsetag.cli.main([
+            "tag", "--model", str(model), "--input", str(test), "--format", "conllx",
+            "--out", str(tmp_path / "pred.conll"),
+        ])
+    finally:
+        tracer.restore()
+    assert code == 0
+    for name in ("features.sentence_features", "crf.decode"):
+        counts = [span[4] for span in tracer.spans if span[0] == name]
+        assert len(counts) == len(lengths)
+        assert sum(counts) == sum(lengths)

@@ -519,6 +519,11 @@ class TestMalformedModel:
         (10, "A B", "expected 'from_label to_label weight', found 2 field(s)"),
         (12, "[0]w=x A 1.5 2", "expected 'feature label weight', found 4 field(s)"),
         (4, "c2 small", "'small' is not a number"),
+        (8, "window one", "window 'one' is not one of 1, 2"),
+        (8, "window 3", "window '3' is not one of 1, 2"),
+        (6, "scheme zz", "scheme 'zz' is not one of sc, dense, brown, fr_w, fr_wc, wi, wi_sc"),
+        (7, "task zz", "task 'zz' is not one of pos, ner"),
+        (8, "lowercase zz", "lowercase 'zz' is not one of 0, 1"),
     ])
     def test_tag_exits_1_with_location(self, tmp_path, capsys, lineno, text, message):
         model, data = _wi_model_files(tmp_path, {lineno: text})

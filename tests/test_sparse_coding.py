@@ -127,8 +127,13 @@ def lasso_problems(draw):
     lam = draw(st.sampled_from((0.05, 0.1, 0.5)))
     nonneg = draw(st.booleans())
     warm = None
-    if draw(st.booleans()):
+    start = draw(st.sampled_from(("cold", "random", "perturbed")))
+    if start == "random":
         warm = rng.standard_normal(m) * (rng.random(m) < 0.6)
+    elif start == "perturbed":
+        # the code a dictionary update leaves behind: optimal for a nearby D
+        scale = draw(st.sampled_from((0.01, 0.1, 0.3)))
+        warm, _ = lasso_bruteforce(D + scale * rng.standard_normal((k, m)), x, lam, nonneg=nonneg)
     return D, x, lam, nonneg, warm
 
 
@@ -143,6 +148,64 @@ class TestSolveLassoProperties:
         assert kkt_violation(D, x, alpha, lam, nonneg=nonneg) <= 1e-6
         _, best = lasso_bruteforce(D, x, lam, nonneg=nonneg)
         assert lasso_objective(D, x, alpha, lam) <= best + 1e-6
+
+
+class TestPrunedWarmStart:
+    """A stale warm start is pruned until its Newton point keeps every sign."""
+
+    LAM = 0.1
+
+    @staticmethod
+    def problem():
+        rng = np.random.default_rng(0)
+        D = rng.standard_normal((12, 30))
+        D /= np.linalg.norm(D, axis=0)
+        return D, rng.standard_normal(12)
+
+    def stale_start(self, D, x, nonneg, kind):
+        # every sign stale: the negated signed optimum (under nonneg its
+        # positive entries are atoms the optimum pushes below zero)
+        warm = -solve_lasso(D, x, self.LAM)
+        if kind == "half":
+            warm = solve_lasso(D, x, self.LAM, nonneg=nonneg)
+            warm[np.flatnonzero(warm)[::2]] *= -1.0
+        idx = np.flatnonzero(warm)
+        return idx, warm[idx]
+
+    @pytest.mark.parametrize("nonneg", [False, True])
+    @pytest.mark.parametrize("kind", ["negated", "half"])
+    def test_start_is_stationary_on_a_sign_consistent_support(self, nonneg, kind):
+        from sparsetag.sparse_coding import _ActiveSetLasso
+
+        D, x = self.problem()
+        c = x @ D
+        idx, val = self.stale_start(D, x, nonneg, kind)
+        loadable = np.count_nonzero(val > 0.0 if nonneg else val)
+        solver = _ActiveSetLasso(D.T @ D, self.LAM, nonneg, D.shape[0])
+        solver._start(c, idx, val)
+        s = solver.size
+        assert s < loadable
+        act, coef, sign = solver.act[:s], solver.coef[:s], solver.sign[:s]
+        assert np.all(coef * sign > 0.0)
+        if nonneg:
+            assert np.all(sign == 1.0)
+        rho = c - coef @ (D.T @ D)[act]
+        assert np.abs(rho[act] - self.LAM * sign).max(initial=0.0) <= 1e-9
+
+    @pytest.mark.parametrize("nonneg", [False, True])
+    @pytest.mark.parametrize("kind", ["negated", "half"])
+    def test_solve_from_stale_start_matches_cold(self, nonneg, kind):
+        from sparsetag.sparse_coding import _ActiveSetLasso
+
+        D, x = self.problem()
+        solver = _ActiveSetLasso(D.T @ D, self.LAM, nonneg, D.shape[0])
+        cold_idx, cold_val = solver.solve(x @ D)
+        idx, val = solver.solve(x @ D, self.stale_start(D, x, nonneg, kind))
+        np.testing.assert_array_equal(idx, cold_idx)
+        np.testing.assert_allclose(val, cold_val, rtol=0.0, atol=1e-9)
+        alpha = np.zeros(D.shape[1])
+        alpha[idx] = val
+        assert kkt_violation(D, x, alpha, self.LAM, nonneg=nonneg) <= 1e-7
 
 
 class TestActiveSetFactor:
