@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -197,8 +198,8 @@ def viterbi_path(emissions, transitions):
     delta = emissions[0].copy()
     for t in range(1, n_pos):
         cand = delta[:, None] + transitions
-        back[t] = np.argmax(cand, axis=0)
-        delta = cand[back[t], np.arange(n_lab)] + emissions[t]
+        back[t] = cand.argmax(axis=0)
+        delta = cand.max(axis=0) + emissions[t]
     path = [int(np.argmax(delta))]
     for t in range(n_pos - 1, 0, -1):
         path.append(int(back[t][path[-1]]))
@@ -246,14 +247,18 @@ def score_lattice(model: CrfModel, sent_features):
 
     Feature names are resolved to ids in one pass over the sentence;
     names absent from the model's index are skipped. One gather of the
-    weight rows and one unbuffered ``np.add.at`` then sum each position's
-    rows in feature order, so the scores equal those of a per-feature
-    loop bit for bit.
+    weight rows and one ``np.bincount`` over the flat indices
+    ``row * L + label`` then sum each position's rows. ``bincount`` adds
+    in input order starting from zero, so the scores equal those of a
+    per-feature loop bit for bit.
     """
-    emissions = np.zeros((len(sent_features), len(model.labels)))
+    n_pos, n_lab = len(sent_features), len(model.labels)
     rows, ids, vals = _feature_entries(sent_features, model.feature_index)
-    np.add.at(emissions, rows, vals[:, None] * model.emissions[ids])
-    return emissions, model.transitions
+    flat = (rows * n_lab)[:, None] + np.arange(n_lab)
+    weights = model.emissions[ids]
+    weights *= vals[:, None]
+    emissions = np.bincount(flat.ravel(), weights.ravel(), minlength=n_pos * n_lab)
+    return emissions.reshape(n_pos, n_lab), model.transitions
 
 
 def _feature_entries(positions, feature_index, grow=False):
@@ -263,15 +268,16 @@ def _feature_entries(positions, feature_index, grow=False):
     Names missing from ``feature_index`` are skipped, or with ``grow``
     first added to it in order of first occurrence.
     """
-    pairs = [pair for feats in positions for pair in feats]
-    names = [name for name, _ in pairs]
+    pairs = list(chain.from_iterable(positions))
+    names = map(itemgetter(0), pairs)
     if grow:
+        names = list(names)
         for name in names:
             if name not in feature_index:
                 feature_index[name] = len(feature_index)
-    ids = np.fromiter(map(feature_index.get, names, repeat(-1)), dtype=np.int64, count=len(names))
-    vals = np.fromiter((value for _, value in pairs), dtype=np.float64, count=len(pairs))
-    rows = np.repeat(np.arange(len(positions)), [len(feats) for feats in positions])
+    ids = np.fromiter(map(feature_index.get, names, repeat(-1)), dtype=np.int64, count=len(pairs))
+    vals = np.fromiter(map(itemgetter(1), pairs), dtype=np.float64, count=len(pairs))
+    rows = np.repeat(np.arange(len(positions)), list(map(len, positions)))
     found = ids >= 0
     return rows[found], ids[found], vals[found]
 

@@ -8,11 +8,13 @@ immutable resources; vectors come back sorted by feature string.
 
 Under every scheme but fr_w / fr_wc a token's vector is the union, over
 the offsets of its window, of the features of the word type at that
-offset. Each (offset, word) list is built and sorted once, cached on the
-FeatureResources object, and a token's vector is the concatenation of its
-offsets' lists in the string order of their tags, which is already
-sorted and unique. Extraction therefore costs per word type, not per
-feature occurrence. fr_w / fr_wc keep per-token templates.
+offset. Each word's list is built and sorted once; its list at each
+offset of the window is that list with the offset's tag in front of
+every name, cached on the FeatureResources object. A token's vector is
+the concatenation of its offsets' lists in the string order of their
+tags, which is already sorted and unique. Extraction therefore costs
+per word type, not per feature occurrence. fr_w / fr_wc keep per-token
+templates.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def sparse_features(alpha) -> set:
     '+j' or '-j' depending on the coefficient's sign.
     """
     idx, val = alpha
-    return {("+" if v > 0 else "-") + str(int(i)) for i, v in zip(idx, val)}
+    return {("+" if v > 0 else "-") + str(i) for i, v in zip(idx.tolist(), val.tolist())}
 
 
 def dense_features(vector) -> list:
@@ -188,15 +190,21 @@ def _word_features(word, config: FeatureConfig, resources: FeatureResources):
 
 
 def _type_features(word, offset, config: FeatureConfig, resources: FeatureResources):
-    """Sorted, offset-tagged features of ``word`` seen at ``offset``; cached."""
-    key = (config.scheme, tuple(config.brown_prefix_lengths), offset, word)
-    feats = resources._type_cache.get(key)
+    """Sorted, offset-tagged features of ``word`` seen at ``offset``; cached.
+
+    On a word's first use its untagged list is sorted once, and the lists
+    of every offset of the window are built from it: a tag put in front of
+    every name keeps the order.
+    """
+    scheme = (config.scheme, tuple(config.brown_prefix_lengths))
+    cache = resources._type_cache
+    feats = cache.get((scheme, offset, word))
     if feats is None:
-        tag = _offset_tag(offset)
-        feats = sorted(
-            (tag + name, value) for name, value in _word_features(word, config, resources)
-        )
-        resources._type_cache[key] = feats
+        untagged = sorted(_word_features(word, config, resources))
+        for o in _WINDOW_OFFSETS[config.window]:
+            tag = _offset_tag(o)
+            cache[scheme, o, word] = [(tag + name, value) for name, value in untagged]
+        feats = cache[scheme, offset, word]
     return feats
 
 

@@ -223,9 +223,10 @@ class _ActiveSetLasso:
 
     A warm start is pruned before the search (see ``_start``): its support
     is cut until the Newton point on it keeps every sign, so the search
-    begins stationary on A. Stale atoms then cost one refactoring per
-    round instead of one Newton step each, while a fresh start still
-    saves the entries it already holds.
+    begins stationary on A. Stale atoms then cost one solve on the Gram
+    block per round and one factorization in all instead of one Newton
+    step each, while a fresh start still saves the entries it already
+    holds.
 
     A holds independent atoms in insertion order with R = L^-1, the inverse
     of the Cholesky factor of G_AA (G_AA^-1 = R^T R): adding an atom appends
@@ -296,16 +297,28 @@ class _ActiveSetLasso:
     def _start(self, c, idx, val):
         """Load a warm start pruned to a support whose Newton point keeps its signs.
 
-        The warm support is loaded with the signs of its values and its
-        Newton point R^T R (c_A - lam s_A) is computed. While some Newton
-        coefficient does not keep its sign strictly, the support is loaded
-        again without those atoms; factoring the kept atoms at once costs
-        less than dropping stale ones one by one. The search then starts
-        from a point that is stationary on A, so it begins by adding atoms
-        rather than dropping stale ones one Newton step at a time.
+        While some coefficient of the Newton point G_AA^-1 (c_A - lam s_A)
+        of the warm support, one ``np.linalg.solve`` on the Gram block,
+        does not keep its sign strictly, those atoms are cut; a singular
+        block ends these rounds. The support is then factored once, and
+        the same test against R^T R repeats until no sign flips, so atoms
+        that ``_load`` leaves out as dependent are handled exactly. The
+        search then starts from a point that is stationary on A, so it
+        begins by adding atoms rather than dropping stale ones one Newton
+        step at a time.
         """
         keep = val > 0.0 if self.nonneg else val != 0.0
-        self._load(idx[keep], np.sign(val[keep]))
+        idx, sign = idx[keep], np.sign(val[keep])
+        while idx.size:
+            try:
+                coef = np.linalg.solve(self.gram[np.ix_(idx, idx)], c[idx] - self.lam * sign)
+            except np.linalg.LinAlgError:
+                break
+            kept = coef * sign > 0.0
+            if kept.all():
+                break
+            idx, sign = idx[kept], sign[kept]
+        self._load(idx, sign)
         while s := self.size:
             act, sign = self.act[:s], self.sign[:s]
             inv = self.inv_chol[:s, :s]
@@ -653,7 +666,7 @@ def save_dictionary(path, dictionary: Dictionary) -> None:
             f"{dictionary.lam:.17g} {dictionary.tau:.17g}\n"
         )
         for j in range(dictionary.m):
-            fh.write(" ".join(f"{v:.17g}" for v in dictionary.atoms[:, j]) + "\n")
+            fh.write(" ".join(f"{v:.17g}" for v in dictionary.atoms[:, j].tolist()) + "\n")
 
 
 def load_dictionary(path) -> Dictionary:
@@ -684,7 +697,7 @@ def save_codes(path, codes: SparseCodes) -> None:
     """One line per word: `word idx:coef ...`, 6 significant digits."""
     with open(path, "w", encoding="utf-8") as fh:
         for word, (idx, val) in zip(codes.words, codes.entries):
-            parts = [word] + [f"{i}:{v:.6g}" for i, v in zip(idx, val)]
+            parts = [word] + [f"{i}:{v:.6g}" for i, v in zip(idx.tolist(), val.tolist())]
             fh.write(" ".join(parts) + "\n")
 
 

@@ -359,19 +359,36 @@ class TestCoverage:
 
 
 class TestImports:
-    def test_cli_import_leaves_out_scipy_sparse(self):
+    @staticmethod
+    def probe(code):
         import os
         import subprocess
         import sys
         from pathlib import Path
 
         src = str(Path(cli.__file__).resolve().parents[1])
-        probe = "import sys, sparsetag.cli; print('scipy.sparse' in sys.modules)"
-        out = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        return subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env=dict(os.environ, PYTHONPATH=src),
         ).stdout
+
+    def test_cli_import_leaves_out_scipy_sparse(self):
+        out = self.probe("import sys, sparsetag.cli; print('scipy.sparse' in sys.modules)")
         assert out.strip() == "False"
+
+    def test_tag_leaves_out_scipy_sparse(self, small_task_files, trained_sc_model, tmp_path):
+        # importing scipy.sparse costs a large share of a short tag run
+        argv = [
+            "tag", "--model", str(trained_sc_model["model"]),
+            "--input", str(small_task_files["test"]), "--format", "conllx",
+            "--codes", str(trained_sc_model["codes"]), "--out", str(tmp_path / "pred.conll"),
+        ]
+        out = self.probe(
+            "import sys\nfrom sparsetag import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print('scipy.sparse' in sys.modules)"
+        )
+        assert out.strip().splitlines() == ["tagged 40 sentences", "False"]
 
 
 class TestAnalyzeBasis:

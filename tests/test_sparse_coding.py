@@ -207,6 +207,48 @@ class TestPrunedWarmStart:
         alpha[idx] = val
         assert kkt_violation(D, x, alpha, self.LAM, nonneg=nonneg) <= 1e-7
 
+    @staticmethod
+    def dependent_problem():
+        # k=6 < m=12; atoms 10 and 11 are one unit vector orthogonal to x,
+        # so the optimum leaves them out and stays unique
+        rng = np.random.default_rng(1)
+        D = rng.standard_normal((6, 12))
+        D /= np.linalg.norm(D, axis=0)
+        x = D[:, :3] @ np.array([1.0, -0.8, 0.6])
+        v = rng.standard_normal(6)
+        v -= (v @ x) / (x @ x) * x
+        D[:, 10] = D[:, 11] = v / np.linalg.norm(v)
+        return D, x
+
+    @pytest.mark.parametrize("nonneg", [False, True])
+    @pytest.mark.parametrize("support", ["duplicate", "all"])
+    def test_solve_from_dependent_start_matches_cold(self, nonneg, support):
+        from sparsetag.sparse_coding import _ActiveSetLasso
+
+        D, x = self.dependent_problem()
+        gram, c = D.T @ D, x @ D
+        solver = _ActiveSetLasso(gram, self.LAM, nonneg, D.shape[0])
+        cold_idx, cold_val = solver.solve(c)
+        assert not {10, 11} & set(cold_idx.tolist())
+        # "duplicate": the optimum's atoms plus both copies of atom 10;
+        # "all": all 12 atoms, twice as many as the rank of D
+        idx = np.union1d(cold_idx, [10, 11]) if support == "duplicate" else np.arange(12)
+        val = np.ones(idx.size) if nonneg else np.where(np.arange(idx.size) % 2, -1.0, 1.0)
+        with pytest.raises(np.linalg.LinAlgError):  # the prune's solve cannot run
+            np.linalg.solve(gram[np.ix_(idx, idx)], c[idx] - self.LAM * np.sign(val))
+        solver._start(c, idx, val)
+        s = solver.size
+        act, coef, sign = solver.act[:s], solver.coef[:s], solver.sign[:s]
+        assert s <= D.shape[0] and np.all(coef * sign > 0.0)
+        rho = c - coef @ gram[act]
+        assert np.abs(rho[act] - self.LAM * sign).max(initial=0.0) <= 1e-9
+        got_idx, got_val = solver.solve(c, (idx, val))
+        np.testing.assert_array_equal(got_idx, cold_idx)
+        np.testing.assert_allclose(got_val, cold_val, rtol=0.0, atol=1e-9)
+        alpha = np.zeros(D.shape[1])
+        alpha[got_idx] = got_val
+        assert kkt_violation(D, x, alpha, self.LAM, nonneg=nonneg) <= 1e-7
+
 
 class TestActiveSetFactor:
     def test_inverse_factor_tracks_appends_and_drops(self):
