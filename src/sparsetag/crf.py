@@ -9,8 +9,8 @@ transition scores. Training minimizes
 with an orthant-wise limited-memory quasi-Newton method, so the l1 term
 is handled exactly. Inference is one forward-backward in scaled
 probabilities (CRFsuite's scaling) over a batch of sentences sorted by
-length, with log-space steps only for rows whose products underflow;
-decoding is Viterbi with ties broken toward the lower label index.
+length; a batch whose products underflow is redone as a whole in log
+space. Decoding is Viterbi with ties broken toward the lower label index.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ class TrainConfig:
     c2: float = 0.001
     max_iterations: int = 500
     tolerance: float = 1e-5
-    memory: int = 10
 
     def __post_init__(self):
         if self.c1 < 0 or self.c2 < 0:
@@ -58,8 +57,8 @@ class TrainConfig:
 
 
 # A forward product below _TINY, or a backward value outside
-# [_TINY, 1/_TINY], may have lost digits to underflow, so its row is
-# redone in log space. Such values need label scores hundreds of nats
+# [_TINY, 1/_TINY], may have lost digits to underflow, so the whole batch
+# is redone in log space. Such values need label scores hundreds of nats
 # apart; the benchmark's trained models never come near them.
 _TINY = 1e-100
 
@@ -73,9 +72,9 @@ def _scaled_forward_backward(emissions, batch_sizes, transitions):
     With Psi = exp(T - max T) and each position's emissions shifted by
     their maximum, every step is one (n_t x L)(L x L) product forward and
     one backward, normalized by the forward scales (Okazaki's CRFsuite).
-    Where a product underflows, those rows of that step are computed in
-    log space from exact logs of the previous step, so the result equals
-    log-space arithmetic for any finite weights.
+    If a product may have underflowed, the batch is handed to
+    :func:`_log_forward_backward`, so the result equals log-space
+    arithmetic for any finite weights.
 
     Returns (sum of the sentences' logZ, unary marginals (n_positions, L)
     in packed order, pairwise marginals summed over each step's rows
@@ -84,30 +83,14 @@ def _scaled_forward_backward(emissions, batch_sizes, transitions):
     n_pos, n_lab = emissions.shape
     starts = np.concatenate(([0], np.cumsum(batch_sizes)))
     em_max = np.ascontiguousarray(emissions.T).max(axis=0)[:, None]  # faster than axis=1
-    shifted = emissions - em_max
-    q = np.exp(shifted)
+    q = np.exp(emissions - em_max)
     t_max = transitions.max()
-    log_psi = transitions - t_max
-    psi = np.exp(log_psi)
+    psi = np.exp(transitions - t_max)
 
     alpha = np.empty((n_pos, n_lab))
-    prod = np.ones((n_pos, n_lab))      # alpha[t-1] @ psi; 1 at first positions
     scale = np.empty(n_pos)
     beta = np.ones((n_pos, n_lab))
     pairs = np.empty((max(len(batch_sizes) - 1, 0), n_lab, n_lab))
-    # exact logs of what the linear arrays could not hold; a flagged row's
-    # linear entries are 1 (prod, scale, beta) so that no step overflows
-    log_prod = np.empty((n_pos, n_lab))
-    log_scale = np.empty(n_pos)
-    log_beta = np.empty((n_pos, n_lab))
-    fwd_exact = np.zeros(n_pos, dtype=bool)
-    bwd_exact = np.zeros(n_pos, dtype=bool)
-    pairs_exact = np.zeros_like(pairs)
-
-    def exact_log_alpha(idx):
-        lp = np.where(fwd_exact[idx, None], log_prod[idx], np.log(prod[idx]))
-        ls = np.where(fwd_exact[idx], log_scale[idx], np.log(scale[idx]))
-        return lp + shifted[idx] - ls[:, None]
 
     ones = np.ones(n_lab)
     n0 = batch_sizes[0] if n_pos else 0
@@ -115,66 +98,64 @@ def _scaled_forward_backward(emissions, batch_sizes, transitions):
     np.divide(q[:n0], scale[:n0, None], out=alpha[:n0])
     for t in range(1, len(batch_sizes)):
         n, cur, prev = batch_sizes[t], starts[t], starts[t - 1]
-        m_t = np.matmul(alpha[prev:prev + n], psi, out=prod[cur:cur + n])
-        a_t = np.multiply(m_t, q[cur:cur + n], out=alpha[cur:cur + n])
+        a_t = np.matmul(alpha[prev:prev + n], psi, out=alpha[cur:cur + n])
+        if a_t.min() < _TINY:
+            return _log_forward_backward(emissions, batch_sizes, transitions)
+        a_t *= q[cur:cur + n]
         np.matmul(a_t, ones, out=scale[cur:cur + n])
-        if m_t.min() < _TINY:
-            rows = np.flatnonzero(m_t.min(axis=1) < _TINY)
-            lp = np.logaddexp.reduce(
-                exact_log_alpha(prev + rows)[:, :, None] + log_psi, axis=1
-            )
-            la = lp + shifted[cur + rows]
-            ls = np.logaddexp.reduce(la, axis=1)
-            alpha[cur + rows] = np.exp(la - ls[:, None])
-            prod[cur + rows] = 1.0
-            scale[cur + rows] = 1.0
-            log_prod[cur + rows] = lp
-            log_scale[cur + rows] = ls
-            fwd_exact[cur + rows] = True
         a_t /= scale[cur:cur + n, None]
 
-    any_exact = bool(fwd_exact.any())
     q /= scale[:, None]                 # from here on q is emissions over scale
     psi_t = psi.T
     for t in range(len(batch_sizes) - 1, 0, -1):
         n, cur, prev = batch_sizes[t], starts[t], starts[t - 1]
         q_t = q[cur:cur + n] * beta[cur:cur + n]
         b_prev = np.matmul(q_t, psi_t, out=beta[prev:prev + n])
-        if any_exact or b_prev.min() < _TINY or b_prev.max() > 1.0 / _TINY:
-            bad = (
-                (b_prev.min(axis=1) < _TINY) | (b_prev.max(axis=1) > 1.0 / _TINY)
-                | fwd_exact[cur:cur + n] | bwd_exact[cur:cur + n]
-            )
-            rows = np.flatnonzero(bad)
-            if rows.size:
-                here, there = cur + rows, prev + rows
-                lb = np.where(bwd_exact[here, None], log_beta[here], np.log(beta[here]))
-                ls = np.where(fwd_exact[here], log_scale[here], np.log(scale[here]))
-                lq = shifted[here] + lb - ls[:, None]
-                lb_prev = np.logaddexp.reduce(log_psi + lq[:, None, :], axis=2)
-                pairs_exact[t - 1] = np.exp(
-                    exact_log_alpha(there)[:, :, None] + log_psi + lq[:, None, :]
-                ).sum(axis=0)
-                q_t[rows] = 0.0
-                out = np.abs(lb_prev).max(axis=1) > -np.log(_TINY)
-                beta[there] = 1.0
-                beta[there[~out]] = np.exp(lb_prev[~out])
-                log_beta[there] = lb_prev
-                bwd_exact[there] = out
-                any_exact = any_exact or bool(out.any())
+        if b_prev.min() < _TINY or b_prev.max() > 1.0 / _TINY:
+            return _log_forward_backward(emissions, batch_sizes, transitions)
         np.matmul(alpha[prev:prev + n].T, q_t, out=pairs[t - 1])
 
-    unary = alpha * beta
-    if bwd_exact.any():
-        idx = np.flatnonzero(bwd_exact)
-        unary[idx] = np.exp(exact_log_alpha(idx) + log_beta[idx])
     pairs *= psi
-    pairs += pairs_exact
-    log_z = (
-        float(np.log(scale).sum()) + float(log_scale[fwd_exact].sum()) + float(em_max.sum())
-        + (n_pos - n0) * float(t_max)
-    )
-    return log_z, unary, pairs
+    log_z = float(np.log(scale).sum()) + float(em_max.sum()) + (n_pos - n0) * float(t_max)
+    return log_z, alpha * beta, pairs
+
+
+def _log_forward_backward(emissions, batch_sizes, transitions):
+    """What :func:`_scaled_forward_backward` returns, computed in log space.
+
+    Exact for any finite weights, and slower. A sentence's logZ is read
+    at its step-0 row, where the sum of alpha * beta is Z, and the
+    sentence active in row i of any step is the batch's i-th.
+    """
+    n_pos, n_lab = emissions.shape
+    starts = np.concatenate(([0], np.cumsum(batch_sizes)))
+    log_alpha = emissions.copy()
+    log_beta = np.zeros((n_pos, n_lab))
+    for t in range(1, len(batch_sizes)):
+        n, cur, prev = batch_sizes[t], starts[t], starts[t - 1]
+        log_alpha[cur:cur + n] += np.logaddexp.reduce(
+            log_alpha[prev:prev + n, :, None] + transitions, axis=1
+        )
+    # emissions plus beta at each position, the backward message's input
+    log_eb = np.empty((n_pos, n_lab))
+    for t in range(len(batch_sizes) - 1, 0, -1):
+        n, cur, prev = batch_sizes[t], starts[t], starts[t - 1]
+        log_eb[cur:cur + n] = emissions[cur:cur + n] + log_beta[cur:cur + n]
+        log_beta[prev:prev + n] = np.logaddexp.reduce(
+            transitions + log_eb[cur:cur + n, None, :], axis=2
+        )
+    n0 = batch_sizes[0] if n_pos else 0
+    log_z = np.logaddexp.reduce(log_alpha[:n0] + log_beta[:n0], axis=1)
+    sentence = np.arange(n_pos) - np.repeat(starts[:-1], batch_sizes)
+    unary = np.exp(log_alpha + log_beta - log_z[sentence, None])
+    pairs = np.empty((max(len(batch_sizes) - 1, 0), n_lab, n_lab))
+    for t in range(1, len(batch_sizes)):
+        n, cur, prev = batch_sizes[t], starts[t], starts[t - 1]
+        pairs[t - 1] = np.exp(
+            log_alpha[prev:prev + n, :, None] + transitions + log_eb[cur:cur + n, None, :]
+            - log_z[:n, None, None]
+        ).sum(axis=0)
+    return float(log_z.sum()), unary, pairs
 
 
 def forward_backward(emissions, transitions):
@@ -300,7 +281,6 @@ class CompiledBatch:
     trans_counts: np.ndarray         # empirical gold bigram counts (L, L)
     labels: list
     feature_index: dict
-    n_sentences: int = 0
 
     @property
     def n_positions(self):
@@ -370,7 +350,6 @@ def compile_batch(batch_features, batch_labels, labels=None, feature_index=None,
         trans_counts=trans_counts,
         labels=list(labels),
         feature_index=feature_index,
-        n_sentences=len(batch_features),
     )
 
 
@@ -450,7 +429,11 @@ def _lbfgs_direction(pg, mem_s, mem_y):
     return q
 
 
-def _owlqn(fun, w0, c1, max_iterations, tolerance, memory):
+# L-BFGS correction pairs kept by OWL-QN
+_MEMORY = 10
+
+
+def _owlqn(fun, w0, c1, max_iterations, tolerance):
     """Minimize fun(w)[0] + c1*||w||_1 where fun returns (value, gradient).
 
     Orthant-wise L-BFGS: quasi-Newton directions on the pseudo-gradient,
@@ -499,7 +482,7 @@ def _owlqn(fun, w0, c1, max_iterations, tolerance, memory):
         if float(s @ y) > 1e-10:
             mem_s.append(s)
             mem_y.append(y)
-            if len(mem_s) > memory:
+            if len(mem_s) > _MEMORY:
                 mem_s.pop(0)
                 mem_y.pop(0)
         w, grad = w_new, grad_new
@@ -531,9 +514,7 @@ def train(batch_features, batch_labels, config: TrainConfig, meta=None) -> CrfMo
     def fun(params):
         return smooth_objective(params, batch, config.c2)
 
-    w, _, iterations, reason = _owlqn(
-        fun, w0, config.c1, config.max_iterations, config.tolerance, config.memory
-    )
+    w, _, iterations, reason = _owlqn(fun, w0, config.c1, config.max_iterations, config.tolerance)
     meta = dict(meta or {}, owlqn_stop=reason, owlqn_iterations=str(iterations))
     emissions, transitions = _unpack(w, n_feat, n_lab)
     if batch.n_features == 0:

@@ -42,11 +42,10 @@ class CoverageReport:
 class EmbeddingTable:
     """Immutable vocabulary plus row-major matrix of dense word vectors.
 
-    ``vectors[i]`` is the embedding of ``words[i]``. An optional
-    ``unknown_word`` names a row returned for out-of-vocabulary lookups.
+    ``vectors[i]`` is the embedding of ``words[i]``.
     """
 
-    def __init__(self, words, vectors, unknown_word=None):
+    def __init__(self, words, vectors):
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2:
             raise EmbeddingError("vector matrix must be 2-dimensional")
@@ -61,11 +60,8 @@ class EmbeddingTable:
             if w in index:
                 raise EmbeddingError(f"duplicate word in vocabulary: {w!r}", i)
             index[w] = i
-        if unknown_word is not None and unknown_word not in index:
-            raise EmbeddingError(f"unknown-word row {unknown_word!r} not in vocabulary")
         self.words = list(words)
         self.vectors = vectors
-        self.unknown_word = unknown_word
         self._index = index
 
     @property
@@ -83,7 +79,7 @@ class EmbeddingTable:
         return self._index.get(word)
 
     def lookup(self, word, lowercase_fallback=False):
-        """Vector for ``word``, or the unknown row if configured, else None.
+        """Vector for ``word``, or None.
 
         Matching is exact; with ``lowercase_fallback`` the lowercased form
         is tried before giving up.
@@ -91,14 +87,12 @@ class EmbeddingTable:
         i = self._index.get(word)
         if i is None and lowercase_fallback:
             i = self._index.get(word.lower())
-        if i is None and self.unknown_word is not None:
-            i = self._index[self.unknown_word]
         if i is None:
             return None
         return self.vectors[i]
 
     def has_vector(self, word, lowercase_fallback=False) -> bool:
-        """True when a real (non-unknown) row exists for ``word``."""
+        """True when a row exists for ``word``."""
         if word in self._index:
             return True
         return lowercase_fallback and word.lower() in self._index
@@ -114,7 +108,7 @@ def _looks_like_header(fields) -> bool:
     return True
 
 
-def load_embeddings(path, format="text", unknown_word=None) -> EmbeddingTable:
+def load_embeddings(path, format="text") -> EmbeddingTable:
     """Read a whitespace-separated text embedding file.
 
     Each record is ``word v1 v2 ... vk`` on one line. An optional first
@@ -160,7 +154,7 @@ def load_embeddings(path, format="text", unknown_word=None) -> EmbeddingTable:
         raise EmbeddingError(f"{path}: no embedding records found")
     matrix = np.array(rows, dtype=np.float64)
     try:
-        return EmbeddingTable(words, matrix, unknown_word=unknown_word)
+        return EmbeddingTable(words, matrix)
     except EmbeddingError as exc:
         where = path if exc.row is None else f"{path}:{linenos[exc.row]}"
         raise EmbeddingError(f"{where}: {exc}") from None
@@ -178,9 +172,8 @@ def save_embeddings(path, table: EmbeddingTable, header: bool = True) -> None:
 def coverage(table: EmbeddingTable, dataset, lowercase_fallback=False) -> CoverageReport:
     """Token- and type-level coverage of ``table`` over ``dataset``.
 
-    A token counts as covered when a real vector row exists for its form
-    (the designated unknown row does not count). Order of sentences is
-    irrelevant.
+    A token counts as covered when a vector row exists for its form.
+    Order of sentences is irrelevant.
     """
     sentences = dataset.sentences
     if not sentences:

@@ -77,26 +77,11 @@ def _split_tag(tag):
     return tag[0], tag[2:]
 
 
-def _is_chunk_start(prev, cur):
+def _chunk_boundary(prev, cur):
+    """False only when split tags ``prev`` and ``cur`` continue one chunk."""
     prev_p, prev_t = prev
     cur_p, cur_t = cur
-    if cur_p == "O":
-        return False
-    if prev_p == "O":
-        return True
-    if prev_t != cur_t:
-        return True
-    return cur_p in ("B", "S") or prev_p in ("E", "S")
-
-
-def _is_chunk_end(prev, cur):
-    prev_p, prev_t = prev
-    cur_p, cur_t = cur
-    if prev_p == "O":
-        return False
-    if cur_p == "O":
-        return True
-    if prev_t != cur_t:
+    if prev_p == "O" or cur_p == "O" or prev_t != cur_t:
         return True
     return cur_p in ("B", "S") or prev_p in ("E", "S")
 
@@ -115,11 +100,10 @@ def extract_spans(tags):
     cur_type = None
     for i, tag in enumerate(tags):
         cur = _split_tag(tag)
-        if start is not None and _is_chunk_end(prev, cur):
-            spans.add((cur_type, start, i - 1))
-            start = None
-        if _is_chunk_start(prev, cur):
-            start = i
+        if _chunk_boundary(prev, cur):
+            if start is not None:
+                spans.add((cur_type, start, i - 1))
+            start = None if cur[0] == "O" else i
             cur_type = cur[1]
         prev = cur
     if start is not None:

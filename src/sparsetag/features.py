@@ -37,7 +37,6 @@ class FeatureError(ValueError):
 class FeatureConfig:
     scheme: str
     window: int = 1
-    brown_prefix_lengths: tuple = (4, 6, 10, 20)
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -50,10 +49,10 @@ class FeatureConfig:
 class FeatureResources:
     """Immutable lookups the schemes draw on; only the needed ones are set.
 
-    The object also caches each word type's feature list per scheme,
-    Brown prefix lengths and window offset, filled on first use. The
-    cache assumes the resources never change: build a new object rather
-    than editing the codes, table or clusters it holds.
+    The object also caches each word type's feature list per scheme and
+    window offset, filled on first use. The cache assumes the resources
+    never change: build a new object rather than editing the codes, table
+    or clusters it holds.
     """
 
     codes: object = None          # SparseCodes
@@ -180,12 +179,13 @@ def _word_features(word, config: FeatureConfig, resources: FeatureResources):
         if entry is not None:
             feats.extend((f, 1.0) for f in sparse_features(entry))
     elif scheme == "dense":
-        if resources.table.has_vector(word, lowercase_fallback=low):
-            feats.extend(dense_features(resources.table.lookup(word, lowercase_fallback=low)))
+        vector = resources.table.lookup(word, lowercase_fallback=low)
+        if vector is not None:
+            feats.extend(dense_features(vector))
     elif scheme == "brown":
         path = resources.clusters.get(word)
         if path is not None:
-            feats.extend((f, 1.0) for f in brown_features(path, config.brown_prefix_lengths))
+            feats.extend((f, 1.0) for f in brown_features(path))
     return feats
 
 
@@ -196,7 +196,7 @@ def _type_features(word, offset, config: FeatureConfig, resources: FeatureResour
     of every offset of the window are built from it: a tag put in front of
     every name keeps the order.
     """
-    scheme = (config.scheme, tuple(config.brown_prefix_lengths))
+    scheme = config.scheme
     cache = resources._type_cache
     feats = cache.get((scheme, offset, word))
     if feats is None:

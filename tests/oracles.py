@@ -140,7 +140,7 @@ def token_features_per_token(sentence, t, config, resources):
         path = resources.clusters.get(word)
         if path is None:
             return []
-        return [(f"bp{p}={path[:p]}", 1.0) for p in config.brown_prefix_lengths]
+        return [(f"bp{p}={path[:p]}", 1.0) for p in (4, 6, 10, 20)]
 
     def wi_word(word):
         return [(f"w={safe(word)}", 1.0)]

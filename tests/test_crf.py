@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsetag import crf
 from sparsetag.crf import (
     CrfError,
     CrfModel,
     TrainConfig,
+    _log_forward_backward,
+    _scaled_forward_backward,
     compile_batch,
     forward_backward,
     load_model,
@@ -242,8 +245,22 @@ def _enumerated_objective(batch_features, batch_labels, batch, params, c2):
     return value, np.concatenate([grad_w.ravel(), grad_t.ravel()])
 
 
+@pytest.fixture
+def log_kernel_calls(monkeypatch):
+    """Records each call the scaled kernel makes to its log-space fallback."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _log_forward_backward(*args)
+
+    monkeypatch.setattr(crf, "_log_forward_backward", counted)
+    return calls
+
+
 class TestPackedKernel:
-    """The one batch forward-backward against per-sentence enumeration."""
+    """The batch forward-backward and its log-space fallback against
+    per-sentence enumeration and each other."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -303,6 +320,51 @@ class TestPackedKernel:
         assert logz == pytest.approx(logz_bf, abs=1e-10)
         np.testing.assert_allclose(unary, unary_bf, rtol=0, atol=1e-10)
         np.testing.assert_allclose(pairwise, pairwise_bf, rtol=0, atol=1e-10)
+
+    def test_one_wide_sentence_in_a_packed_batch(self, log_kernel_calls):
+        # only the third sentence has the 760-nat feature; with the 800-nat
+        # transitions its forward product underflows, so the whole batch of
+        # four lengths goes to the log-space kernel
+        rng = np.random.default_rng(11)
+        labels = ["A", "B"]
+        lengths = [3, 1, 4, 2]
+        batch_features = [
+            [[("a", float(rng.standard_normal())), ("b", 1.0)] for _ in range(n)]
+            for n in lengths
+        ]
+        batch_features[2][0].append(("wide", 1.0))
+        batch_labels = [[labels[int(rng.integers(2))] for _ in range(n)] for n in lengths]
+        batch = compile_batch(batch_features, batch_labels, labels=labels)
+        weights = rng.standard_normal((batch.n_features, 2))
+        weights[batch.feature_index["wide"]] = [0.0, 760.0]
+        transitions = np.array([[0.0, 0.0], [-800.0, -800.0]])
+        params = np.concatenate([weights.ravel(), transitions.ravel()])
+        value, grad = smooth_objective(params, batch, 0.001)
+        expected_value, expected_grad = _enumerated_objective(
+            batch_features, batch_labels, batch, params, 0.001
+        )
+        assert len(log_kernel_calls) == 1
+        assert value == pytest.approx(expected_value, abs=1e-10)
+        np.testing.assert_allclose(grad, expected_grad, rtol=0, atol=1e-10)
+
+    def test_log_kernel_matches_scaled_kernel(self, log_kernel_calls):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            n_lab = int(rng.integers(2, 6))
+            lengths = np.sort(rng.integers(1, 8, size=int(rng.integers(1, 7))))[::-1]
+            batch_sizes = np.count_nonzero(
+                lengths[None, :] > np.arange(lengths[0])[:, None], axis=1
+            )
+            emissions = rng.standard_normal((int(lengths.sum()), n_lab)) * 3.0
+            transitions = rng.standard_normal((n_lab, n_lab)) * 3.0
+            logz, unary, pairs = _scaled_forward_backward(emissions, batch_sizes, transitions)
+            logz_log, unary_log, pairs_log = _log_forward_backward(
+                emissions, batch_sizes, transitions
+            )
+            assert logz_log == pytest.approx(logz, abs=1e-10)
+            np.testing.assert_allclose(unary_log, unary, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(pairs_log, pairs, rtol=0, atol=1e-10)
+        assert log_kernel_calls == []
 
     def test_wide_lattices_match_enumeration(self):
         rng = np.random.default_rng(10)

@@ -84,12 +84,6 @@ class TestLookup:
         table = load_embeddings(tiny_embedding_file)
         assert table.lookup("zzz") is None
 
-    def test_miss_with_unknown_row(self):
-        table = EmbeddingTable(
-            ["<unk>", "a"], np.array([[9.0, 9.0], [1.0, 0.0]]), unknown_word="<unk>"
-        )
-        np.testing.assert_array_equal(table.lookup("zzz"), [9.0, 9.0])
-
     def test_lowercase_fallback(self):
         table = EmbeddingTable(["the"], np.array([[2.0]]))
         assert table.lookup("The") is None
@@ -151,10 +145,3 @@ class TestCoverage:
         table = load_embeddings(tiny_embedding_file)
         with pytest.raises(EmbeddingError):
             coverage(table, make_dataset([]))
-
-    def test_unknown_row_does_not_count(self):
-        table = EmbeddingTable(
-            ["<unk>", "a"], np.array([[0.0], [1.0]]), unknown_word="<unk>"
-        )
-        report = coverage(table, make_dataset([[("a", "X"), ("zzz", "X")]]))
-        assert report.tokens_covered == 1

@@ -270,7 +270,6 @@ def _resources_and_runs(draw):
         st.tuples(
             st.sampled_from(_WINDOWED),
             st.sampled_from((1, 2)),
-            st.sampled_from(((4, 6, 10, 20), (1, 3))),
             st.lists(st.sampled_from(_FORMS), min_size=1, max_size=6),
         ),
         min_size=1,
@@ -286,8 +285,8 @@ class TestCachedExtractionMatchesPerTokenOracle:
         # one resources object serves every run, so later runs hit the
         # cache filled by earlier ones under other schemes and windows
         resources, runs = setup
-        for scheme, window, prefixes, sentence in runs:
-            config = FeatureConfig(scheme=scheme, window=window, brown_prefix_lengths=prefixes)
+        for scheme, window, sentence in runs:
+            config = FeatureConfig(scheme=scheme, window=window)
             expected = [
                 token_features_per_token(sentence, t, config, resources)
                 for t in range(len(sentence))
