@@ -11,23 +11,14 @@ import argparse
 import os
 import sys
 
-from . import corpus, crf, evaluation, features, sparse_coding
+from . import corpus, evaluation, features
+from ._base import VARIANTS, SparsetagError
 from ._textfiles import atomic_output
-from .embeddings import EmbeddingError, coverage as corpus_coverage, load_embeddings
+
+# crf, sparse_coding and embeddings load NumPy, so each subcommand imports
+# only the layers it runs: --help, eval and usage errors load none of them.
 
 CORPUS_FORMATS = ("conllx", "conllu", "ner2002", "ner2003")
-
-_RUNTIME_ERRORS = (
-    EmbeddingError,
-    corpus.CorpusError,
-    crf.CrfError,
-    crf.CrfTrainError,
-    features.FeatureError,
-    sparse_coding.SparseCodingError,
-    sparse_coding.LassoConvergenceError,
-    evaluation.EvaluationError,
-    OSError,
-)
 
 
 class UsageError(Exception):
@@ -59,12 +50,24 @@ def _resources_for(scheme, args, lowercase=False):
         raise UsageError(f"scheme {scheme} requires --embeddings")
     if needs_clusters and not args.clusters:
         raise UsageError(f"scheme {scheme} requires --clusters")
+    codes = None
+    if needs_codes:
+        from . import sparse_coding
+
+        codes = sparse_coding.load_codes(args.codes)
     return features.FeatureResources(
-        codes=sparse_coding.load_codes(args.codes) if needs_codes else None,
+        codes=codes,
         table=load_embeddings(args.embeddings) if needs_table else None,
         clusters=features.load_clusters(args.clusters) if needs_clusters else None,
         lowercase_fallback=lowercase,
     )
+
+
+def load_embeddings(path, format="text"):
+    """:func:`sparsetag.embeddings.load_embeddings`, importing that layer on first use."""
+    from . import embeddings
+
+    return embeddings.load_embeddings(path, format=format)
 
 
 def _extract_all(dataset, config, resources):
@@ -80,6 +83,8 @@ def _extract_all(dataset, config, resources):
 
 
 def _cmd_learn_dict(args):
+    from . import sparse_coding
+
     table = load_embeddings(args.embeddings, format=args.format)
     config = sparse_coding.SparseCodingConfig(
         variant=args.variant,
@@ -127,6 +132,8 @@ def _cmd_train(args):
     feat_config = features.FeatureConfig(scheme=args.scheme, window=args.window)
     resources = _resources_for(args.scheme, args, lowercase=args.lowercase)
     batch_features = _extract_all(dataset, feat_config, resources)
+    from . import crf  # after the usage checks, so a usage error loads no NumPy
+
     train_config = crf.TrainConfig(
         c1=args.c1,
         c2=args.c2,
@@ -157,15 +164,19 @@ def _cmd_train(args):
 
 def _model_setting(model, path, key, choices, default=None):
     """The model's [meta] value for key, which must be one of choices if present."""
+    from .crf import CrfError
+
     value = model.meta.get(key, default)
     if key in model.meta and value not in choices:
-        raise crf.CrfError(
+        raise CrfError(
             f"{path}:{model.meta_lines[key]}: {key} {value!r} is not one of {', '.join(choices)}"
         )
     return value
 
 
 def _cmd_tag(args):
+    from . import crf
+
     model = crf.load_model(args.model)
     scheme = _model_setting(model, args.model, "scheme", features.SCHEMES)
     if scheme is None:
@@ -228,15 +239,19 @@ def _cmd_eval(args):
 
 
 def _cmd_coverage(args):
+    from . import embeddings
+
     table = load_embeddings(args.embeddings)
     dataset = corpus.read_dataset(args.data, args.format, use_cpostag=args.cpostag)
-    report = corpus_coverage(table, dataset, lowercase_fallback=args.lowercase)
+    report = embeddings.coverage(table, dataset, lowercase_fallback=args.lowercase)
     print(f"tokens {report.tokens_covered}/{report.tokens_total} {report.token_coverage:.6f}")
     print(f"types {report.types_covered}/{report.types_total} {report.type_coverage:.6f}")
     return 0
 
 
 def _cmd_analyze_basis(args):
+    from . import sparse_coding
+
     dictionary = sparse_coding.load_dictionary(args.dict)
     codes = sparse_coding.load_codes(args.codes, m=dictionary.m)
     report = sparse_coding.basis_statistics(dictionary, codes)
@@ -267,7 +282,7 @@ def _build_parser():
     p.add_argument("--format", default="text", choices=("text", "word2vec-text"))
     p.add_argument("--m", type=int, default=1024)
     p.add_argument("--lambda", type=float, default=0.1)
-    p.add_argument("--variant", default="sc1", choices=sparse_coding.VARIANTS)
+    p.add_argument("--variant", default="sc1", choices=VARIANTS)
     p.add_argument("--tau", type=float, default=1e-5)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--batch-size", type=int, default=256)
@@ -350,7 +365,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"sparsetag: {exc}", file=sys.stderr)
         return 2
-    except _RUNTIME_ERRORS as exc:
+    except (SparsetagError, OSError) as exc:
         print(f"sparsetag: {exc}", file=sys.stderr)
         return 1
 

@@ -5,11 +5,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from ._base import SparsetagError
 from ._textfiles import read_lines
 from .evaluation import extract_spans
 
 
-class CorpusError(ValueError):
+class CorpusError(SparsetagError, ValueError):
     """Malformed corpus file or inconsistent labeling."""
 
 
@@ -215,13 +216,21 @@ def _respan(sentence, iobes):
     """Rewrite a sentence's tags in one scheme. Returns (tokens, repairs).
 
     Spans are read as the scorer reads them; a span whose first tag is I-
-    (no live span of its type before it) counts as one repair.
+    (no live span of its type before it) counts as one repair. Tokens
+    whose tag stays are reused, and a sentence whose tags all stay comes
+    back as the same list.
     """
     tags = [tok.label for tok in sentence]
     spans = extract_spans(tags)
     repairs = sum(tags[start].startswith("I-") for _, start, _ in spans)
     new_tags = _span_tags(spans, len(tags), iobes=iobes)
-    return [Token(form=tok.form, label=tag) for tok, tag in zip(sentence, new_tags)], repairs
+    if new_tags == tags:
+        return sentence, repairs
+    tokens = [
+        tok if tok.label == tag else Token(form=tok.form, label=tag)
+        for tok, tag in zip(sentence, new_tags)
+    ]
+    return tokens, repairs
 
 
 def to_iobes(dataset: Dataset):

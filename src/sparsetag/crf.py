@@ -16,6 +16,7 @@ space. Decoding is Viterbi with ties broken toward the lower label index.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
@@ -23,17 +24,18 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._base import SparsetagError
 from ._textfiles import read_lines
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
 
-class CrfError(ValueError):
+class CrfError(SparsetagError, ValueError):
     """Inconsistent labels, features, or model files."""
 
 
-class CrfTrainError(RuntimeError):
+class CrfTrainError(SparsetagError, RuntimeError):
     """Numerical failure during training."""
 
 
@@ -401,31 +403,35 @@ def smooth_objective(params, batch: CompiledBatch, c2):
 
 
 def _pseudo_gradient(w, g, c1):
+    """The pseudo-gradient of f + c1*||w||_1, where g is the gradient of f.
+
+    Off zero the l1 term adds c1*sign(w). At zero it moves g toward 0 by
+    at most c1, which is g minus g clipped to [-c1, c1].
+    """
     if c1 == 0.0:
         return g.copy()
-    pg = np.where(w > 0, g + c1, np.where(w < 0, g - c1, 0.0))
-    zero = w == 0
-    gz = g[zero]
-    pg[zero] = np.where(gz + c1 < 0, gz + c1, np.where(gz - c1 > 0, gz - c1, 0.0))
-    return pg
+    return np.where(w == 0, g - np.clip(g, -c1, c1), g + np.copysign(c1, w))
 
 
-def _lbfgs_direction(pg, mem_s, mem_y):
-    d = -pg
-    if not mem_s:
-        return d.copy()
+def _lbfgs_direction(pg, memory):
+    """The two-loop recursion: minus the inverse-Hessian estimate times pg.
+
+    ``memory`` holds (s, y, 1/(s.y), (s.y)/(y.y)) per correction pair,
+    oldest first; the last pair's (s.y)/(y.y) scales the initial estimate.
+    """
+    q = -pg
+    if not memory:
+        return q
     alphas = []
-    rhos = [1.0 / float(s @ y) for s, y in zip(mem_s, mem_y)]
-    q = d.copy()
-    for s, y, rho in zip(reversed(mem_s), reversed(mem_y), reversed(rhos)):
+    scratch = np.empty_like(q)
+    for s, y, rho, _ in reversed(memory):
         a = rho * float(s @ q)
         alphas.append(a)
-        q -= a * y
-    s_last, y_last = mem_s[-1], mem_y[-1]
-    q *= float(s_last @ y_last) / float(y_last @ y_last)
-    for (s, y, rho), a in zip(zip(mem_s, mem_y, rhos), reversed(alphas)):
+        q -= np.multiply(a, y, out=scratch)
+    q *= memory[-1][3]
+    for (s, y, rho, _), a in zip(memory, reversed(alphas)):
         b = rho * float(y @ q)
-        q += s * (a - b)
+        q += np.multiply(s, a - b, out=scratch)
     return q
 
 
@@ -447,7 +453,7 @@ def _owlqn(fun, w0, c1, max_iterations, tolerance):
     if not np.isfinite(value):
         raise CrfTrainError("objective diverged at iteration 0")
     total = value + c1 * float(np.abs(w).sum())
-    mem_s, mem_y = [], []
+    memory = deque(maxlen=_MEMORY)
     iterations = 0
     reason = "max_iterations"
     for iteration in range(1, max_iterations + 1):
@@ -456,10 +462,11 @@ def _owlqn(fun, w0, c1, max_iterations, tolerance):
         if pg_norm < 1e-10:
             reason = "zero_pseudo_gradient"
             break
-        direction = _lbfgs_direction(pg, mem_s, mem_y)
-        direction[direction * -pg <= 0] = 0.0
+        direction = _lbfgs_direction(pg, memory)
+        # keep only the components that descend along -pg
+        direction = np.where(direction * pg < 0, direction, 0.0)
         orthant = np.where(w != 0, np.sign(w), np.sign(-pg))
-        step = 1.0 if mem_s else 1.0 / pg_norm
+        step = 1.0 if memory else 1.0 / pg_norm
         accepted = False
         for _ in range(60):
             w_new = w + step * direction
@@ -468,7 +475,8 @@ def _owlqn(fun, w0, c1, max_iterations, tolerance):
             if not np.isfinite(value_new):
                 raise CrfTrainError(f"objective diverged at iteration {iteration}")
             total_new = value_new + c1 * float(np.abs(w_new).sum())
-            descent = float(pg @ (w_new - w))
+            s = w_new - w
+            descent = float(pg @ s)
             if descent < 0 and total_new <= total + 1e-4 * descent:
                 accepted = True
                 break
@@ -477,14 +485,10 @@ def _owlqn(fun, w0, c1, max_iterations, tolerance):
             reason = "line_search_failed"
             break
         iterations = iteration
-        s = w_new - w
         y = grad_new - grad
-        if float(s @ y) > 1e-10:
-            mem_s.append(s)
-            mem_y.append(y)
-            if len(mem_s) > _MEMORY:
-                mem_s.pop(0)
-                mem_y.pop(0)
+        sy = float(s @ y)
+        if sy > 1e-10:
+            memory.append((s, y, 1.0 / sy, sy / float(y @ y)))
         w, grad = w_new, grad_new
         previous_total, total = total, total_new
         if abs(previous_total - total) <= tolerance * max(1.0, abs(total)):
@@ -555,19 +559,17 @@ def save_model(path, model: CrfModel) -> None:
         for key in sorted(model.meta):
             fh.write(f"{key} {model.meta[key]}\n")
         fh.write("[transitions]\n")
-        for a, lab_a in enumerate(model.labels):
-            for b, lab_b in enumerate(model.labels):
-                weight = model.transitions[a, b]
-                if weight != 0.0:
-                    fh.write(f"{lab_a} {lab_b} {weight:.17g}\n")
+        _write_weights(fh, model.labels, model.labels, model.transitions)
         fh.write("[emissions]\n")
-        names = list(model.feature_index)
-        for name in names:
-            fid = model.feature_index[name]
-            for b, lab_b in enumerate(model.labels):
-                weight = model.emissions[fid, b]
-                if weight != 0.0:
-                    fh.write(f"{name} {lab_b} {weight:.17g}\n")
+        fids = np.fromiter(model.feature_index.values(), dtype=np.int64, count=len(model.feature_index))
+        _write_weights(fh, list(model.feature_index), model.labels, model.emissions[fids])
+
+
+def _write_weights(fh, row_names, labels, weights):
+    """One 'row label weight' line per nonzero entry, in row-major order."""
+    rows, cols = np.nonzero(weights)
+    for row, col, weight in zip(rows.tolist(), cols.tolist(), weights[rows, cols].tolist()):
+        fh.write(f"{row_names[row]} {labels[col]} {weight:.17g}\n")
 
 
 def _model_number(text, path, lineno, finite=False):

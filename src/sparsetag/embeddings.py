@@ -6,10 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._base import SparsetagError
 from ._textfiles import read_lines
 
 
-class EmbeddingError(ValueError):
+class EmbeddingError(SparsetagError, ValueError):
     """Malformed embedding file or inconsistent table.
 
     ``row`` is the index of the offending word when one word is at fault,

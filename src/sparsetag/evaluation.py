@@ -5,10 +5,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+from ._base import SparsetagError
 from ._textfiles import atomic_output, read_lines
 
 
-class EvaluationError(ValueError):
+class EvaluationError(SparsetagError, ValueError):
     """Mismatched shapes or invalid labels."""
 
 

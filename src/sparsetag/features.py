@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from ._base import SparsetagError
 from ._textfiles import read_lines
 
 SCHEMES = ("sc", "dense", "brown", "fr_w", "fr_wc", "wi", "wi_sc")
@@ -29,7 +30,7 @@ SCHEMES = ("sc", "dense", "brown", "fr_w", "fr_wc", "wi", "wi_sc")
 _NUMBER_RE = re.compile(r"^[+-]?\d+([.,]\d+)*$")
 
 
-class FeatureError(ValueError):
+class FeatureError(SparsetagError, ValueError):
     """Missing resource or invalid feature request."""
 
 

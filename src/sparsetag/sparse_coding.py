@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._base import VARIANTS, SparsetagError
 from ._textfiles import read_lines
-
-VARIANTS = ("sc1", "sc3", "sc4")
 
 # Coefficients below this magnitude are stored as exact zeros.
 NONZERO_EPS = 1e-10
@@ -43,7 +42,7 @@ _SUPPORT_TOL = 1e-9
 _SPAN_EPS = 1e-10
 
 
-class SparseCodingError(ValueError):
+class SparseCodingError(SparsetagError, ValueError):
     """Invalid configuration or degenerate input.
 
     ``row`` is the index of the rejected entry when a :class:`SparseCodes`
@@ -55,7 +54,7 @@ class SparseCodingError(ValueError):
         self.row = row
 
 
-class LassoConvergenceError(RuntimeError):
+class LassoConvergenceError(SparsetagError, RuntimeError):
     """The active-set lasso solver exhausted its step budget.
 
     Carries the last iterate and the residual correlations so callers can

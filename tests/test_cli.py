@@ -360,7 +360,7 @@ class TestCoverage:
 
 class TestImports:
     @staticmethod
-    def probe(code):
+    def run_python(*args, check=True):
         import os
         import subprocess
         import sys
@@ -368,13 +368,73 @@ class TestImports:
 
         src = str(Path(cli.__file__).resolve().parents[1])
         return subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            [sys.executable, *map(str, args)], capture_output=True, text=True, check=check,
             env=dict(os.environ, PYTHONPATH=src),
-        ).stdout
+        )
+
+    def probe(self, code):
+        return self.run_python("-c", code).stdout
+
+    def cli_imports(self, *argv):
+        """Exit code of ``python -m sparsetag.cli argv`` and the modules loaded at its exit."""
+        code = (
+            "import runpy, sys\n"
+            f"sys.argv = ['sparsetag', *{[str(a) for a in argv]!r}]\n"
+            "try:\n"
+            "    runpy.run_module('sparsetag.cli', run_name='__main__', alter_sys=True)\n"
+            "finally:\n"
+            "    print(*sys.modules, file=sys.stderr)\n"
+        )
+        proc = self.run_python("-c", code, check=False)
+        return proc.returncode, set(proc.stderr.splitlines()[-1].split())
 
     def test_cli_import_leaves_out_scipy_sparse(self):
         out = self.probe("import sys, sparsetag.cli; print('scipy.sparse' in sys.modules)")
         assert out.strip() == "False"
+
+    def test_package_and_cli_import_leave_out_numpy(self):
+        out = self.probe(
+            "import sys\nimport sparsetag\nprint('numpy' in sys.modules)\n"
+            "import sparsetag.cli\nprint('numpy' in sys.modules)"
+        )
+        assert out.split() == ["False", "False"]
+
+    def test_star_import_binds_every_public_name(self):
+        out = self.probe(
+            "import sparsetag\nfrom sparsetag import *\n"
+            "print(all(name in globals() for name in sparsetag.__all__))\n"
+            "print(CrfModel.__module__, load_embeddings.__module__, solve_lasso.__module__)"
+        )
+        assert out.splitlines() == [
+            "True", "sparsetag.crf sparsetag.embeddings sparsetag.sparse_coding",
+        ]
+
+    def test_help_leaves_out_numpy(self):
+        code, loaded = self.cli_imports("--help")
+        assert code == 0
+        assert "sparsetag.features" in loaded
+        assert "numpy" not in loaded
+
+    def test_eval_leaves_out_numpy(self, small_task_files):
+        test = small_task_files["test"]
+        code, loaded = self.cli_imports(
+            "eval", "--gold", test, "--pred", test, "--format", "conllx", "--task", "pos",
+        )
+        assert code == 0
+        assert "sparsetag.evaluation" in loaded
+        assert "numpy" not in loaded
+
+    def test_usage_errors_leave_out_numpy(self, small_task_files, tmp_path):
+        code, loaded = self.cli_imports("tag", "--format", "conllx")
+        assert code == 2
+        assert "numpy" not in loaded
+        code, loaded = self.cli_imports(
+            "train", "--task", "pos", "--scheme", "sc", "--train", small_task_files["train"],
+            "--format", "conllx", "--out", tmp_path / "model.txt",
+        )
+        assert code == 2
+        assert "sparsetag.corpus" in loaded
+        assert "numpy" not in loaded
 
     def test_tag_leaves_out_scipy_sparse(self, small_task_files, trained_sc_model, tmp_path):
         # importing scipy.sparse costs a large share of a short tag run
