@@ -202,7 +202,9 @@ def _cmd_tag(args):
 
 
 def _cmd_eval(args):
-    gold = corpus.read_dataset(args.gold, args.format, use_cpostag=args.cpostag)
+    # entity_f1 reads spans as the IOB1 normalization does, so the gold
+    # file is scored as written
+    gold = corpus.read_dataset(args.gold, args.format, use_cpostag=args.cpostag, normalize=False)
     if args.tagmap:
         gold = corpus.map_universal(gold, corpus.load_tagmap(args.tagmap))
     pred = corpus.read_dataset(args.pred, args.format, normalize=False)

@@ -10,7 +10,9 @@ with an orthant-wise limited-memory quasi-Newton method, so the l1 term
 is handled exactly. Inference is one forward-backward in scaled
 probabilities (CRFsuite's scaling) over a batch of sentences sorted by
 length; a batch whose products underflow is redone as a whole in log
-space. Decoding is Viterbi with ties broken toward the lower label index.
+space. Decoding scores each feature block of a sentence once (see
+:func:`score_lattice`) and runs Viterbi with ties broken toward the lower
+label index.
 """
 
 from __future__ import annotations
@@ -179,10 +181,13 @@ def viterbi_path(emissions, transitions):
     n_pos, n_lab = emissions.shape
     back = np.zeros((n_pos, n_lab), dtype=np.int64)
     delta = emissions[0].copy()
+    rows = np.arange(n_lab)
+    into = np.ascontiguousarray(transitions.T)  # into[j, i]: score of i -> j
     for t in range(1, n_pos):
-        cand = delta[:, None] + transitions
-        back[t] = cand.argmax(axis=0)
-        delta = cand.max(axis=0) + emissions[t]
+        cand = into + delta  # cand[j, i]: best path ending in i, then j
+        best = cand.argmax(axis=1)
+        back[t] = best
+        delta = cand[rows, best] + emissions[t]
     path = [int(np.argmax(delta))]
     for t in range(n_pos - 1, 0, -1):
         path.append(int(back[t][path[-1]]))
@@ -218,40 +223,94 @@ class CrfModel:
         self.meta = dict(meta or {})
         # line of each [meta] key in the file the model was loaded from
         self.meta_lines = {}
+        # emission scores of feature blocks, filled by score_lattice
+        self._block_index = {}
+        self._kept = []
+        self._block_scores = np.empty((0, n_lab))
 
     def decode(self, sent_features):
-        """Predicted label sequence for one sentence's feature vectors."""
+        """Predicted label sequence for one sentence's feature blocks.
+
+        ``sent_features`` is what :func:`sparsetag.features.sentence_features`
+        returns: per position, a tuple of feature blocks. See
+        :func:`score_lattice` for which blocks' scores the model keeps.
+        """
         emissions, transitions = score_lattice(self, sent_features)
         return [self.labels[i] for i in viterbi_path(emissions, transitions)]
+
+    def _block_rows(self, blocks):
+        """Row of ``self._block_scores`` holding each block's emission scores.
+
+        Unseen tuple blocks get rows from ``len(self._kept)`` on and are
+        kept, keyed by ``id``; the list of kept blocks holds them alive, so
+        an ``id`` is never reused while its row stands. Any other block
+        gets a row after those, which the next call overwrites.
+        """
+        index = self._block_index
+        rows = list(map(index.get, map(id, blocks)))
+        if None not in rows:
+            return rows
+        unseen = {id(b): b for b, row in zip(blocks, rows) if row is None}.values()
+        kept = [b for b in unseen if type(b) is tuple]
+        new = kept + [b for b in unseen if type(b) is not tuple]
+        first, end = len(self._kept), len(self._kept) + len(new)
+        if end > len(self._block_scores):
+            grown = np.empty((max(end, 2 * len(self._block_scores)), len(self.labels)))
+            grown[:first] = self._block_scores[:first]
+            self._block_scores = grown
+        self._block_scores[first:end] = self._score_blocks(new)
+        index.update(zip(map(id, kept), range(first, end)))
+        self._kept.extend(kept)
+        local = {id(b): row for row, b in enumerate(new, start=first)}
+        return [local[id(b)] if row is None else row for b, row in zip(blocks, rows)]
+
+    def _score_blocks(self, blocks):
+        """(len(blocks), L) emission scores, each a sum from zero in block order."""
+        n_lab = len(self.labels)
+        rows, ids, vals = _feature_entries([(b,) for b in blocks], self.feature_index)
+        flat = (rows * n_lab)[:, None] + np.arange(n_lab)
+        weights = self.emissions[ids]
+        weights *= vals[:, None]
+        scores = np.bincount(flat.ravel(), weights.ravel(), minlength=len(blocks) * n_lab)
+        return scores.reshape(len(blocks), n_lab)
 
 
 def score_lattice(model: CrfModel, sent_features):
     """Per-position per-label emission scores plus the transition matrix.
 
-    Feature names are resolved to ids in one pass over the sentence;
-    names absent from the model's index are skipped. One gather of the
-    weight rows and one ``np.bincount`` over the flat indices
-    ``row * L + label`` then sum each position's rows. ``bincount`` adds
-    in input order starting from zero, so the scores equal those of a
-    per-feature loop bit for bit.
+    ``sent_features`` holds, per position, a sequence of feature blocks,
+    each a sequence of (name, value) pairs; names absent from the model's
+    index are skipped. Each block the model has not seen is scored once,
+    all of a sentence's in one ``np.bincount`` over the flat indices
+    ``block * L + label``. A tuple block is taken to be immutable (as the
+    cached per-type blocks of :mod:`sparsetag.features` are): its scores
+    are kept on the model for every later call, so they assume the
+    weights no longer change. Other blocks, such as the per-token lists
+    of fr_w / fr_wc, are scored anew on each call. A position's emissions
+    are then the sum of its block rows, added in order from zero by a
+    second ``bincount``. A one-block position therefore equals a
+    per-feature loop bit for bit; with more blocks the sum is grouped by
+    block, which moves it by rounding only.
     """
     n_pos, n_lab = len(sent_features), len(model.labels)
-    rows, ids, vals = _feature_entries(sent_features, model.feature_index)
-    flat = (rows * n_lab)[:, None] + np.arange(n_lab)
-    weights = model.emissions[ids]
-    weights *= vals[:, None]
-    emissions = np.bincount(flat.ravel(), weights.ravel(), minlength=n_pos * n_lab)
+    rows = model._block_rows(list(chain.from_iterable(sent_features)))
+    positions = np.repeat(np.arange(n_pos), list(map(len, sent_features)))
+    flat = (positions * n_lab)[:, None] + np.arange(n_lab)
+    scores = model._block_scores[np.array(rows, dtype=np.int64)]
+    emissions = np.bincount(flat.ravel(), scores.ravel(), minlength=n_pos * n_lab)
     return emissions.reshape(n_pos, n_lab), model.transitions
 
 
 def _feature_entries(positions, feature_index, grow=False):
     """(rows, feature ids, values) arrays of per-position features, in order.
 
-    ``positions`` is a sequence of (name, value) lists, one per row.
+    ``positions`` is a sequence of block sequences, one per row; a row's
+    features are its blocks' (name, value) pairs, flattened in order.
     Names missing from ``feature_index`` are skipped, or with ``grow``
     first added to it in order of first occurrence.
     """
-    pairs = list(chain.from_iterable(positions))
+    blocks = list(chain.from_iterable(positions))
+    pairs = list(chain.from_iterable(blocks))
     names = map(itemgetter(0), pairs)
     if grow:
         names = list(names)
@@ -260,7 +319,8 @@ def _feature_entries(positions, feature_index, grow=False):
                 feature_index[name] = len(feature_index)
     ids = np.fromiter(map(feature_index.get, names, repeat(-1)), dtype=np.int64, count=len(pairs))
     vals = np.fromiter(map(itemgetter(1), pairs), dtype=np.float64, count=len(pairs))
-    rows = np.repeat(np.arange(len(positions)), list(map(len, positions)))
+    block_rows = np.repeat(np.arange(len(positions)), list(map(len, positions)))
+    rows = np.repeat(block_rows, list(map(len, blocks)))
     found = ids >= 0
     return rows[found], ids[found], vals[found]
 
@@ -297,6 +357,10 @@ def compile_batch(batch_features, batch_labels, labels=None, feature_index=None,
                   grow_index=True) -> CompiledBatch:
     """Flatten labeled sentences for training or objective evaluation.
 
+    ``batch_features`` holds each sentence's positions as
+    :func:`sparsetag.features.sentence_features` returns them; a
+    position's blocks are flattened in order, so the matrix does not
+    depend on how its features are split into blocks.
     ``labels`` defaults to the sorted gold alphabet. When an existing
     ``feature_index`` is supplied and ``grow_index`` is off, unseen
     features are dropped (inference semantics); otherwise new features

@@ -8,19 +8,23 @@ immutable resources; vectors come back sorted by feature string.
 
 Under every scheme but fr_w / fr_wc a token's vector is the union, over
 the offsets of its window, of the features of the word type at that
-offset. Each word's list is built and sorted once; its list at each
-offset of the window is that list with the offset's tag in front of
-every name, cached on the FeatureResources object. A token's vector is
-the concatenation of its offsets' lists in the string order of their
-tags, which is already sorted and unique. Extraction therefore costs
-per word type, not per feature occurrence. fr_w / fr_wc keep per-token
-templates.
+offset. Each word's list is built and sorted once; its block at each
+offset of the window is a tuple of that list with the offset's tag in
+front of every name, cached on the FeatureResources object.
+:func:`sentence_features` hands each position its blocks, in the string
+order of their tags; flattened in that order they are the token's
+sorted, unique vector, which :func:`token_features` returns. Extraction
+therefore costs per word type, not per feature occurrence, and so does
+scoring: a block is the same object wherever its word appears, so the
+CRF scores it once. fr_w / fr_wc keep per-token templates, one list per
+position.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 
 from ._base import SparsetagError
 from ._textfiles import read_lines
@@ -193,9 +197,10 @@ def _word_features(word, config: FeatureConfig, resources: FeatureResources):
 def _type_features(word, offset, config: FeatureConfig, resources: FeatureResources):
     """Sorted, offset-tagged features of ``word`` seen at ``offset``; cached.
 
-    On a word's first use its untagged list is sorted once, and the lists
-    of every offset of the window are built from it: a tag put in front of
-    every name keeps the order.
+    On a word's first use its untagged list is sorted once, and the
+    blocks of every offset of the window are built from it: a tag put in
+    front of every name keeps the order. A block is a tuple, so the same
+    object can be shared by every position that holds it.
     """
     scheme = config.scheme
     cache = resources._type_cache
@@ -204,7 +209,7 @@ def _type_features(word, offset, config: FeatureConfig, resources: FeatureResour
         untagged = sorted(_word_features(word, config, resources))
         for o in _WINDOW_OFFSETS[config.window]:
             tag = _offset_tag(o)
-            cache[scheme, o, word] = [(tag + name, value) for name, value in untagged]
+            cache[scheme, o, word] = tuple([(tag + name, value) for name, value in untagged])
         feats = cache[scheme, offset, word]
     return feats
 
@@ -215,6 +220,13 @@ _REQUIRED = {
     "dense": ("table", "embedding table"),
     "brown": ("clusters", "cluster table"),
 }
+
+
+def _check_resources(scheme, resources: FeatureResources):
+    if scheme in _REQUIRED:
+        attr, what = _REQUIRED[scheme]
+        if getattr(resources, attr) is None:
+            raise FeatureError(f"scheme {scheme!r} needs a {what}")
 
 
 def token_features(sentence, t, config: FeatureConfig, resources: FeatureResources):
@@ -234,17 +246,32 @@ def token_features(sentence, t, config: FeatureConfig, resources: FeatureResourc
         out.sort()
         return out
 
-    if scheme in _REQUIRED:
-        attr, what = _REQUIRED[scheme]
-        if getattr(resources, attr) is None:
-            raise FeatureError(f"scheme {scheme!r} needs a {what}")
-    out = []
-    for o in _WINDOW_OFFSETS[config.window]:
-        if 0 <= t + o < n:
-            out += _type_features(sentence[t + o], o, config, resources)
-    return out
+    _check_resources(scheme, resources)
+    return list(chain.from_iterable(_position_blocks(sentence, t, config, resources)))
+
+
+def _position_blocks(sentence, t, config: FeatureConfig, resources: FeatureResources):
+    """Cached blocks of the offsets around t inside the sentence, in tag order."""
+    n = len(sentence)
+    return tuple([
+        _type_features(sentence[t + o], o, config, resources)
+        for o in _WINDOW_OFFSETS[config.window] if 0 <= t + o < n
+    ])
 
 
 def sentence_features(sentence, config: FeatureConfig, resources: FeatureResources):
-    """Feature vectors for every position of a sentence of word forms."""
-    return [token_features(sentence, t, config, resources) for t in range(len(sentence))]
+    """Feature blocks of every position of a sentence of word forms.
+
+    Position t gets a tuple of blocks, each a sequence of (name, value)
+    pairs; flattened in order they give ``token_features(sentence, t,
+    ...)``. Under a windowed scheme there is one block per offset inside
+    the sentence, in the string order of the offset tags, and each is the
+    cached tuple of the word type there. Under fr_w / fr_wc a position
+    has one block, a list built for that token alone.
+    """
+    n = len(sentence)
+    scheme = config.scheme
+    if scheme in ("fr_w", "fr_wc"):
+        return [(token_features(sentence, t, config, resources),) for t in range(n)]
+    _check_resources(scheme, resources)
+    return [_position_blocks(sentence, t, config, resources) for t in range(n)]

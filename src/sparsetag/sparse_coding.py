@@ -730,7 +730,10 @@ def load_codes(path, m=None) -> SparseCodes:
             val.append(v)
         if idx:
             max_idx = max(max_idx, max(idx))
-        entries.append((np.array(idx, dtype=np.int64), np.array(val)))
+        try:
+            entries.append((np.array(idx, dtype=np.int64), np.array(val)))
+        except OverflowError:
+            raise SparseCodingError(f"{path}:{lineno}: index out of range") from None
     if m is None:
         m = max(max_idx + 1, 1)
     try:

@@ -162,10 +162,13 @@ def token_features_per_token(sentence, t, config, resources):
 
 
 def score_lattice_per_feature(model, sent_features):
-    """Emission scores by one row addition per feature occurrence."""
+    """Emission scores by one row addition per feature occurrence.
+
+    Each position holds a sequence of feature blocks, read in order.
+    """
     emissions = np.zeros((len(sent_features), len(model.labels)))
-    for t, feats in enumerate(sent_features):
-        for name, value in feats:
+    for t, blocks in enumerate(sent_features):
+        for name, value in itertools.chain.from_iterable(blocks):
             fid = model.feature_index.get(name)
             if fid is not None:
                 emissions[t] += value * model.emissions[fid]

@@ -157,7 +157,7 @@ class TestCriterion5CrfGradient:
                     (f"d:{int(rng.integers(4))}", float(rng.standard_normal())),
                     (f"d:{int(rng.integers(4, 8))}", float(rng.standard_normal())),
                 ]
-                sent.append(feats)
+                sent.append((feats,))
                 labs.append(["A", "B", "C"][int(rng.integers(3))])
             sentences.append(sent)
             labels.append(labs)

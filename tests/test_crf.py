@@ -1,3 +1,5 @@
+from itertools import chain
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,11 @@ from sparsetag.crf import (
 from oracles import crf_enumerate, finite_difference_gradient, path_score, score_lattice_per_feature
 
 
+def one_block(positions):
+    """A sentence whose positions each hold their flat feature list as one block."""
+    return [(list(pos),) for pos in positions]
+
+
 def toy_model(labels=("A", "B"), features=("fa", "fb")):
     feature_index = {f: i for i, f in enumerate(features)}
     emissions = np.zeros((len(features), len(labels)))
@@ -33,13 +40,13 @@ def toy_model(labels=("A", "B"), features=("fa", "fb")):
 class TestScoreLattice:
     def test_zero_weights_zero_scores(self):
         model = toy_model()
-        em, _ = score_lattice(model, [[("fa", 1.0)], [("fb", 2.0)]])
+        em, _ = score_lattice(model, one_block([[("fa", 1.0)], [("fb", 2.0)]]))
         np.testing.assert_array_equal(em, np.zeros((2, 2)))
 
     def test_weighted_feature(self):
         model = toy_model()
         model.emissions[0, 0] = 0.5
-        em, _ = score_lattice(model, [[("fa", 2.0)]])
+        em, _ = score_lattice(model, one_block([[("fa", 2.0)]]))
         assert em[0, 0] == pytest.approx(1.0)
         assert em[0, 1] == 0.0
 
@@ -49,13 +56,13 @@ class TestScoreLattice:
         model.emissions[:] = rng.standard_normal(model.emissions.shape)
         feats = [[("fa", 0.7), ("fb", -1.2)], [("fb", 2.0)]]
         doubled = [[(n, 2 * v) for n, v in pos] for pos in feats]
-        em1, _ = score_lattice(model, feats)
-        em2, _ = score_lattice(model, doubled)
+        em1, _ = score_lattice(model, one_block(feats))
+        em2, _ = score_lattice(model, one_block(doubled))
         np.testing.assert_allclose(em2, 2 * em1, atol=1e-12)
 
     def test_unseen_features_skipped(self):
         model = toy_model()
-        em, _ = score_lattice(model, [[("never-seen", 1.0)]])
+        em, _ = score_lattice(model, one_block([[("never-seen", 1.0)]]))
         np.testing.assert_array_equal(em, np.zeros((1, 2)))
 
     @settings(max_examples=300, deadline=None)
@@ -73,10 +80,32 @@ class TestScoreLattice:
         name = st.sampled_from([f"[0]+{i}" for i in range(n_feat)] + ["[0]missing", "[-1]+0"])
         value = st.just(1.0) | st.floats(-3.0, 3.0, allow_nan=False)  # indicators and dense
         position = st.lists(st.tuples(name, value), max_size=8)
-        sentence = data.draw(st.lists(position, min_size=1, max_size=5))
-        emissions, transitions = score_lattice(model, sentence)
-        assert np.array_equal(emissions, score_lattice_per_feature(model, sentence))
-        assert transitions is model.transitions
+        # one block per position; a tuple block's scores are kept on the model
+        block = st.sampled_from((list, tuple))
+        sentence = [(data.draw(block)(pos),)
+                    for pos in data.draw(st.lists(position, min_size=1, max_size=5))]
+        for _ in range(2):  # the second call reads the kept rows
+            emissions, transitions = score_lattice(model, sentence)
+            assert np.array_equal(emissions, score_lattice_per_feature(model, sentence))
+            assert transitions is model.transitions
+
+
+    def test_list_blocks_are_scored_on_every_call(self):
+        model = toy_model()
+        model.emissions[:] = [[1.0, 2.0], [3.0, 5.0]]
+        block = [("fa", 1.0)]
+        assert score_lattice(model, [(block,)])[0].tolist() == [[1.0, 2.0]]
+        block.append(("fb", 1.0))
+        assert score_lattice(model, [(block,)])[0].tolist() == [[4.0, 7.0]]
+
+    def test_blocks_sum_per_position(self):
+        model = toy_model()
+        model.emissions[:] = [[1.0, 2.0], [3.0, 5.0]]
+        fa, fb = (("fa", 1.0),), [("fb", 2.0)]
+        sentence = [(fa, fb), (), (fb, fa, fa)]
+        for _ in range(2):
+            emissions, _ = score_lattice(model, sentence)
+            assert emissions.tolist() == [[7.0, 12.0], [0.0, 0.0], [8.0, 14.0]]
 
 
 class TestInference:
@@ -177,14 +206,14 @@ def penalized_objective(model, batch_features, batch_labels):
 class TestObjective:
     def test_uniform_single_token(self):
         model = toy_model()
-        obj, (grad_em, grad_tr) = penalized_objective(model, [[[("fa", 1.0)]]], [["A"]])
+        obj, (grad_em, grad_tr) = penalized_objective(model, [one_block([[("fa", 1.0)]])], [["A"]])
         assert obj == pytest.approx(np.log(2))
         assert grad_em[0, 0] == pytest.approx(-0.5)
         assert grad_em[0, 1] == pytest.approx(0.5)
 
     def test_duplicated_sentence_doubles_smooth_part(self):
         model = toy_model()
-        feats = [[("fa", 1.0)], [("fb", 1.0)]]
+        feats = one_block([[("fa", 1.0)], [("fb", 1.0)]])
         one, _ = penalized_objective(model, [feats], [["A", "B"]])
         two, _ = penalized_objective(model, [feats, feats], [["A", "B"], ["A", "B"]])
         # zero weights: no penalty contribution, so the smooth part doubles
@@ -193,7 +222,7 @@ class TestObjective:
     def test_unknown_gold_label_rejected(self):
         model = toy_model()
         with pytest.raises(CrfError, match="'C'"):
-            penalized_objective(model, [[[("fa", 1.0)]]], [["C"]])
+            penalized_objective(model, [one_block([[("fa", 1.0)]])], [["C"]])
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(8)
@@ -205,7 +234,7 @@ class TestObjective:
             labs = []
             for _t in range(length):
                 feats = [(f"ind{rng.integers(4)}", 1.0), (f"d:{rng.integers(3)}", float(rng.standard_normal()))]
-                sent.append(feats)
+                sent.append((feats,))
                 labs.append(["A", "B", "C"][int(rng.integers(3))])
             sentences.append(sent)
             labels.append(labs)
@@ -230,8 +259,8 @@ def _enumerated_objective(batch_features, batch_labels, batch, params, c2):
     grad_t = c2 * transitions.copy()
     for sent, labs in zip(batch_features, batch_labels):
         x = np.zeros((len(sent), n_feat))
-        for t, feats in enumerate(sent):
-            for name, val in feats:
+        for t, blocks in enumerate(sent):
+            for name, val in chain.from_iterable(blocks):
                 x[t, batch.feature_index[name]] += val
         em = x @ weights
         gold = [label_index[lab] for lab in labs]
@@ -274,7 +303,9 @@ class TestPackedKernel:
         else:
             lengths = [1 if shape == "all_one" else data.draw(st.integers(1, 5))] * n_sent
         feature = st.tuples(st.sampled_from(["a", "b", "c", "d"]), st.floats(-2.0, 2.0))
-        position = st.lists(feature, min_size=1, max_size=3, unique_by=lambda f: f[0])
+        position = st.lists(feature, min_size=1, max_size=3, unique_by=lambda f: f[0]).map(
+            lambda feats: (feats,)
+        )
         batch_features = [data.draw(st.lists(position, min_size=n, max_size=n)) for n in lengths]
         batch_labels = [data.draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n))
                         for n in lengths]
@@ -292,7 +323,7 @@ class TestPackedKernel:
         np.testing.assert_allclose(grad, expected_grad, rtol=0, atol=1e-9)
 
     def test_packed_layout(self):
-        feats = [[("f", 1.0)]]
+        feats = one_block([[("f", 1.0)]])
         batch = compile_batch([feats * 2, feats * 3, feats, feats * 3], [["A"] * 2, ["A"] * 3,
                               ["A"], ["A"] * 3])
         # longest first, ties in input order: sentences 1, 3, 0, 2 start at rows 2, 6, 0, 5
@@ -329,10 +360,10 @@ class TestPackedKernel:
         labels = ["A", "B"]
         lengths = [3, 1, 4, 2]
         batch_features = [
-            [[("a", float(rng.standard_normal())), ("b", 1.0)] for _ in range(n)]
+            one_block([("a", float(rng.standard_normal())), ("b", 1.0)] for _ in range(n))
             for n in lengths
         ]
-        batch_features[2][0].append(("wide", 1.0))
+        batch_features[2][0][0].append(("wide", 1.0))
         batch_labels = [[labels[int(rng.integers(2))] for _ in range(n)] for n in lengths]
         batch = compile_batch(batch_features, batch_labels, labels=labels)
         weights = rng.standard_normal((batch.n_features, 2))
@@ -391,7 +422,7 @@ class TestTrain:
             labs = []
             for t in range(3):
                 lab = "A" if (i + t) % 2 == 0 else "B"
-                sent.append([(f"f{lab}", 1.0)])
+                sent.append(([(f"f{lab}", 1.0)],))
                 labs.append(lab)
             sentences.append(sent)
             labels.append(labs)
@@ -469,7 +500,7 @@ class TestModelFile:
             np.testing.assert_array_equal(again.emissions[fid2], model.emissions[fid])
 
     def test_decode_identical_after_reload(self, tmp_path):
-        sentences = [[[("fa", 1.0)], [("fb", 1.0)], [("fa", 1.0)]]]
+        sentences = [one_block([[("fa", 1.0)], [("fb", 1.0)], [("fa", 1.0)]])]
         labels = [["A", "B", "A"]]
         model = train(sentences, labels, TrainConfig())
         path = tmp_path / "model"
@@ -495,3 +526,66 @@ class TestModelFile:
         path.write_text("not a model\n", encoding="utf-8")
         with pytest.raises(CrfError):
             load_model(path)
+
+    # model-like lines, some well formed, plus arbitrary text and bytes
+    _MODEL_LINE = st.sampled_from([
+        crf._MODEL_MAGIC, "[meta]", "[transitions]", "[emissions]", "c1 1", "c2 0.5", "c1 x",
+        "labels A B", "labels A A", "labels", "scheme sc", "A B 1.5", "A C 1", "B A nan",
+        "f A 2", "f B 1e999", "f A", "[0]+1 B -3", "", " ",
+    ]) | st.text(max_size=10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(content=st.binary(max_size=120) | st.lists(_MODEL_LINE, max_size=10).map(
+        lambda lines: "\n".join([crf._MODEL_MAGIC, *lines]).encode("utf-8")
+    ))
+    def test_arbitrary_bytes_load_or_raise_crf_error(self, tmp_path_factory, content):
+        path = tmp_path_factory.getbasetemp() / "fuzzed-model.txt"
+        path.write_bytes(content)
+        try:
+            model = load_model(path)
+        except CrfError:
+            return
+        assert model.emissions.shape == (len(model.feature_index), len(model.labels))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_save_load_round_trip_is_exact_and_decodes_alike(self, tmp_path_factory, data):
+        token = st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=5)
+        labels = data.draw(st.lists(token, min_size=1, max_size=4, unique=True))
+        names = data.draw(st.lists(token, max_size=6, unique=True))
+        number = st.floats(allow_nan=False, allow_infinity=False)
+        weight = st.floats(-1e6, 1e6) | st.just(0.0)  # scores stay finite when decoding
+        n_lab = len(labels)
+        model = CrfModel(
+            labels,
+            {name: i for i, name in enumerate(names)},
+            np.reshape(data.draw(st.lists(weight, min_size=len(names) * n_lab,
+                                          max_size=len(names) * n_lab)), (len(names), n_lab)),
+            np.reshape(data.draw(st.lists(weight, min_size=n_lab ** 2, max_size=n_lab ** 2)),
+                       (n_lab, n_lab)),
+            c1=data.draw(number), c2=data.draw(number),
+            meta=data.draw(st.dictionaries(
+                token.filter(lambda k: k not in ("c1", "c2", "labels")),
+                st.text(st.characters(blacklist_categories=("C",)), max_size=6), max_size=3,
+            )),
+        )
+        # tuple blocks, as the feature extractor hands them out; decoding on
+        # the original first fills its block cache
+        block = st.lists(st.tuples(st.sampled_from(names + ["unseen"]), st.just(1.0)), max_size=3)
+        blocks = [tuple(b) for b in data.draw(st.lists(block, min_size=1, max_size=4))]
+        sentence = [tuple(data.draw(st.lists(st.sampled_from(blocks), min_size=1, max_size=3)))
+                    for _ in range(data.draw(st.integers(1, 5)))]
+        expected = model.decode(sentence)
+        path = tmp_path_factory.getbasetemp() / "round-trip-model.txt"
+        save_model(path, model)
+        again = load_model(path)
+        assert again.labels == model.labels
+        assert (again.c1, again.c2, again.meta) == (model.c1, model.c2, model.meta)
+        np.testing.assert_array_equal(again.transitions, model.transitions)
+        for name, fid in model.feature_index.items():
+            row = again.emissions[again.feature_index[name]] if name in again.feature_index else 0.0
+            np.testing.assert_array_equal(row, model.emissions[fid])
+        assert set(again.feature_index) <= set(model.feature_index)
+        assert model.decode(sentence) == again.decode(sentence) == expected
+        np.testing.assert_array_equal(score_lattice(again, sentence)[0],
+                                      score_lattice(model, sentence)[0])

@@ -2,8 +2,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sparsetag.corpus import to_iobes
+from sparsetag.corpus import read_conll_ner, to_iobes
 from sparsetag.evaluation import (
     REPORT_COLUMNS,
     EvaluationError,
@@ -118,6 +120,24 @@ class TestEntityF1:
             conv = entity_f1(gold_iobes, pred_iobes)
             assert conv.overall == base.overall
             assert conv.per_type == base.per_type
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_raw_and_normalized_gold_score_alike(self, tmp_path_factory, data):
+        # eval reads the gold file without the IOB1 -> BIO normalization;
+        # entity_f1 must not notice, whatever B/I/E/S/O sequence the file holds
+        tag = st.sampled_from(["O", "B-X", "I-X", "E-X", "S-X", "B-Y", "I-Y", "E-Y", "S-Y"])
+        gold_tags = data.draw(st.lists(st.lists(tag, min_size=1, max_size=8), min_size=1, max_size=4))
+        pred_tags = [data.draw(st.lists(tag, min_size=len(t), max_size=len(t))) for t in gold_tags]
+        path = tmp_path_factory.getbasetemp() / "generated-gold.ner"
+        path.write_text(
+            "".join("".join(f"w{i} {t}\n" for i, t in enumerate(tags)) + "\n" for tags in gold_tags),
+            encoding="utf-8",
+        )
+        raw = read_conll_ner(path, fmt="2003", normalize=False)
+        assert [[tok.label for tok in sent] for sent in raw.sentences] == gold_tags
+        normalized = read_conll_ner(path, fmt="2003")
+        assert entity_f1(raw, pred_tags) == entity_f1(normalized, pred_tags)
 
     def test_counts_reconcile(self):
         rng = np.random.default_rng(2)

@@ -1,8 +1,11 @@
+from itertools import chain
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsetag.crf import CrfModel, score_lattice
 from sparsetag.embeddings import EmbeddingTable
 from sparsetag.features import (
     FeatureConfig,
@@ -18,7 +21,7 @@ from sparsetag.features import (
 )
 from sparsetag.sparse_coding import SparseCodes
 
-from oracles import token_features_per_token
+from oracles import score_lattice_per_feature, token_features_per_token
 
 
 def entry(dense):
@@ -291,5 +294,47 @@ class TestCachedExtractionMatchesPerTokenOracle:
                 token_features_per_token(sentence, t, config, resources)
                 for t in range(len(sentence))
             ]
-            assert sentence_features(sentence, config, resources) == expected
+            blocks = sentence_features(sentence, config, resources)
+            assert [list(chain.from_iterable(position)) for position in blocks] == expected
             assert token_features(sentence, 0, config, resources) == expected[0]
+
+
+class TestBlockScores:
+    @settings(max_examples=200, deadline=None)
+    @given(_resources_and_runs(), st.data())
+    def test_block_sums_match_per_feature_oracle(self, setup, data):
+        # one model scores every run, so later runs read block rows kept by
+        # earlier ones; a position's emissions are its blocks' rows summed,
+        # which the oracle adds up one feature at a time
+        resources, runs = setup
+        sentences = [
+            sentence_features(sentence, FeatureConfig(scheme=scheme, window=window), resources)
+            for scheme, window, sentence in runs
+        ]
+        names = sorted({name for sent in sentences for position in sent
+                        for name, _ in chain.from_iterable(position)})
+        kept = [name for name in names if data.draw(st.booleans())]  # the rest are unseen
+        n_lab = data.draw(st.integers(1, 4))
+        weights = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=len(kept) * n_lab,
+                                     max_size=len(kept) * n_lab))
+        model = CrfModel(
+            [f"L{j}" for j in range(n_lab)], {name: i for i, name in enumerate(kept)},
+            np.reshape(weights, (len(kept), n_lab)), np.zeros((n_lab, n_lab)), c1=1.0, c2=0.0,
+        )
+        for sent in sentences + sentences:
+            emissions, _ = score_lattice(model, sent)
+            expected = score_lattice_per_feature(model, sent)
+            assert np.all(np.abs(emissions - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+
+    def test_kept_blocks_grow_with_word_types_not_tokens(self):
+        # fr_wc blocks are built per token and scored per call; a windowed
+        # scheme's blocks are kept once per (word, offset)
+        model = CrfModel(["A", "B"], {"[0]w=a": 0, "w[0]=a": 1}, np.ones((2, 2)),
+                         np.zeros((2, 2)), c1=1.0, c2=0.0)
+        resources = FeatureResources()
+        sentence = ["a", "b", "a", "c", "b", "a"]
+        for scheme, kept in (("fr_wc", 0), ("wi", 9)):
+            config = FeatureConfig(scheme=scheme, window=1)
+            for _ in range(3):
+                model.decode(sentence_features(sentence, config, resources))
+                assert len(model._kept) == kept

@@ -509,3 +509,31 @@ class TestFiles:
     def test_strictly_increasing_indices_enforced(self):
         with pytest.raises(SparseCodingError):
             SparseCodes(["w"], [(np.array([3, 1], dtype=np.int64), np.array([1.0, 1.0]))], m=4)
+
+    def test_index_beyond_int64_rejected(self, tmp_path):
+        path = tmp_path / "codes.txt"
+        path.write_text("w 99999999999999999999:1.0\n", encoding="utf-8")
+        with pytest.raises(SparseCodingError, match=r"codes\.txt:1: index out of range"):
+            load_codes(path)
+
+    # codes-like lines, some well formed, plus arbitrary text and bytes
+    _CODE_PART = st.sampled_from(
+        ["0:1.5", "3:-0.25", "1:0", "2:nan", "1:inf", "-1:1", "99999999999999999999:1", "1:1:1",
+         "x:1", ":", "", "2:1e-300", "5:2"]
+    )
+    _CODE_LINE = st.tuples(
+        st.sampled_from(["w", "v", "", "w\t1"]) | st.text(max_size=4),
+        st.lists(_CODE_PART | st.text(max_size=6), max_size=4),
+    ).map(lambda wp: " ".join([wp[0], *wp[1]]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(content=st.binary(max_size=120)
+           | st.lists(_CODE_LINE, max_size=6).map(lambda ls: "\n".join(ls).encode("utf-8")))
+    def test_arbitrary_bytes_load_or_raise_sparse_coding_error(self, tmp_path_factory, content):
+        path = tmp_path_factory.getbasetemp() / "fuzzed-codes.txt"
+        path.write_bytes(content)
+        try:
+            codes = load_codes(path)
+        except SparseCodingError:
+            return
+        assert len(codes.entries) == len(codes.words)
