@@ -1,8 +1,9 @@
 """Reading and writing the package's UTF-8 text files.
 
 Readers decode one line at a time, so bytes that are not UTF-8 are
-reported with their exact file and line. Writers build their output next
-to the target and rename it over the target only once it is complete.
+reported with their exact file and line, and parse numbers with
+:func:`parse_numbers`. Writers build their output next to the target and
+rename it over the target only once it is complete.
 """
 
 from __future__ import annotations
@@ -31,6 +32,38 @@ def read_lines(path, error):
                         f"{path}:{lineno}: not UTF-8 ({exc.reason} at byte {exc.start + 1})"
                     ) from None
                 yield lineno, line
+
+
+# every character of a number int or float accepts, less '_', whitespace
+# and non-ASCII digits; "inf", "infinity" and "nan" in any case included
+_NUMBER_CHARS = "0123456789+-.eEinftyaINFTYA"
+
+
+def parse_numbers(texts, kind=float):
+    """``[kind(text) for text in texts]`` for ``kind`` int or float, strictly.
+
+    Python's int and float also accept '_' between digits, surrounding
+    whitespace and non-ASCII digits, so '1_0' would read as 10. Such text
+    raises ValueError, as any text they reject does, naming the first bad
+    text.
+    """
+    if not "".join(texts).strip(_NUMBER_CHARS):
+        try:
+            return list(map(kind, texts))
+        except ValueError:
+            pass
+    text = next(t for t in texts if not _is_number(t, kind))
+    raise ValueError(f"could not convert {text!r} to {'an integer' if kind is int else 'a number'}")
+
+
+def _is_number(text, kind):
+    if not text or text.strip(_NUMBER_CHARS):
+        return False
+    try:
+        kind(text)
+    except ValueError:
+        return False
+    return True
 
 
 @contextmanager

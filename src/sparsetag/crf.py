@@ -10,9 +10,11 @@ with an orthant-wise limited-memory quasi-Newton method, so the l1 term
 is handled exactly. Inference is one forward-backward in scaled
 probabilities (CRFsuite's scaling) over a batch of sentences sorted by
 length; a batch whose products underflow is redone as a whole in log
-space. Decoding scores each feature block of a sentence once (see
-:func:`score_lattice`) and runs Viterbi with ties broken toward the lower
-label index.
+space. Training multiplies by a design matrix factored through the
+feature blocks of :mod:`sparsetag.features` (:class:`BlockMatrix`), built
+with NumPy alone. Decoding scores each feature block of a sentence once
+(see :func:`score_lattice`) and runs Viterbi with ties broken toward the
+lower label index.
 """
 
 from __future__ import annotations
@@ -22,15 +24,11 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._base import SparsetagError
-from ._textfiles import read_lines
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from ._textfiles import parse_numbers, read_lines
 
 
 class CrfError(SparsetagError, ValueError):
@@ -220,6 +218,8 @@ class CrfModel:
             raise CrfError("model weights must be finite")
         self.c1 = float(c1)
         self.c2 = float(c2)
+        if not (math.isfinite(self.c1) and math.isfinite(self.c2) and self.c1 >= 0 and self.c2 >= 0):
+            raise CrfError("c1 and c2 must be finite and >= 0")
         self.meta = dict(meta or {})
         # line of each [meta] key in the file the model was loaded from
         self.meta_lines = {}
@@ -267,7 +267,7 @@ class CrfModel:
     def _score_blocks(self, blocks):
         """(len(blocks), L) emission scores, each a sum from zero in block order."""
         n_lab = len(self.labels)
-        rows, ids, vals = _feature_entries([(b,) for b in blocks], self.feature_index)
+        rows, ids, vals = _feature_entries(blocks, self.feature_index)
         flat = (rows * n_lab)[:, None] + np.arange(n_lab)
         weights = self.emissions[ids]
         weights *= vals[:, None]
@@ -301,15 +301,13 @@ def score_lattice(model: CrfModel, sent_features):
     return emissions.reshape(n_pos, n_lab), model.transitions
 
 
-def _feature_entries(positions, feature_index, grow=False):
-    """(rows, feature ids, values) arrays of per-position features, in order.
+def _feature_entries(blocks, feature_index, grow=False):
+    """(block numbers, feature ids, values) arrays of the blocks' features, in order.
 
-    ``positions`` is a sequence of block sequences, one per row; a row's
-    features are its blocks' (name, value) pairs, flattened in order.
-    Names missing from ``feature_index`` are skipped, or with ``grow``
-    first added to it in order of first occurrence.
+    Each block is a sequence of (name, value) pairs. Names missing from
+    ``feature_index`` are skipped, or with ``grow`` first added to it in
+    order of first occurrence.
     """
-    blocks = list(chain.from_iterable(positions))
     pairs = list(chain.from_iterable(blocks))
     names = map(itemgetter(0), pairs)
     if grow:
@@ -319,24 +317,149 @@ def _feature_entries(positions, feature_index, grow=False):
                 feature_index[name] = len(feature_index)
     ids = np.fromiter(map(feature_index.get, names, repeat(-1)), dtype=np.int64, count=len(pairs))
     vals = np.fromiter(map(itemgetter(1), pairs), dtype=np.float64, count=len(pairs))
-    block_rows = np.repeat(np.arange(len(positions)), list(map(len, positions)))
-    rows = np.repeat(block_rows, list(map(len, blocks)))
+    rows = np.repeat(np.arange(len(blocks)), list(map(len, blocks)))
     found = ids >= 0
     return rows[found], ids[found], vals[found]
 
 
-@dataclass
-class CompiledBatch:
-    """Sentences flattened to a sparse design matrix plus gold indices.
+# rows gathered and added per np.add.reduceat call, so that each call's
+# gathered rows stay in cache
+_CHUNK_ROWS = 4096
 
-    The matrix keeps the sentences' order, so ``matrix.T @ marginals``
-    sums in that order. ``packed_rows`` lists its rows in the order the
-    forward-backward kernel visits them: sentences sorted by length,
-    longest first (ties in input order), and step by step, so step t is
-    the t-th position of the ``batch_sizes[t]`` sentences longer than t.
+
+class _GatherSum:
+    """Row sums out[g] = sum over k in group g of values[k] * x[source[k]].
+
+    Built once from (source, group) arrays sorted by group, for an ``x`` of
+    ``n_sources`` rows; values of None stand for all ones. A call gathers
+    the rows of groups with several members and adds each group's run
+    with ``np.add.reduceat``, in chunks of whole groups. A group with one
+    member is its row of ``x`` (times its value), the same bits as a
+    one-row sum. Unless every group has several members, one more gather
+    puts each group's row in place, from the one-member rows, the sums
+    and a zero row for groups with no member.
+
+    Where every group has several members and the runs are long against
+    the rows of ``x`` and of the result, the runs are added along the
+    contiguous rows of ``x.T`` instead, which is faster and gives the same
+    bits; the two transposes cost little there.
     """
 
-    matrix: sp.csr_matrix            # (n_positions, n_features)
+    def __init__(self, source, group, n_groups, n_sources, values=None):
+        counts = np.bincount(group, minlength=n_groups)
+        if values is not None and np.all(values == 1.0):
+            values = None
+        single = (counts == 1)[group]
+        multi = np.flatnonzero(counts > 1)
+        self.direct = 0 < len(multi) == n_groups
+        self.transposed = self.direct and 4 * (n_sources + n_groups) <= len(source)
+        chunk_rows = len(source) if self.transposed else _CHUNK_ROWS
+        source_m = source[~single]
+        values_m = None if values is None else values[~single, None]
+        starts = np.concatenate(([0], np.cumsum(counts[multi])[:-1])).astype(np.int64)
+        self.chunks = []
+        first = 0
+        while first < len(multi):
+            last = max(first + 1, int(np.searchsorted(starts, starts[first] + chunk_rows)))
+            lo, hi = starts[first], starts[last] if last < len(multi) else len(source_m)
+            self.chunks.append((
+                source_m[lo:hi],
+                starts[first:last] - lo,
+                None if values is None else values_m[lo:hi],
+            ))
+            first = last
+        if values is None:
+            # one-member groups read their row of x in place
+            self.single_source = self.single_values = None
+            n_rows, single_rows = n_sources, source[single]
+        else:
+            self.single_source, self.single_values = source[single], values[single, None]
+            n_rows = len(self.single_source)
+            single_rows = np.arange(n_rows)
+        self.index = np.full(n_groups, n_rows + len(multi), dtype=np.int64)
+        self.index[counts == 1] = single_rows
+        self.index[multi] = np.arange(n_rows, n_rows + len(multi))
+
+    def __call__(self, x):
+        """The (n_groups, L) sums over rows of ``x`` (n_sources, L)."""
+        if self.transposed:
+            [(source, starts, values)] = self.chunks
+            rows = np.take(np.ascontiguousarray(x.T), source, axis=1)
+            if values is not None:
+                rows *= values.T
+            return np.ascontiguousarray(np.add.reduceat(rows, starts, axis=1).T)
+        sums = []
+        for source, starts, values in self.chunks:
+            rows = np.take(x, source, axis=0)
+            if values is not None:
+                rows *= values
+            sums.append(np.add.reduceat(rows, starts, axis=0))
+        if self.direct:
+            return sums[0] if len(sums) == 1 else np.concatenate(sums)
+        if self.single_source is None:
+            singles = x
+        else:
+            singles = np.take(x, self.single_source, axis=0)
+            singles *= self.single_values
+        stack = np.concatenate([singles, *sums, np.zeros((1, x.shape[1]))])
+        return np.take(stack, self.index, axis=0)
+
+
+class BlockMatrix:
+    """The (positions x features) design matrix, factored through feature blocks.
+
+    X = P C, where C (blocks x features) holds each distinct non-empty
+    block's (feature id, value) entries and P (positions x blocks) a 1 for
+    each (position, block) pair. ``X @ W`` adds entries into block rows
+    and those into positions; ``X.T @ M`` adds positions into blocks and
+    blocks into features. Each step is one :class:`_GatherSum` over index
+    arrays sorted here, once. ``nnz`` counts the token-level occurrences,
+    the entries X would hold if expanded.
+    """
+
+    def __init__(self, n_features, n_blocks, ent_block, ent_feature, ent_value,
+                 pair_position, pair_block, n_positions):
+        self.shape = (n_positions, n_features)
+        self.nnz = int(np.bincount(ent_block, minlength=n_blocks)[pair_block].sum())
+        self._entries = _GatherSum(ent_feature, ent_block, n_blocks, n_features, ent_value)
+        self._pairs = _GatherSum(pair_block, pair_position, n_positions, n_blocks)
+        by_block = np.argsort(pair_block, kind="stable")
+        self._pairs_t = _GatherSum(pair_position[by_block], pair_block[by_block], n_blocks, n_positions)
+        by_feature = np.argsort(ent_feature, kind="stable")
+        self._entries_t = _GatherSum(
+            ent_block[by_feature], ent_feature[by_feature], n_features, n_blocks, ent_value[by_feature]
+        )
+
+    def __matmul__(self, weights):
+        """X @ weights (n_positions, L), for weights (n_features, L)."""
+        return self._pairs(self._entries(weights))
+
+    @property
+    def T(self):
+        return _TransposedBlockMatrix(self)
+
+
+class _TransposedBlockMatrix:
+    def __init__(self, matrix):
+        self._matrix = matrix
+
+    def __matmul__(self, marginals):
+        """X.T @ marginals (n_features, L), for marginals (n_positions, L)."""
+        return self._matrix._entries_t(self._matrix._pairs_t(marginals))
+
+
+@dataclass
+class CompiledBatch:
+    """Sentences as a block-factored design matrix plus gold indices.
+
+    The matrix's rows are the positions in the sentences' order.
+    ``packed_rows`` lists them in the order the forward-backward kernel
+    visits them: sentences sorted by length, longest first (ties in input
+    order), and step by step, so step t is the t-th position of the
+    ``batch_sizes[t]`` sentences longer than t.
+    """
+
+    matrix: BlockMatrix              # (n_positions, n_features)
     gold: np.ndarray                 # (n_positions,) label indices
     packed_rows: np.ndarray          # (n_positions,) matrix row of each packed position
     batch_sizes: np.ndarray          # (max length,) sentences active at each step
@@ -355,19 +478,21 @@ class CompiledBatch:
 
 def compile_batch(batch_features, batch_labels, labels=None, feature_index=None,
                   grow_index=True) -> CompiledBatch:
-    """Flatten labeled sentences for training or objective evaluation.
+    """Compile labeled sentences for training or objective evaluation.
 
     ``batch_features`` holds each sentence's positions as
-    :func:`sparsetag.features.sentence_features` returns them; a
-    position's blocks are flattened in order, so the matrix does not
-    depend on how its features are split into blocks.
-    ``labels`` defaults to the sorted gold alphabet. When an existing
-    ``feature_index`` is supplied and ``grow_index`` is off, unseen
-    features are dropped (inference semantics); otherwise new features
-    get ids in order of first occurrence.
+    :func:`sparsetag.features.sentence_features` returns them. Blocks are
+    told apart by ``id``, so a cached per-type block shared by many
+    positions has its names resolved once; the design matrix
+    (:class:`BlockMatrix`) keeps each distinct block's entries once and a
+    (position, block) pair per occurrence. A block that is empty, or whose
+    names are all dropped, has no entries and no pairs. Feature ids follow
+    first occurrence in the positions' flattened blocks, as if every
+    occurrence were read. ``labels`` defaults to the sorted gold alphabet.
+    When an existing ``feature_index`` is supplied and ``grow_index`` is
+    off, unseen features are dropped (inference semantics); otherwise new
+    features get ids in order of first occurrence.
     """
-    import scipy.sparse as sp  # only training and objective evaluation need it
-
     if len(batch_features) != len(batch_labels):
         raise CrfError("feature and label sequence counts differ")
     if labels is None:
@@ -390,14 +515,31 @@ def compile_batch(batch_features, batch_labels, labels=None, feature_index=None,
         for prev, y in zip(gold[pos:], gold[pos + 1:]):
             trans_counts[prev, y] += 1.0
         starts.append(pos)
-    rows, cols, vals = _feature_entries(
-        [feats for feats_seq in batch_features for feats in feats_seq],
-        feature_index,
-        grow=grow_index,
-    )
 
-    matrix = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(len(gold), max(len(feature_index), 1)), dtype=np.float64
+    positions = list(chain.from_iterable(batch_features))
+    blocks = list(chain.from_iterable(positions))
+    numbers = {}  # id of each distinct block -> its number, in order of first occurrence
+    pair_block = np.fromiter(
+        (numbers.setdefault(b, len(numbers)) for b in map(id, blocks)), dtype=np.int64,
+        count=len(blocks),
+    )
+    unique = list({id(b): b for b in blocks}.values())
+    ent_block, ent_feature, ent_value = _feature_entries(unique, feature_index, grow=grow_index)
+    # renumber the blocks left with entries 0, 1, ...; pairs of empty blocks go
+    nonempty = np.zeros(len(unique), dtype=bool)
+    nonempty[ent_block] = True
+    number = np.cumsum(nonempty) - 1
+    pair_position = np.repeat(np.arange(len(positions)), list(map(len, positions)))
+    paired = nonempty[pair_block]
+    matrix = BlockMatrix(
+        n_features=max(len(feature_index), 1),
+        n_blocks=int(nonempty.sum()),
+        ent_block=number[ent_block],
+        ent_feature=ent_feature,
+        ent_value=ent_value,
+        pair_position=pair_position[paired],
+        pair_block=number[pair_block[paired]],
+        n_positions=len(gold),
     )
     lengths = np.diff(np.asarray(starts + [len(gold)], dtype=np.int64))
     order = np.argsort(-lengths, kind="stable")
@@ -419,10 +561,6 @@ def compile_batch(batch_features, batch_labels, labels=None, feature_index=None,
     )
 
 
-def _pack(emissions, transitions):
-    return np.concatenate([emissions.ravel(), transitions.ravel()])
-
-
 def _unpack(params, n_feat, n_lab):
     split = n_feat * n_lab
     return params[:split].reshape(n_feat, n_lab), params[split:].reshape(n_lab, n_lab)
@@ -432,9 +570,13 @@ def smooth_objective(params, batch: CompiledBatch, c2):
     """Negative log-likelihood plus the l2 term, with its exact gradient.
 
     The l1 term is intentionally excluded; the optimizer treats it
-    through orthant projection. One forward-backward call covers the
-    whole batch; emissions are gathered into its packed order and the
-    marginals scattered back, so the gradient sums rows in batch order.
+    through orthant projection. Emissions are ``batch.matrix @ W``; one
+    forward-backward call covers the whole batch, with the emissions
+    gathered into its packed order and the marginals scattered back; the
+    emission gradient is ``batch.matrix.T @ (marginals - gold)``. Both
+    products add through the feature blocks, so they differ from a
+    token-level sum by rounding only. The gradient is written into one
+    array that starts as ``c2 * params``.
     """
     n_feat = max(batch.n_features, 1)
     n_lab = len(batch.labels)
@@ -454,10 +596,11 @@ def smooth_objective(params, batch: CompiledBatch, c2):
     nll -= float((transitions * batch.trans_counts).sum())
 
     marginals[gold_rows, batch.gold] -= 1.0
-    grad_w = np.asarray(batch.matrix.T @ marginals)
-    grad_t = trans_expected - batch.trans_counts
     value = nll + 0.5 * c2 * float(params @ params)
-    grad = _pack(grad_w, grad_t) + c2 * params
+    grad = c2 * params
+    grad_w, grad_t = _unpack(grad, n_feat, n_lab)
+    grad_w += batch.matrix.T @ marginals
+    grad_t += trans_expected - batch.trans_counts
     return value, grad
 
 
@@ -636,13 +779,14 @@ def _write_weights(fh, row_names, labels, weights):
         fh.write(f"{row_names[row]} {labels[col]} {weight:.17g}\n")
 
 
-def _model_number(text, path, lineno, finite=False):
+def _model_number(text, path, lineno, what):
+    """The finite number ``text`` on a line; ``what`` names it in errors."""
     try:
-        value = float(text)
+        [value] = parse_numbers([text])
     except ValueError:
         raise CrfError(f"{path}:{lineno}: {text!r} is not a number") from None
-    if finite and not math.isfinite(value):
-        raise CrfError(f"{path}:{lineno}: weight {text!r} is not finite")
+    if not math.isfinite(value):
+        raise CrfError(f"{path}:{lineno}: {what} {text!r} is not finite")
     return value
 
 
@@ -656,14 +800,14 @@ def load_model(path) -> CrfModel:
     """Read a model written by :func:`save_model`.
 
     A malformed line (wrong field count, a weight that is not a finite
-    number, a label missing from the ``labels`` line) raises
-    ``CrfError("<path>:<line>: ...")``.
+    number, a ``c1`` or ``c2`` that is not a finite number >= 0, a label
+    missing from the ``labels`` line) raises ``CrfError("<path>:<line>: ...")``.
     """
     lines = read_lines(path, CrfError)
     if next(lines, (1, ""))[1] != _MODEL_MAGIC:
         raise CrfError(f"{path}: not a model file")
     section = None
-    c1 = c2 = None
+    penalties = {}
     labels = None
     meta = {}
     meta_lines = {}
@@ -677,10 +821,10 @@ def load_model(path) -> CrfModel:
             continue
         if section == "[meta]":
             key, _, value = line.partition(" ")
-            if key == "c1":
-                c1 = _model_number(value, path, lineno)
-            elif key == "c2":
-                c2 = _model_number(value, path, lineno)
+            if key in ("c1", "c2"):
+                penalties[key] = _model_number(value, path, lineno, key)
+                if penalties[key] < 0:
+                    raise CrfError(f"{path}:{lineno}: {key} {value!r} is negative")
             elif key == "labels":
                 labels = value.split(" ")
             else:
@@ -695,9 +839,9 @@ def load_model(path) -> CrfModel:
                     f"{path}:{lineno}: expected {_WEIGHT_LINES[section]}, "
                     f"found {len(fields)} field(s)"
                 )
-            weight = _model_number(fields[2], path, lineno, finite=True)
+            weight = _model_number(fields[2], path, lineno, "weight")
             weights[section].append((lineno, fields[0], fields[1], weight))
-    if c1 is None or c2 is None or labels is None:
+    if len(penalties) != 2 or labels is None:
         raise CrfError(f"{path}: incomplete [meta] section")
     label_index = {lab: i for i, lab in enumerate(labels)}
 
@@ -722,8 +866,8 @@ def load_model(path) -> CrfModel:
         feature_index=feature_index,
         emissions=emissions,
         transitions=transitions,
-        c1=c1,
-        c2=c2,
+        c1=penalties["c1"],
+        c2=penalties["c2"],
         meta=meta,
     )
     model.meta_lines = meta_lines

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._base import SparsetagError
-from ._textfiles import read_lines
+from ._textfiles import parse_numbers, read_lines
 
 
 class EmbeddingError(SparsetagError, ValueError):
@@ -103,7 +103,7 @@ def _looks_like_header(fields) -> bool:
     if len(fields) != 2:
         return False
     try:
-        int(fields[0]), int(fields[1])
+        parse_numbers(fields, int)
     except ValueError:
         return False
     return True
@@ -143,7 +143,7 @@ def load_embeddings(path, format="text") -> EmbeddingTable:
                 f"{path}:{lineno}: expected {dim} values, found {len(values)}"
             )
         try:
-            vec = [float(v) for v in values]
+            vec = parse_numbers(values)
         except ValueError as exc:
             raise EmbeddingError(f"{path}:{lineno}: non-numeric field ({exc})") from None
         if not all(np.isfinite(vec)):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._base import VARIANTS, SparsetagError
-from ._textfiles import read_lines
+from ._textfiles import parse_numbers, read_lines
 
 # Coefficients below this magnitude are stored as exact zeros.
 NONZERO_EPS = 1e-10
@@ -672,10 +672,12 @@ def load_dictionary(path) -> Dictionary:
     lines = read_lines(path, SparseCodingError)
     header = next(lines, (1, ""))[1].split()
     try:
-        m, k, lam, tau = int(header[0]), int(header[1]), float(header[3]), float(header[4])
-        if len(header) != 5 or m < 1 or k < 1:
+        if len(header) != 5:
             raise ValueError
-    except (ValueError, IndexError):
+        (m, k), (lam, tau) = parse_numbers(header[:2], int), parse_numbers(header[3:])
+        if m < 1 or k < 1:
+            raise ValueError
+    except ValueError:
         raise SparseCodingError(
             f"{path}:1: bad dictionary header, expected `m k variant lambda tau`, m, k >= 1"
         ) from None
@@ -685,7 +687,7 @@ def load_dictionary(path) -> Dictionary:
         try:
             if len(fields) != k:
                 raise ValueError(f"has {len(fields)} values, expected {k}")
-            columns.append([float(v) for v in fields])
+            columns.append(parse_numbers(fields))
         except ValueError as exc:
             raise SparseCodingError(f"{path}:{j + 2}: basis {j}: {exc}") from None
     atoms = np.array(columns, dtype=np.float64).T.copy()
@@ -716,18 +718,15 @@ def load_codes(path, m=None) -> SparseCodes:
             raise SparseCodingError(f"{path}:{lineno}: missing word")
         words.append(fields[0])
         linenos.append(lineno)
-        idx = []
-        val = []
-        for part in fields[1:]:
-            if not part:
-                continue
-            try:
-                i_str, v_str = part.split(":")
-                i, v = int(i_str), float(v_str)
-            except ValueError:
-                raise SparseCodingError(f"{path}:{lineno}: bad entry {part!r}") from None
-            idx.append(i)
-            val.append(v)
+        parts = [part.split(":") for part in fields[1:] if part]
+        bad = next((":".join(p) for p in parts if len(p) != 2), None)
+        if bad is not None:
+            raise SparseCodingError(f"{path}:{lineno}: bad entry {bad!r}, expected 'index:value'")
+        try:
+            idx = parse_numbers([p[0] for p in parts], int)
+            val = parse_numbers([p[1] for p in parts])
+        except ValueError as exc:
+            raise SparseCodingError(f"{path}:{lineno}: bad entry: {exc}") from None
         if idx:
             max_idx = max(max_idx, max(idx))
         try:

@@ -450,6 +450,20 @@ class TestImports:
         )
         assert out.strip().splitlines() == ["tagged 40 sentences", "False"]
 
+    def test_train_leaves_out_scipy(self, small_task_files, trained_sc_model, tmp_path):
+        # training builds its design matrix with NumPy alone
+        argv = [
+            "train", "--task", "pos", "--scheme", "sc", "--train", str(small_task_files["train"]),
+            "--format", "conllx", "--codes", str(trained_sc_model["codes"]),
+            "--max-iterations", "5", "--out", str(tmp_path / "model.txt"),
+        ]
+        out = self.probe(
+            "import sys\nfrom sparsetag import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print('scipy' in sys.modules, 'scipy.sparse' in sys.modules)"
+        )
+        assert out.strip().splitlines()[-1] == "False False"
+
 
 class TestAnalyzeBasis:
     def test_sc1_norms_in_tsv(self, trained_sc_model, tmp_path, capsys):
@@ -596,6 +610,10 @@ class TestMalformedModel:
         (10, "A B", "expected 'from_label to_label weight', found 2 field(s)"),
         (12, "[0]w=x A 1.5 2", "expected 'feature label weight', found 4 field(s)"),
         (4, "c2 small", "'small' is not a number"),
+        (3, "c1 nan", "c1 'nan' is not finite"),
+        (4, "c2 -5", "c2 '-5' is negative"),
+        (4, "c2 1_0", "'1_0' is not a number"),
+        (10, "A B 1_0.5", "'1_0.5' is not a number"),
         (8, "window one", "window 'one' is not one of 1, 2"),
         (8, "window 3", "window '3' is not one of 1, 2"),
         (6, "scheme zz", "scheme 'zz' is not one of sc, dense, brown, fr_w, fr_wc, wi, wi_sc"),

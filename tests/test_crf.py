@@ -108,6 +108,47 @@ class TestScoreLattice:
             assert emissions.tolist() == [[7.0, 12.0], [0.0, 0.0], [8.0, 14.0]]
 
 
+class TestGatherSum:
+    """The segment sums under the block-factored design matrix."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_every_layout_gives_the_same_bits(self, data):
+        # groups of 0, 1 and several members, values of all ones or not;
+        # chunks of 1 to 5 rows cut the runs at every group boundary
+        sizes = data.draw(st.lists(st.sampled_from((0, 1, 1, 2, 3, 9)), max_size=12), label="sizes")
+        n_sources = data.draw(st.integers(1, 6), label="sources")
+        n_lab = data.draw(st.integers(1, 3), label="labels")
+        n = sum(sizes)
+        source = np.array(data.draw(st.lists(st.integers(0, n_sources - 1), min_size=n,
+                                             max_size=n), label="source"), dtype=np.int64)
+        group = np.repeat(np.arange(len(sizes)), sizes)
+        values = data.draw(st.sampled_from([None, np.ones(n),
+                                            np.linspace(-2.0, 3.0, n) ** 3]), label="values")
+        x = np.reshape(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n_sources * n_lab,
+                                          max_size=n_sources * n_lab), label="x"), (-1, n_lab))
+        expected = np.zeros((len(sizes), n_lab))
+        np.add.at(expected, group, x[source] * (1.0 if values is None else values[:, None]))
+        magnitude = np.zeros((len(sizes), n_lab))
+        np.add.at(magnitude, group, np.abs(x[source]) * (1.0 if values is None else np.abs(values)[:, None]))
+
+        whole = crf._GatherSum(source, group, len(sizes), n_sources, values)
+        got = whole(x)
+        assert got.shape == expected.shape
+        assert np.all(np.abs(got - expected) <= 1e-13 * np.maximum(1.0, magnitude))
+        chunk_rows = data.draw(st.integers(1, 5), label="chunk rows")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(crf, "_CHUNK_ROWS", chunk_rows)
+            chunked = crf._GatherSum(source, group, len(sizes), n_sources, values)
+        assert np.array_equal(chunked(x), got)
+        if whole.direct:  # every group has several members: both orientations apply
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(crf, "_CHUNK_ROWS", n)
+                single_chunk = crf._GatherSum(source, group, len(sizes), n_sources, values)
+            single_chunk.transposed = not single_chunk.transposed
+            assert np.array_equal(single_chunk(x), got)
+
+
 class TestInference:
     def test_logz_single_token_uniform(self):
         assert forward_backward(np.zeros((1, 2)), np.zeros((2, 2)))[0] == pytest.approx(np.log(2))
@@ -481,6 +522,11 @@ class TestTrain:
 
 
 class TestModelFile:
+    @pytest.mark.parametrize("c1, c2", [(float("nan"), 0.0), (1.0, -5.0), (float("inf"), 1.0)])
+    def test_penalties_must_be_finite_and_non_negative(self, c1, c2):
+        with pytest.raises(CrfError, match="c1 and c2"):
+            CrfModel(["A"], {}, np.zeros((0, 1)), np.zeros((1, 1)), c1=c1, c2=c2)
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
         model = toy_model(labels=("X", "Y", "Z"), features=("a", "b", "c"))
@@ -553,7 +599,7 @@ class TestModelFile:
         token = st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=5)
         labels = data.draw(st.lists(token, min_size=1, max_size=4, unique=True))
         names = data.draw(st.lists(token, max_size=6, unique=True))
-        number = st.floats(allow_nan=False, allow_infinity=False)
+        penalty = st.floats(min_value=0.0, allow_infinity=False)  # what a model accepts
         weight = st.floats(-1e6, 1e6) | st.just(0.0)  # scores stay finite when decoding
         n_lab = len(labels)
         model = CrfModel(
@@ -563,7 +609,7 @@ class TestModelFile:
                                           max_size=len(names) * n_lab)), (len(names), n_lab)),
             np.reshape(data.draw(st.lists(weight, min_size=n_lab ** 2, max_size=n_lab ** 2)),
                        (n_lab, n_lab)),
-            c1=data.draw(number), c2=data.draw(number),
+            c1=data.draw(penalty), c2=data.draw(penalty),
             meta=data.draw(st.dictionaries(
                 token.filter(lambda k: k not in ("c1", "c2", "labels")),
                 st.text(st.characters(blacklist_categories=("C",)), max_size=6), max_size=3,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsetag.embeddings import (
     EmbeddingError,
@@ -54,6 +56,42 @@ class TestLoad:
         path.write_text("a 1.0 inf\n", encoding="utf-8")
         with pytest.raises(EmbeddingError, match="non-finite"):
             load_embeddings(path)
+
+    @pytest.mark.parametrize("text, lineno", [("a 1_0 2\n", 1), ("a 1 2\nb 1 ٣\n", 2)])
+    def test_python_only_number_forms_rejected(self, tmp_path, text, lineno):
+        # float() reads "1_0" as 10 and "٣" as 3
+        path = tmp_path / "odd.vec"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(EmbeddingError, match=rf"odd\.vec:{lineno}: non-numeric field"):
+            load_embeddings(path)
+
+    def test_header_needs_plain_integers(self, tmp_path):
+        # int() reads "1_0 2" as a '|V| k' header; here it is a word and its vector
+        path = tmp_path / "odd.vec"
+        path.write_text("1_0 2\na 1\n", encoding="utf-8")
+        table = load_embeddings(path)
+        assert table.words == ["1_0", "a"]
+        np.testing.assert_array_equal(table.vectors, [[2.0], [1.0]])
+
+    # embedding-like lines, some well formed, plus arbitrary text and bytes
+    _LINE = st.sampled_from(
+        ["a 1.0 0.0", "b 0 1", "a 2 2", "2 2", "1 1", "c nan 1", "c 1e999 1", "c 1_0 1", "d", "",
+         "e 1.0", "f 1 2 3"]
+    ) | st.text(max_size=8)
+
+    @settings(max_examples=300, deadline=None)
+    @given(content=st.binary(max_size=120)
+           | st.lists(_LINE, max_size=6).map(lambda ls: "\n".join(ls).encode("utf-8")),
+           format=st.sampled_from(["text", "word2vec-text"]))
+    def test_arbitrary_bytes_load_or_raise_embedding_error(self, tmp_path_factory, content, format):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.vec"
+        path.write_bytes(content)
+        try:
+            table = load_embeddings(path, format=format)
+        except EmbeddingError:
+            return
+        assert table.vectors.shape == (len(table.words), table.dim)
+        assert np.all(np.isfinite(table.vectors))
 
     def test_round_trip_preserves_values(self, tmp_path):
         rng = np.random.default_rng(11)

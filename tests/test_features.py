@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsetag.crf import CrfModel, score_lattice
+from sparsetag.crf import CrfModel, compile_batch, score_lattice
 from sparsetag.embeddings import EmbeddingTable
 from sparsetag.features import (
     FeatureConfig,
@@ -254,7 +254,7 @@ _WINDOWED = ("sc", "dense", "brown", "wi", "wi_sc")
 
 
 @st.composite
-def _resources_and_runs(draw):
+def _resources_and_runs(draw, schemes=_WINDOWED):
     known = draw(st.lists(st.sampled_from(_VOCAB), unique=True))
     m = draw(st.integers(1, 12))
     coefficient = st.sampled_from((0.0, 0.0, 0.5, -0.25, 1.5))
@@ -271,7 +271,7 @@ def _resources_and_runs(draw):
     )
     runs = draw(st.lists(
         st.tuples(
-            st.sampled_from(_WINDOWED),
+            st.sampled_from(schemes),
             st.sampled_from((1, 2)),
             st.lists(st.sampled_from(_FORMS), min_size=1, max_size=6),
         ),
@@ -338,3 +338,54 @@ class TestBlockScores:
             for _ in range(3):
                 model.decode(sentence_features(sentence, config, resources))
                 assert len(model._kept) == kept
+
+
+class TestDesignMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(_resources_and_runs(schemes=("sc", "dense", "wi_sc", "fr_wc")), st.data())
+    def test_products_match_dense_oracle(self, setup, data):
+        # the block-factored matrix against X built feature by feature from
+        # the flattened blocks; "oov" words give empty blocks, and the last
+        # sentence is one position with no blocks at all
+        resources, runs = setup
+        batch_features = [
+            sentence_features(sentence, FeatureConfig(scheme=scheme, window=window), resources)
+            for scheme, window, sentence in runs
+        ] + [[()]]
+        batch_labels = [["A"] * len(sent) for sent in batch_features]
+        positions = [position for sent in batch_features for position in sent]
+        if data.draw(st.booleans(), label="grow"):
+            batch = compile_batch(batch_features, batch_labels)
+            # ids follow first occurrence, as if every occurrence were read
+            assert list(batch.feature_index) == list(dict.fromkeys(
+                name for position in positions for name, _ in chain.from_iterable(position)
+            ))
+        else:  # a fixed index drops the names it lacks, emptying some blocks
+            names = sorted({name for sent in batch_features for position in sent
+                            for name, _ in chain.from_iterable(position)})
+            kept = [name for name in names if data.draw(st.booleans())]
+            batch = compile_batch(batch_features, batch_labels,
+                                  feature_index={name: i for i, name in enumerate(kept)},
+                                  grow_index=False)
+        dense = np.zeros((len(positions), max(batch.n_features, 1)))
+        occurrences = 0
+        for row, position in enumerate(positions):
+            for name, value in chain.from_iterable(position):
+                if name in batch.feature_index:
+                    dense[row, batch.feature_index[name]] += value
+                    occurrences += 1
+        assert batch.matrix.shape == dense.shape
+        assert batch.matrix.nnz == occurrences
+
+        n_lab = data.draw(st.integers(1, 4), label="labels")
+        value = st.floats(-3.0, 3.0)
+
+        def matrix(rows):
+            entries = data.draw(st.lists(value, min_size=rows * n_lab, max_size=rows * n_lab))
+            return np.reshape(entries, (rows, n_lab))
+
+        weights, marginals = matrix(dense.shape[1]), matrix(dense.shape[0])
+        for got, expected in ((batch.matrix @ weights, dense @ weights),
+                              (batch.matrix.T @ marginals, dense.T @ marginals)):
+            assert got.shape == expected.shape
+            assert np.all(np.abs(got - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsetag._base import VARIANTS
 from sparsetag.embeddings import EmbeddingTable
 from sparsetag.sparse_coding import (
     Dictionary,
@@ -482,6 +483,62 @@ class TestFiles:
         again = load_dictionary(path)
         np.testing.assert_array_equal(again.atoms, dictionary.atoms)
         assert (again.variant, again.lam, again.tau) == ("sc3", 0.25, 1e-5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        atoms=st.integers(1, 4).flatmap(lambda k: st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=k, max_size=k),
+            min_size=1, max_size=4,
+        )),
+        variant=st.sampled_from(VARIANTS),
+        lam=st.floats(allow_nan=False, allow_infinity=False),
+        tau=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_dictionary_save_load_round_trip_is_exact(self, tmp_path_factory, atoms, variant,
+                                                      lam, tau):
+        dictionary = Dictionary(atoms=np.array(atoms).T, variant=variant, lam=lam, tau=tau)
+        path = tmp_path_factory.getbasetemp() / "round-trip-dict.txt"
+        save_dictionary(path, dictionary)
+        again = load_dictionary(path)
+        assert again.atoms.shape == dictionary.atoms.shape
+        assert again.atoms.tobytes() == dictionary.atoms.tobytes()  # bit for bit, -0.0 too
+        assert (again.variant, again.lam, again.tau) == (variant, lam, tau)
+
+    # dictionary-like lines, some well formed, plus arbitrary text and bytes
+    _DICT_LINE = st.sampled_from(
+        ["2 2 sc1 0.1 0", "1 1 sc2 1 1", "2 1 sc9 0 0", "0 2 sc1 0 0", "1 2 sc1 0.1", "1_0 2 sc1 0 0",
+         "99999999999999999999 1 sc1 0 0", "1 0", "0 1", "0.5", "nan", "1e999", "x", ""]
+    ) | st.text(max_size=8)
+
+    @settings(max_examples=300, deadline=None)
+    @given(content=st.binary(max_size=120)
+           | st.lists(_DICT_LINE, max_size=5).map(lambda ls: "\n".join(ls).encode("utf-8")))
+    def test_arbitrary_bytes_load_dictionary_or_raise(self, tmp_path_factory, content):
+        path = tmp_path_factory.getbasetemp() / "fuzzed-dict.txt"
+        path.write_bytes(content)
+        try:
+            dictionary = load_dictionary(path)
+        except SparseCodingError:
+            return
+        assert dictionary.atoms.shape == (dictionary.k, dictionary.m)
+        assert np.all(np.isfinite(dictionary.atoms))
+
+    @pytest.mark.parametrize("name, text, where", [
+        ("codes.txt", "w 1_0:0.5\n", ":1: bad entry"),
+        ("codes.txt", "w 0:1\nv 1:1_0.5\n", ":2: bad entry"),
+        ("codes.txt", "w ٣:0.5\n", ":1: bad entry"),
+        ("codes.txt", "w 1:2:3\n", ":1: bad entry"),
+        ("dict.txt", "1 2 sc1 0.1 0\n1_0 2\n", ":2: basis 0: could not convert '1_0'"),
+        ("dict.txt", "1 1_0 sc1 0.1 0\n1 2\n", ":1: bad dictionary header"),
+    ])
+    def test_python_only_number_forms_rejected(self, tmp_path, name, text, where):
+        # int() and float() read "1_0" as 10 and "٣" as 3
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        load = load_codes if name == "codes.txt" else load_dictionary
+        with pytest.raises(SparseCodingError) as caught:
+            load(path)
+        assert str(caught.value).startswith(f"{path}{where}")
 
     def test_codes_round_trip(self, tmp_path):
         rng = np.random.default_rng(20)

@@ -1,8 +1,10 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsetag._textfiles import read_lines
+from sparsetag._textfiles import parse_numbers, read_lines
 
 
 class TestReadLines:
@@ -22,3 +24,39 @@ class TestReadLines:
         with pytest.raises(ValueError, match=f"{path}:3: not UTF-8"):
             list(read_lines(path, ValueError))
 
+
+class TestParseNumbers:
+    def test_plain_numbers(self):
+        assert parse_numbers(["1", "-2.5e3", "+.5", "7."]) == [1.0, -2500.0, 0.5, 7.0]
+        assert parse_numbers(["10", "+3", "-0"], int) == [10, 3, 0]
+        assert parse_numbers([]) == []
+        inf, nan = parse_numbers(["-Infinity", "nan"])
+        assert inf == float("-inf") and nan != nan
+
+    @pytest.mark.parametrize("kind", [int, float])
+    @pytest.mark.parametrize("bad", ["1_0", " 1", "1\t", "٣", "１", "", "x", "0x10", "1 0"])
+    def test_python_only_forms_rejected_by_name(self, kind, bad):
+        with pytest.raises(ValueError, match=re.escape(f"could not convert {bad!r}")):
+            parse_numbers(["1", "2", bad, "3"], kind)
+
+    def test_float_text_is_not_an_integer(self):
+        with pytest.raises(ValueError, match="'1.5' to an integer"):
+            parse_numbers(["1.5"], int)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(alphabet="0123456789+-.eEinfatyINFATY_ ", max_size=6), max_size=4),
+           st.sampled_from([int, float]))
+    def test_parses_as_python_where_the_text_is_plain(self, texts, kind):
+        def plain(text):
+            try:
+                kind(text)
+            except ValueError:
+                return False
+            return "_" not in text and " " not in text
+        if all(map(plain, texts)):
+            got, expected = parse_numbers(texts, kind), [kind(t) for t in texts]
+            assert [repr(v) for v in got] == [repr(v) for v in expected]  # nan == nan here
+        else:
+            bad = next(t for t in texts if not plain(t))
+            with pytest.raises(ValueError, match=re.escape(f"could not convert {bad!r}")):
+                parse_numbers(texts, kind)
