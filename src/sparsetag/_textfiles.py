@@ -47,23 +47,16 @@ def parse_numbers(texts, kind=float):
     raises ValueError, as any text they reject does, naming the first bad
     text.
     """
-    if not "".join(texts).strip(_NUMBER_CHARS):
+    numbers = []
+    for text in texts:
         try:
-            return list(map(kind, texts))
+            if not text or text.strip(_NUMBER_CHARS):
+                raise ValueError
+            numbers.append(kind(text))
         except ValueError:
-            pass
-    text = next(t for t in texts if not _is_number(t, kind))
-    raise ValueError(f"could not convert {text!r} to {'an integer' if kind is int else 'a number'}")
-
-
-def _is_number(text, kind):
-    if not text or text.strip(_NUMBER_CHARS):
-        return False
-    try:
-        kind(text)
-    except ValueError:
-        return False
-    return True
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"could not convert {text!r} to {what}") from None
+    return numbers
 
 
 @contextmanager

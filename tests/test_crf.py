@@ -141,12 +141,6 @@ class TestGatherSum:
             patch.setattr(crf, "_CHUNK_ROWS", chunk_rows)
             chunked = crf._GatherSum(source, group, len(sizes), n_sources, values)
         assert np.array_equal(chunked(x), got)
-        if whole.direct:  # every group has several members: both orientations apply
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(crf, "_CHUNK_ROWS", n)
-                single_chunk = crf._GatherSum(source, group, len(sizes), n_sources, values)
-            single_chunk.transposed = not single_chunk.transposed
-            assert np.array_equal(single_chunk(x), got)
 
 
 class TestInference:
