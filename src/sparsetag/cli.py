@@ -189,11 +189,11 @@ def _cmd_tag(args):
     feat_config = features.FeatureConfig(scheme=scheme, window=window)
     resources = _resources_for(scheme, args, lowercase=lowercase)
     dataset = corpus.read_dataset(args.input, args.format, use_cpostag=args.cpostag)
-    predictions = []
-    for sent in dataset.sentences:
-        forms = [tok.form for tok in sent]
-        sent_feats = features.sentence_features(forms, feat_config, resources)
-        predictions.append(model.decode(sent_feats))
+    batch_features = [
+        features.sentence_features([tok.form for tok in sent], feat_config, resources)
+        for sent in dataset.sentences
+    ]
+    predictions = [model.decode(em) for em in crf.score_sentences(model, batch_features)]
     tagged = corpus.replace_labels(dataset, predictions)
     with atomic_output(args.out) as tmp:
         corpus.write_dataset(tmp, tagged, args.format)

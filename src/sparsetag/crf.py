@@ -12,9 +12,9 @@ probabilities (CRFsuite's scaling) over a batch of sentences sorted by
 length; a batch whose products underflow is redone as a whole in log
 space. Training multiplies by a design matrix factored through the
 feature blocks of :mod:`sparsetag.features` (:class:`BlockMatrix`), built
-with NumPy alone. Decoding scores each feature block of a sentence once
-(see :func:`score_lattice`) and runs Viterbi with ties broken toward the
-lower label index.
+with NumPy alone. Tagging scores each distinct feature block of its whole
+input once (:func:`score_sentences`), then runs Viterbi on each sentence
+with ties broken toward the lower label index.
 """
 
 from __future__ import annotations
@@ -199,7 +199,7 @@ def viterbi_path(emissions, transitions):
 
 
 class CrfModel:
-    """Trained weights plus the label and feature vocabularies."""
+    """Trained weights, the label and feature vocabularies, and meta."""
 
     def __init__(self, labels, feature_index, emissions, transitions, c1, c2, meta=None):
         self.labels = list(labels)
@@ -223,103 +223,81 @@ class CrfModel:
         self.meta = dict(meta or {})
         # line of each [meta] key in the file the model was loaded from
         self.meta_lines = {}
-        # emission scores of feature blocks, filled by score_lattice
-        self._block_index = {}
-        self._kept = []
-        self._block_scores = np.empty((0, n_lab))
 
-    def decode(self, sent_features):
-        """Predicted label sequence for one sentence's feature blocks.
+    def decode(self, emissions):
+        """Predicted label sequence for one sentence's (n, L) emission scores.
 
-        ``sent_features`` is what :func:`sparsetag.features.sentence_features`
-        returns: per position, a tuple of feature blocks. See
-        :func:`score_lattice` for which blocks' scores the model keeps.
+        ``emissions`` is one of the arrays :func:`score_sentences` returns.
         """
-        emissions, transitions = score_lattice(self, sent_features)
-        return [self.labels[i] for i in viterbi_path(emissions, transitions)]
-
-    def _block_rows(self, blocks):
-        """Row of ``self._block_scores`` holding each block's emission scores.
-
-        Unseen tuple blocks get rows from ``len(self._kept)`` on and are
-        kept, keyed by ``id``; the list of kept blocks holds them alive, so
-        an ``id`` is never reused while its row stands. Any other block
-        gets a row after those, which the next call overwrites.
-        """
-        index = self._block_index
-        rows = list(map(index.get, map(id, blocks)))
-        if None not in rows:
-            return rows
-        unseen = {id(b): b for b, row in zip(blocks, rows) if row is None}.values()
-        kept = [b for b in unseen if type(b) is tuple]
-        new = kept + [b for b in unseen if type(b) is not tuple]
-        first, end = len(self._kept), len(self._kept) + len(new)
-        if end > len(self._block_scores):
-            grown = np.empty((max(end, 2 * len(self._block_scores)), len(self.labels)))
-            grown[:first] = self._block_scores[:first]
-            self._block_scores = grown
-        self._block_scores[first:end] = self._score_blocks(new)
-        index.update(zip(map(id, kept), range(first, end)))
-        self._kept.extend(kept)
-        local = {id(b): row for row, b in enumerate(new, start=first)}
-        return [local[id(b)] if row is None else row for b, row in zip(blocks, rows)]
-
-    def _score_blocks(self, blocks):
-        """(len(blocks), L) emission scores, each a sum from zero in block order."""
-        n_lab = len(self.labels)
-        rows, ids, vals = _feature_entries(blocks, self.feature_index)
-        flat = (rows * n_lab)[:, None] + np.arange(n_lab)
-        weights = self.emissions[ids]
-        weights *= vals[:, None]
-        scores = np.bincount(flat.ravel(), weights.ravel(), minlength=len(blocks) * n_lab)
-        return scores.reshape(len(blocks), n_lab)
+        return [self.labels[i] for i in viterbi_path(emissions, self.transitions)]
 
 
-def score_lattice(model: CrfModel, sent_features):
-    """Per-position per-label emission scores plus the transition matrix.
+def score_sentences(model: CrfModel, batch_features):
+    """Each sentence's (n_i, L) per-position per-label emission scores.
 
-    ``sent_features`` holds, per position, a sequence of feature blocks,
-    each a sequence of (name, value) pairs; names absent from the model's
-    index are skipped. Each block the model has not seen is scored once,
-    all of a sentence's in one ``np.bincount`` over the flat indices
-    ``block * L + label``. A tuple block is taken to be immutable (as the
-    cached per-type blocks of :mod:`sparsetag.features` are): its scores
-    are kept on the model for every later call, so they assume the
-    weights no longer change. Other blocks, such as the per-token lists
-    of fr_w / fr_wc, are scored anew on each call. A position's emissions
-    are then the sum of its block rows, added in order from zero by a
-    second ``bincount``. A one-block position therefore equals a
-    per-feature loop bit for bit; with more blocks the sum is grouped by
-    block, which moves it by rounding only.
+    ``batch_features`` holds sentences as
+    :func:`sparsetag.features.sentence_features` returns them; names absent
+    from the model's index are skipped. Each distinct block of the whole
+    batch (see :func:`_distinct_blocks`) is scored once: per label, one
+    ``np.bincount`` adds each block's entries in order from zero. A
+    position's emissions are then the sum of its block rows, added in order
+    from zero by a second ``bincount`` per label. A one-block position
+    therefore equals a per-feature loop bit for bit; with more blocks the
+    sum is grouped by block, which moves it by rounding only. One label at
+    a time, no temporary array grows with the labels.
     """
-    n_pos, n_lab = len(sent_features), len(model.labels)
-    rows = model._block_rows(list(chain.from_iterable(sent_features)))
-    positions = np.repeat(np.arange(n_pos), list(map(len, sent_features)))
-    flat = (positions * n_lab)[:, None] + np.arange(n_lab)
-    scores = model._block_scores[np.array(rows, dtype=np.int64)]
-    emissions = np.bincount(flat.ravel(), scores.ravel(), minlength=n_pos * n_lab)
-    return emissions.reshape(n_pos, n_lab), model.transitions
+    n_blocks, ent_block, ent_feature, ent_value, pair_position, pair_block = _distinct_blocks(
+        batch_features, model.feature_index
+    )
+    starts = np.cumsum([0, *map(len, batch_features)])
+    emissions = np.empty((starts[-1], len(model.labels)))
+    for label, weights in enumerate(model.emissions.T):
+        block_scores = np.bincount(ent_block, weights[ent_feature] * ent_value, minlength=n_blocks)
+        emissions[:, label] = np.bincount(pair_position, block_scores[pair_block],
+                                          minlength=starts[-1])
+    return [emissions[a:b] for a, b in zip(starts[:-1], starts[1:])]
 
 
-def _feature_entries(blocks, feature_index, grow=False):
-    """(block numbers, feature ids, values) arrays of the blocks' features, in order.
+def _distinct_blocks(batch_features, feature_index, grow=False):
+    """Sentences' positions as their distinct feature blocks, told apart by ``id``.
 
-    Each block is a sequence of (name, value) pairs. Names missing from
+    Returns (n_blocks, ent_block, ent_feature, ent_value, pair_position,
+    pair_block): each distinct block's (block, feature id, value) entries
+    in order, and one (position, block) pair per occurrence, positions
+    numbered through the sentences and pairs in position order. Each block
+    is a sequence of (name, value) pairs, so a cached per-type block shared
+    by many positions has its names resolved once. Names missing from
     ``feature_index`` are skipped, or with ``grow`` first added to it in
-    order of first occurrence.
+    order of first occurrence, as if every occurrence were read. A block
+    left with no entries, and its pairs, are dropped; the others are
+    numbered 0, 1, ... in order of first occurrence.
     """
-    pairs = list(chain.from_iterable(blocks))
-    names = map(itemgetter(0), pairs)
+    positions = list(chain.from_iterable(batch_features))
+    blocks = list(chain.from_iterable(positions))
+    numbers = {}  # id of each distinct block -> its number, in order of first occurrence
+    pair_block = np.fromiter(
+        (numbers.setdefault(b, len(numbers)) for b in map(id, blocks)), dtype=np.int64,
+        count=len(blocks),
+    )
+    unique = list({id(b): b for b in blocks}.values())
+    entries = list(chain.from_iterable(unique))
+    names = map(itemgetter(0), entries)
     if grow:
         names = list(names)
         for name in names:
             if name not in feature_index:
                 feature_index[name] = len(feature_index)
-    ids = np.fromiter(map(feature_index.get, names, repeat(-1)), dtype=np.int64, count=len(pairs))
-    vals = np.fromiter(map(itemgetter(1), pairs), dtype=np.float64, count=len(pairs))
-    rows = np.repeat(np.arange(len(blocks)), list(map(len, blocks)))
+    ids = np.fromiter(map(feature_index.get, names, repeat(-1)), dtype=np.int64, count=len(entries))
+    values = np.fromiter(map(itemgetter(1), entries), dtype=np.float64, count=len(entries))
     found = ids >= 0
-    return rows[found], ids[found], vals[found]
+    ent_block = np.repeat(np.arange(len(unique)), list(map(len, unique)))[found]
+    nonempty = np.zeros(len(unique), dtype=bool)
+    nonempty[ent_block] = True
+    number = np.cumsum(nonempty) - 1
+    pair_position = np.repeat(np.arange(len(positions)), list(map(len, positions)))
+    paired = nonempty[pair_block]
+    return (int(nonempty.sum()), number[ent_block], ids[found], values[found],
+            pair_position[paired], number[pair_block[paired]])
 
 
 # rows gathered and added per np.add.reduceat call, so that each call's
@@ -469,14 +447,12 @@ def compile_batch(batch_features, batch_labels, labels=None, feature_index=None,
     """Compile labeled sentences for training or objective evaluation.
 
     ``batch_features`` holds each sentence's positions as
-    :func:`sparsetag.features.sentence_features` returns them. Blocks are
-    told apart by ``id``, so a cached per-type block shared by many
-    positions has its names resolved once; the design matrix
-    (:class:`BlockMatrix`) keeps each distinct block's entries once and a
-    (position, block) pair per occurrence. A block that is empty, or whose
-    names are all dropped, has no entries and no pairs. Feature ids follow
-    first occurrence in the positions' flattened blocks, as if every
-    occurrence were read. ``labels`` defaults to the sorted gold alphabet.
+    :func:`sparsetag.features.sentence_features` returns them. The design
+    matrix (:class:`BlockMatrix`) keeps each distinct non-empty block's
+    entries once and a (position, block) pair per occurrence, as
+    :func:`_distinct_blocks` lists them. Feature ids follow first
+    occurrence in the positions' flattened blocks, as if every occurrence
+    were read. ``labels`` defaults to the sorted gold alphabet.
     When an existing ``feature_index`` is supplied and ``grow_index`` is
     off, unseen features are dropped (inference semantics); otherwise new
     features get ids in order of first occurrence.
@@ -504,31 +480,9 @@ def compile_batch(batch_features, batch_labels, labels=None, feature_index=None,
             trans_counts[prev, y] += 1.0
         starts.append(pos)
 
-    positions = list(chain.from_iterable(batch_features))
-    blocks = list(chain.from_iterable(positions))
-    numbers = {}  # id of each distinct block -> its number, in order of first occurrence
-    pair_block = np.fromiter(
-        (numbers.setdefault(b, len(numbers)) for b in map(id, blocks)), dtype=np.int64,
-        count=len(blocks),
-    )
-    unique = list({id(b): b for b in blocks}.values())
-    ent_block, ent_feature, ent_value = _feature_entries(unique, feature_index, grow=grow_index)
-    # renumber the blocks left with entries 0, 1, ...; pairs of empty blocks go
-    nonempty = np.zeros(len(unique), dtype=bool)
-    nonempty[ent_block] = True
-    number = np.cumsum(nonempty) - 1
-    pair_position = np.repeat(np.arange(len(positions)), list(map(len, positions)))
-    paired = nonempty[pair_block]
-    matrix = BlockMatrix(
-        n_features=max(len(feature_index), 1),
-        n_blocks=int(nonempty.sum()),
-        ent_block=number[ent_block],
-        ent_feature=ent_feature,
-        ent_value=ent_value,
-        pair_position=pair_position[paired],
-        pair_block=number[pair_block[paired]],
-        n_positions=len(gold),
-    )
+    blocks = _distinct_blocks(batch_features, feature_index, grow=grow_index)
+    # n_blocks and the entry and pair arrays, in BlockMatrix's argument order
+    matrix = BlockMatrix(max(len(feature_index), 1), *blocks, n_positions=len(gold))
     lengths = np.diff(np.asarray(starts + [len(gold)], dtype=np.int64))
     order = np.argsort(-lengths, kind="stable")
     batch_sizes = np.count_nonzero(

@@ -14,10 +14,10 @@ front of every name, cached on the FeatureResources object.
 :func:`sentence_features` hands each position its blocks, in the string
 order of their tags; flattened in that order they are the token's
 sorted, unique vector, which :func:`token_features` returns. Extraction
-therefore costs per word type, not per feature occurrence, and so does
-scoring: a block is the same object wherever its word appears, so the
-CRF scores it once. fr_w / fr_wc keep per-token templates, one list per
-position.
+therefore costs per word type, not per feature occurrence, and so do
+training and tagging: a block is the same object wherever its word
+appears, and the CRF reads each distinct block of a batch once. fr_w /
+fr_wc keep per-token templates, one list per position.
 """
 
 from __future__ import annotations

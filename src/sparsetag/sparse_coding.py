@@ -67,6 +67,16 @@ class LassoConvergenceError(SparsetagError, RuntimeError):
         self.residual = residual
 
 
+def _check_settings(variant, lam, tau):
+    """Raise SparseCodingError unless these are a dictionary's valid settings."""
+    if variant not in VARIANTS:
+        raise SparseCodingError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    if not (math.isfinite(lam) and lam > 0):
+        raise SparseCodingError(f"lambda must be a finite number > 0, got {lam!r}")
+    if not (math.isfinite(tau) and tau >= 0):
+        raise SparseCodingError(f"tau must be a finite number >= 0, got {tau!r}")
+
+
 @dataclass
 class SparseCodingConfig:
     variant: str = "sc1"
@@ -78,14 +88,9 @@ class SparseCodingConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise SparseCodingError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        _check_settings(self.variant, self.lam, self.tau)
         if self.m < 1:
             raise SparseCodingError("m must be >= 1")
-        if not self.lam > 0:
-            raise SparseCodingError("lambda must be > 0")
-        if self.tau < 0:
-            raise SparseCodingError("tau must be >= 0")
         if self.epochs < 1 or self.batch_size < 1:
             raise SparseCodingError("epochs and batch_size must be >= 1")
 
@@ -115,8 +120,7 @@ class Dictionary:
             raise SparseCodingError("dictionary must be a k x m matrix with m >= 1")
         if not np.all(np.isfinite(self.atoms)):
             raise SparseCodingError("dictionary contains non-finite values")
-        if self.variant not in VARIANTS:
-            raise SparseCodingError(f"unknown variant {self.variant!r}")
+        _check_settings(self.variant, self.lam, self.tau)
 
     @property
     def k(self) -> int:
@@ -669,6 +673,13 @@ def save_dictionary(path, dictionary: Dictionary) -> None:
 
 
 def load_dictionary(path) -> Dictionary:
+    """Read a dictionary written by :func:`save_dictionary`.
+
+    A malformed header (not `m k variant lambda tau` with m, k >= 1, or
+    settings :class:`Dictionary` rejects) or basis line (wrong count, a
+    value that is not a finite number) raises
+    ``SparseCodingError("<path>:<line>: ...")``.
+    """
     lines = read_lines(path, SparseCodingError)
     header = next(lines, (1, ""))[1].split()
     try:
@@ -681,6 +692,10 @@ def load_dictionary(path) -> Dictionary:
         raise SparseCodingError(
             f"{path}:1: bad dictionary header, expected `m k variant lambda tau`, m, k >= 1"
         ) from None
+    try:
+        _check_settings(header[2], lam, tau)
+    except SparseCodingError as exc:
+        raise SparseCodingError(f"{path}:1: {exc}") from None
     columns = []  # grown line by line: the header's m is not trusted
     for j in range(m):
         fields = next(lines, (j + 2, ""))[1].split()
@@ -688,6 +703,8 @@ def load_dictionary(path) -> Dictionary:
             if len(fields) != k:
                 raise ValueError(f"has {len(fields)} values, expected {k}")
             columns.append(parse_numbers(fields))
+            if not all(map(math.isfinite, columns[-1])):
+                raise ValueError("non-finite value")
         except ValueError as exc:
             raise SparseCodingError(f"{path}:{j + 2}: basis {j}: {exc}") from None
     atoms = np.array(columns, dtype=np.float64).T.copy()

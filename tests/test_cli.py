@@ -195,7 +195,7 @@ class TestTrainTagEval:
 
     def test_tag_output_matches_in_process_metric(self, small_task_files, trained_sc_model, tmp_path, capsys):
         from sparsetag.corpus import read_conllx
-        from sparsetag.crf import load_model
+        from sparsetag.crf import load_model, score_sentences
         from sparsetag.evaluation import token_accuracy
         from sparsetag.features import FeatureConfig, FeatureResources, sentence_features
         from sparsetag.sparse_coding import load_codes
@@ -218,10 +218,9 @@ class TestTrainTagEval:
         config = FeatureConfig(scheme="sc", window=1)
         resources = FeatureResources(codes=codes)
         gold = read_conllx(small_task_files["test"])
-        decoded = [
-            model.decode(sentence_features([t.form for t in sent], config, resources))
-            for sent in gold.sentences
-        ]
+        batch = [sentence_features([t.form for t in sent], config, resources)
+                 for sent in gold.sentences]
+        decoded = [model.decode(emissions) for emissions in score_sentences(model, batch)]
         assert token_accuracy(gold, decoded) == pytest.approx(file_metric, abs=5e-7)
 
     def test_tag_task_mismatch_exits_2(self, small_task_files, trained_sc_model, tmp_path):
@@ -486,6 +485,9 @@ class TestAnalyzeBasis:
             ("2 2 sc1 x 0\n1 0\n0 1\n", ":1: bad dictionary header"),
             ("2 2 sc1 0.1 0\n1 0\n0 one\n", ":3: basis 1: could not convert"),
             ("1000000000 2 sc1 0.1 0\n1 0\n", ":3: basis 1: has 0 values"),
+            ("1 2 sc1 nan -1\n1 0\n", ":1: lambda must be a finite number > 0"),
+            ("2 2 sc9 0.1 0\n1 0\n0 1\n", ":1: variant must be one of"),
+            ("2 2 sc1 0.1 0\n1 0\n0 inf\n", ":3: basis 1: non-finite value"),
         ],
     )
     def test_malformed_dictionary_exits_1_with_location(self, tmp_path, capsys, text, where):

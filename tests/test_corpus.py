@@ -182,6 +182,52 @@ class TestTagMap:
         assert corpus.load_tagmap(path) == {"DT": "DET", "NN": "NOUN"}
 
 
+class TestReaderFuzz:
+    """Arbitrary bytes and format-like lines load or raise CorpusError."""
+
+    _CORPUS_LINE = st.sampled_from([
+        "1\tthe\t_\tDET\tDT\t_\t_\t_\t_\t_", "2\tdog\t_\tNOUN\tNN", "1\t\t_\tX\tX",
+        "1-2\tdon't\t_\t_", "1.1\tx\t_\tX", "x\ty\t_\tZ", "# sent_id = 1", "-DOCSTART- -X- O",
+        "EU NNP I-NP I-ORG", "rejects B-MISC", "x E-PER", "x S-LOC", "x B-", "x", "1\t2\t3",
+        "", " ", "\t",
+    ]) | st.text(max_size=12)
+    _CONTENT = st.binary(max_size=120) | st.lists(_CORPUS_LINE, max_size=8).map(
+        lambda lines: "\n".join(lines).encode("utf-8")
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(content=_CONTENT, fmt=st.sampled_from(["conllx", "conllu", "ner2002", "ner2003"]),
+           flag=st.booleans())
+    def test_corpus_readers_load_or_raise_corpus_error(self, tmp_path_factory, content, fmt, flag):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.conll"
+        path.write_bytes(content)
+        try:
+            # flag is use_cpostag for CoNLL-X and normalize for the NER readers
+            data = corpus.read_dataset(path, fmt, use_cpostag=flag, normalize=flag)
+        except CorpusError:
+            return
+        assert len(data) >= 1
+        assert all(sent and all(tok.form for tok in sent) for sent in data.sentences)
+        if data.task == "ner":
+            assert all(corpus._NER_TAG_RE.match(tag) for tags in data.labels() for tag in tags)
+
+    _TAGMAP_LINE = st.sampled_from(
+        ["DT\tDET", "NN\tNOUN", "# comment", "  # indented", "a\tb\tc", "x", "\t", ""]
+    ) | st.text(max_size=8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(content=st.binary(max_size=80)
+           | st.lists(_TAGMAP_LINE, max_size=6).map(lambda ls: "\n".join(ls).encode("utf-8")))
+    def test_load_tagmap_loads_or_raises_corpus_error(self, tmp_path_factory, content):
+        path = tmp_path_factory.getbasetemp() / "fuzzed-map.txt"
+        path.write_bytes(content)
+        try:
+            mapping = corpus.load_tagmap(path)
+        except CorpusError:
+            return
+        assert all("\t" not in key + value for key, value in mapping.items())
+
+
 class TestIobes:
     def test_basic_conversion(self):
         data = make_dataset([[("a", "B-PER"), ("b", "I-PER"), ("c", "O")]], task="ner")

@@ -16,7 +16,7 @@ from sparsetag.crf import (
     forward_backward,
     load_model,
     save_model,
-    score_lattice,
+    score_sentences,
     smooth_objective,
     train,
     viterbi_path,
@@ -37,16 +37,22 @@ def toy_model(labels=("A", "B"), features=("fa", "fb")):
     return CrfModel(labels, feature_index, emissions, transitions, c1=1.0, c2=0.001)
 
 
+def score_one(model, sentence):
+    """The emissions score_sentences gives a one-sentence batch."""
+    [emissions] = score_sentences(model, [sentence])
+    return emissions
+
+
 class TestScoreLattice:
     def test_zero_weights_zero_scores(self):
         model = toy_model()
-        em, _ = score_lattice(model, one_block([[("fa", 1.0)], [("fb", 2.0)]]))
+        em = score_one(model, one_block([[("fa", 1.0)], [("fb", 2.0)]]))
         np.testing.assert_array_equal(em, np.zeros((2, 2)))
 
     def test_weighted_feature(self):
         model = toy_model()
         model.emissions[0, 0] = 0.5
-        em, _ = score_lattice(model, one_block([[("fa", 2.0)]]))
+        em = score_one(model, one_block([[("fa", 2.0)]]))
         assert em[0, 0] == pytest.approx(1.0)
         assert em[0, 1] == 0.0
 
@@ -56,13 +62,12 @@ class TestScoreLattice:
         model.emissions[:] = rng.standard_normal(model.emissions.shape)
         feats = [[("fa", 0.7), ("fb", -1.2)], [("fb", 2.0)]]
         doubled = [[(n, 2 * v) for n, v in pos] for pos in feats]
-        em1, _ = score_lattice(model, one_block(feats))
-        em2, _ = score_lattice(model, one_block(doubled))
+        em1, em2 = score_sentences(model, [one_block(feats), one_block(doubled)])
         np.testing.assert_allclose(em2, 2 * em1, atol=1e-12)
 
     def test_unseen_features_skipped(self):
         model = toy_model()
-        em, _ = score_lattice(model, one_block([[("never-seen", 1.0)]]))
+        em = score_one(model, one_block([[("never-seen", 1.0)]]))
         np.testing.assert_array_equal(em, np.zeros((1, 2)))
 
     @settings(max_examples=300, deadline=None)
@@ -79,33 +84,47 @@ class TestScoreLattice:
         model.emissions[:] = np.reshape(weights, (n_feat, n_lab))
         name = st.sampled_from([f"[0]+{i}" for i in range(n_feat)] + ["[0]missing", "[-1]+0"])
         value = st.just(1.0) | st.floats(-3.0, 3.0, allow_nan=False)  # indicators and dense
-        position = st.lists(st.tuples(name, value), max_size=8)
-        # one block per position; a tuple block's scores are kept on the model
-        block = st.sampled_from((list, tuple))
-        sentence = [(data.draw(block)(pos),)
-                    for pos in data.draw(st.lists(position, min_size=1, max_size=5))]
-        for _ in range(2):  # the second call reads the kept rows
-            emissions, transitions = score_lattice(model, sentence)
+        pairs = st.lists(st.tuples(name, value), max_size=8)  # empty blocks too
+        # tuple blocks shared by positions of every sentence, as the cached
+        # per-type blocks are, and a fresh list per position, as fr_* builds
+        shared = [tuple(b) for b in data.draw(st.lists(pairs, min_size=1, max_size=4))]
+        block = st.sampled_from(shared) | pairs
+        # one block per position, so the sum is the loop's bit for bit, or none
+        position = st.lists(block, max_size=1).map(tuple)
+        sentences = data.draw(st.lists(st.lists(position, min_size=1, max_size=5), min_size=1,
+                                       max_size=4))
+        scored = score_sentences(model, sentences)
+        assert len(scored) == len(sentences)
+        for emissions, sentence in zip(scored, sentences):
             assert np.array_equal(emissions, score_lattice_per_feature(model, sentence))
-            assert transitions is model.transitions
-
 
     def test_list_blocks_are_scored_on_every_call(self):
         model = toy_model()
         model.emissions[:] = [[1.0, 2.0], [3.0, 5.0]]
         block = [("fa", 1.0)]
-        assert score_lattice(model, [(block,)])[0].tolist() == [[1.0, 2.0]]
+        assert score_one(model, [(block,)]).tolist() == [[1.0, 2.0]]
         block.append(("fb", 1.0))
-        assert score_lattice(model, [(block,)])[0].tolist() == [[4.0, 7.0]]
+        assert score_one(model, [(block,)]).tolist() == [[4.0, 7.0]]
+
+    def test_tuple_blocks_read_the_current_weights(self):
+        model = toy_model()
+        block = (("fa", 1.0),)
+        model.emissions[:] = [[1.0, 2.0], [3.0, 5.0]]
+        assert score_one(model, [(block,)]).tolist() == [[1.0, 2.0]]
+        model.emissions[0] = [-1.0, 0.5]
+        assert score_one(model, [(block,)]).tolist() == [[-1.0, 0.5]]
 
     def test_blocks_sum_per_position(self):
         model = toy_model()
         model.emissions[:] = [[1.0, 2.0], [3.0, 5.0]]
         fa, fb = (("fa", 1.0),), [("fb", 2.0)]
-        sentence = [(fa, fb), (), (fb, fa, fa)]
-        for _ in range(2):
-            emissions, _ = score_lattice(model, sentence)
-            assert emissions.tolist() == [[7.0, 12.0], [0.0, 0.0], [8.0, 14.0]]
+        sentences = [[(fa, fb), (), (fb, fa, fa)], [(fb,)], [(fa, ())]]
+        assert [em.tolist() for em in score_sentences(model, sentences)] == [
+            [[7.0, 12.0], [0.0, 0.0], [8.0, 14.0]], [[6.0, 10.0]], [[1.0, 2.0]],
+        ]
+
+    def test_empty_batch(self):
+        assert score_sentences(toy_model(), []) == []
 
 
 class TestGatherSum:
@@ -469,7 +488,7 @@ class TestTrain:
         correct = 0
         total = 0
         for sent, labs in zip(sentences, labels):
-            pred = model.decode(sent)
+            pred = model.decode(score_one(model, sent))
             correct += sum(p == g for p, g in zip(pred, labs))
             total += len(labs)
         assert correct == total
@@ -547,7 +566,7 @@ class TestModelFile:
         save_model(path, model)
         again = load_model(path)
         for sent in sentences:
-            assert model.decode(sent) == again.decode(sent)
+            assert model.decode(score_one(model, sent)) == again.decode(score_one(again, sent))
 
     def test_bracketed_feature_names_survive(self, tmp_path):
         # offset-prefixed features start with '[' and must not be
@@ -609,13 +628,13 @@ class TestModelFile:
                 st.text(st.characters(blacklist_categories=("C",)), max_size=6), max_size=3,
             )),
         )
-        # tuple blocks, as the feature extractor hands them out; decoding on
-        # the original first fills its block cache
+        # tuple blocks, as the feature extractor hands them out
         block = st.lists(st.tuples(st.sampled_from(names + ["unseen"]), st.just(1.0)), max_size=3)
         blocks = [tuple(b) for b in data.draw(st.lists(block, min_size=1, max_size=4))]
         sentence = [tuple(data.draw(st.lists(st.sampled_from(blocks), min_size=1, max_size=3)))
                     for _ in range(data.draw(st.integers(1, 5)))]
-        expected = model.decode(sentence)
+        emissions = score_one(model, sentence)
+        expected = model.decode(emissions)
         path = tmp_path_factory.getbasetemp() / "round-trip-model.txt"
         save_model(path, model)
         again = load_model(path)
@@ -626,6 +645,5 @@ class TestModelFile:
             row = again.emissions[again.feature_index[name]] if name in again.feature_index else 0.0
             np.testing.assert_array_equal(row, model.emissions[fid])
         assert set(again.feature_index) <= set(model.feature_index)
-        assert model.decode(sentence) == again.decode(sentence) == expected
-        np.testing.assert_array_equal(score_lattice(again, sentence)[0],
-                                      score_lattice(model, sentence)[0])
+        np.testing.assert_array_equal(score_one(again, sentence), emissions)
+        assert again.decode(score_one(again, sentence)) == expected

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsetag.crf import CrfModel, compile_batch, score_lattice
+from sparsetag.crf import CrfModel, compile_batch, score_sentences
 from sparsetag.embeddings import EmbeddingTable
 from sparsetag.features import (
     FeatureConfig,
@@ -95,6 +95,24 @@ class TestBrownFeatures:
         path.write_text("01a0\tthe\t3\n", encoding="utf-8")
         with pytest.raises(FeatureError):
             load_clusters(path)
+
+
+    # cluster-like lines, some well formed, plus arbitrary text and bytes
+    _CLUSTER_LINE = st.sampled_from(
+        ["0110\tthe\t3", "111\tdog", "\tx\t1", "01a\tx\t1", "0110", "0 1\tx", " ", ""]
+    ) | st.text(max_size=8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(content=st.binary(max_size=80)
+           | st.lists(_CLUSTER_LINE, max_size=6).map(lambda ls: "\n".join(ls).encode("utf-8")))
+    def test_arbitrary_bytes_load_or_raise_feature_error(self, tmp_path_factory, content):
+        path = tmp_path_factory.getbasetemp() / "fuzzed-paths"
+        path.write_bytes(content)
+        try:
+            clusters = load_clusters(path)
+        except FeatureError:
+            return
+        assert all(not bits.strip("01") for bits in clusters.values())
 
 
 class TestRichFeatures:
@@ -301,10 +319,12 @@ class TestCachedExtractionMatchesPerTokenOracle:
 
 class TestBlockScores:
     @settings(max_examples=200, deadline=None)
-    @given(_resources_and_runs(), st.data())
+    @given(_resources_and_runs(schemes=_WINDOWED + ("fr_wc",)), st.data())
     def test_block_sums_match_per_feature_oracle(self, setup, data):
-        # one model scores every run, so later runs read block rows kept by
-        # earlier ones; a position's emissions are its blocks' rows summed,
+        # every run is scored twice in one call, so the cached per-type
+        # blocks are shared across sentences; fr_wc gives list blocks, "oov"
+        # words empty blocks, and the last sentence is one position with no
+        # blocks at all. A position's emissions are its blocks' rows summed,
         # which the oracle adds up one feature at a time
         resources, runs = setup
         sentences = [
@@ -321,23 +341,13 @@ class TestBlockScores:
             [f"L{j}" for j in range(n_lab)], {name: i for i, name in enumerate(kept)},
             np.reshape(weights, (len(kept), n_lab)), np.zeros((n_lab, n_lab)), c1=1.0, c2=0.0,
         )
-        for sent in sentences + sentences:
-            emissions, _ = score_lattice(model, sent)
+        batch = sentences + sentences + [[()]]
+        scored = score_sentences(model, batch)
+        assert len(scored) == len(batch)
+        for emissions, sent in zip(scored, batch):
             expected = score_lattice_per_feature(model, sent)
+            assert emissions.shape == expected.shape
             assert np.all(np.abs(emissions - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
-
-    def test_kept_blocks_grow_with_word_types_not_tokens(self):
-        # fr_wc blocks are built per token and scored per call; a windowed
-        # scheme's blocks are kept once per (word, offset)
-        model = CrfModel(["A", "B"], {"[0]w=a": 0, "w[0]=a": 1}, np.ones((2, 2)),
-                         np.zeros((2, 2)), c1=1.0, c2=0.0)
-        resources = FeatureResources()
-        sentence = ["a", "b", "a", "c", "b", "a"]
-        for scheme, kept in (("fr_wc", 0), ("wi", 9)):
-            config = FeatureConfig(scheme=scheme, window=1)
-            for _ in range(3):
-                model.decode(sentence_features(sentence, config, resources))
-                assert len(model._kept) == kept
 
 
 class TestDesignMatrix:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -484,6 +486,17 @@ class TestFiles:
         np.testing.assert_array_equal(again.atoms, dictionary.atoms)
         assert (again.variant, again.lam, again.tau) == ("sc3", 0.25, 1e-5)
 
+    @pytest.mark.parametrize("lam, tau", [
+        (float("nan"), 0.0), (0.0, 0.0), (-1.0, 0.0), (float("inf"), 0.0),
+        (0.1, -1.0), (0.1, float("nan")), (0.1, float("inf")),
+    ])
+    def test_settings_no_dictionary_file_can_hold_are_rejected(self, lam, tau):
+        # every dictionary that saves also loads
+        with pytest.raises(SparseCodingError, match="lambda must|tau must"):
+            Dictionary(atoms=np.eye(2), variant="sc1", lam=lam, tau=tau)
+        with pytest.raises(SparseCodingError, match="lambda must|tau must"):
+            SparseCodingConfig(lam=lam, tau=tau)
+
     @settings(max_examples=200, deadline=None)
     @given(
         atoms=st.integers(1, 4).flatmap(lambda k: st.lists(
@@ -491,8 +504,9 @@ class TestFiles:
             min_size=1, max_size=4,
         )),
         variant=st.sampled_from(VARIANTS),
-        lam=st.floats(allow_nan=False, allow_infinity=False),
-        tau=st.floats(allow_nan=False, allow_infinity=False),
+        # the settings a dictionary accepts
+        lam=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        tau=st.floats(min_value=0.0, allow_infinity=False),
     )
     def test_dictionary_save_load_round_trip_is_exact(self, tmp_path_factory, atoms, variant,
                                                       lam, tau):
@@ -507,7 +521,8 @@ class TestFiles:
     # dictionary-like lines, some well formed, plus arbitrary text and bytes
     _DICT_LINE = st.sampled_from(
         ["2 2 sc1 0.1 0", "1 1 sc2 1 1", "2 1 sc9 0 0", "0 2 sc1 0 0", "1 2 sc1 0.1", "1_0 2 sc1 0 0",
-         "99999999999999999999 1 sc1 0 0", "1 0", "0 1", "0.5", "nan", "1e999", "x", ""]
+         "99999999999999999999 1 sc1 0 0", "1 2 sc1 nan -1", "1 1 sc4 1e999 0", "2 2 sc3 1 -0.0",
+         "1 0", "0 1", "0.5", "nan", "1e999", "x", ""]
     ) | st.text(max_size=8)
 
     @settings(max_examples=300, deadline=None)
@@ -522,6 +537,9 @@ class TestFiles:
             return
         assert dictionary.atoms.shape == (dictionary.k, dictionary.m)
         assert np.all(np.isfinite(dictionary.atoms))
+        assert dictionary.variant in VARIANTS
+        assert math.isfinite(dictionary.lam) and dictionary.lam > 0
+        assert math.isfinite(dictionary.tau) and dictionary.tau >= 0
 
     @pytest.mark.parametrize("name, text, where", [
         ("codes.txt", "w 1_0:0.5\n", ":1: bad entry"),
@@ -530,6 +548,14 @@ class TestFiles:
         ("codes.txt", "w 1:2:3\n", ":1: bad entry"),
         ("dict.txt", "1 2 sc1 0.1 0\n1_0 2\n", ":2: basis 0: could not convert '1_0'"),
         ("dict.txt", "1 1_0 sc1 0.1 0\n1 2\n", ":1: bad dictionary header"),
+        # numbers both parse, but are no dictionary's settings or atoms
+        ("dict.txt", "1 2 sc1 nan -1\n1 2\n", ":1: lambda must be a finite number > 0"),
+        ("dict.txt", "1 2 sc1 0 0\n1 2\n", ":1: lambda must be a finite number > 0"),
+        ("dict.txt", "1 2 sc1 0.1 -1\n1 2\n", ":1: tau must be a finite number >= 0"),
+        ("dict.txt", "1 2 sc1 0.1 inf\n1 2\n", ":1: tau must be a finite number >= 0"),
+        ("dict.txt", "1 2 sc9 0.1 0\n1 2\n", ":1: variant must be one of"),
+        ("dict.txt", "2 2 sc1 0.1 0\n1 2\n1 -inf\n", ":3: basis 1: non-finite value"),
+        ("dict.txt", "1 2 sc1 0.1 0\nnan 2\n", ":2: basis 0: non-finite value"),
     ])
     def test_python_only_number_forms_rejected(self, tmp_path, name, text, where):
         # int() and float() read "1_0" as 10 and "٣" as 3
