@@ -168,14 +168,18 @@ def read_conll_ner(path, fmt="2003", normalize=True) -> Dataset:
 
 
 def load_tagmap(path) -> dict:
-    """Read a two-column ``fine<TAB>universal`` tag map; '#' comments allowed."""
+    """Read a two-column ``fine<TAB>universal`` tag map; '#' comments allowed.
+
+    A line without exactly two non-empty tab-separated tags raises
+    ``CorpusError("<path>:<line>: ...")``.
+    """
     mapping = {}
     for lineno, line in read_lines(path, CorpusError):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         cols = line.split("\t")
-        if len(cols) != 2:
-            raise CorpusError(f"{path}:{lineno}: expected 'fine<TAB>universal'")
+        if len(cols) != 2 or not all(cols):
+            raise CorpusError(f"{path}:{lineno}: expected 'fine<TAB>universal', both non-empty")
         mapping[cols[0]] = cols[1]
     return mapping
 

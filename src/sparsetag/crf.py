@@ -160,18 +160,6 @@ def _log_forward_backward(emissions, batch_sizes, transitions):
     return float(log_z.sum()), unary, pairs
 
 
-def forward_backward(emissions, transitions):
-    """(logZ, unary marginals (T,L), pairwise marginals (T-1,L,L)) of one sentence.
-
-    The batch kernel called with one sentence: its per-step pairwise sums
-    are then the sentence's pairwise marginals.
-    """
-    emissions = np.asarray(emissions, dtype=np.float64)
-    transitions = np.asarray(transitions, dtype=np.float64)
-    batch_sizes = np.ones(emissions.shape[0], dtype=np.int64)
-    return _scaled_forward_backward(emissions, batch_sizes, transitions)
-
-
 def viterbi_path(emissions, transitions):
     """Highest-scoring label index sequence; ties take the lower index."""
     emissions = np.asarray(emissions, dtype=np.float64)

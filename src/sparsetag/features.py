@@ -105,7 +105,11 @@ def brown_features(path: str, lengths=(4, 6, 10, 20)) -> set:
 
 
 def load_clusters(path) -> dict:
-    """Read `bitstring<TAB>word<TAB>count` Brown clustering output."""
+    """Read `bitstring<TAB>word<TAB>count` Brown clustering output.
+
+    A line whose path is empty or not made of 0s and 1s raises
+    ``FeatureError("<path>:<line>: ...")``.
+    """
     clusters = {}
     for lineno, line in read_lines(path, FeatureError):
         if not line.strip():
@@ -114,8 +118,8 @@ def load_clusters(path) -> dict:
         if len(cols) < 2:
             raise FeatureError(f"{path}:{lineno}: expected 'path<TAB>word[<TAB>count]'")
         bits, word = cols[0], cols[1]
-        if bits.strip("01"):
-            raise FeatureError(f"{path}:{lineno}: path {bits!r} is not a bit string")
+        if not bits or bits.strip("01"):
+            raise FeatureError(f"{path}:{lineno}: path {bits!r} is not a non-empty bit string")
         clusters[word] = bits
     return clusters
 

@@ -9,6 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from sparsetag.corpus import Dataset, Token, write_dataset
+from sparsetag.crf import _scaled_forward_backward
 
 
 def write_embedding_file(path, words, vectors, header=False):
@@ -24,6 +25,15 @@ def tiny_embedding_file(tmp_path):
     path = tmp_path / "tiny.vec"
     path.write_text("a 1.0 0.0\nb 0.0 1.0\n", encoding="utf-8")
     return path
+
+
+def sentence_forward_backward(emissions, transitions):
+    """(logZ, unary (T,L), pairwise (T-1,L,L) marginals) of one sentence.
+
+    The batch kernel with unit batch sizes: each step's pairwise sum is then
+    the sentence's pairwise marginal.
+    """
+    return _scaled_forward_backward(emissions, np.ones(len(emissions), dtype=np.int64), transitions)
 
 
 def make_dataset(tagged_sentences, task="pos"):

@@ -13,7 +13,7 @@ import pytest
 
 from sparsetag import cli
 from sparsetag.corpus import from_iobes, iobes_labels, to_iobes
-from sparsetag.crf import compile_batch, forward_backward, smooth_objective, viterbi_path
+from sparsetag.crf import compile_batch, smooth_objective, viterbi_path
 from sparsetag.embeddings import EmbeddingTable
 from sparsetag.evaluation import entity_f1
 from sparsetag.features import FeatureConfig, FeatureResources, sparse_features, token_features
@@ -26,7 +26,7 @@ from sparsetag.sparse_coding import (
     sparsity_level,
 )
 
-from conftest import make_dataset
+from conftest import make_dataset, sentence_forward_backward
 from oracles import (
     crf_enumerate,
     finite_difference_gradient,
@@ -128,7 +128,7 @@ class TestCriterion4CrfInference:
             em = rng.standard_normal((n_pos, n_lab))
             tr = rng.standard_normal((n_lab, n_lab))
             logz_bf, unary_bf, pairwise_bf, best_bf, _ = crf_enumerate(em, tr)
-            logz, unary, pairwise = forward_backward(em, tr)
+            logz, unary, pairwise = sentence_forward_backward(em, tr)
             assert abs(logz - logz_bf) <= 1e-10
             assert np.abs(unary - unary_bf).max() <= 1e-10
             if n_pos > 1:

@@ -9,10 +9,14 @@ file, and the printed score.
 """
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import sparsetag
 from sparsetag import cli
 
 PIPEBENCH = Path(__file__).resolve().parent.parent / "pipebench"
@@ -88,3 +92,28 @@ def test_chain_passes_every_independent_check(name, tmp_path, capsys):
         task, inputs["train"], inputs["test"], fmt, tagmap, spec.get("first_n")
     )
     checks.check_beats_baseline(task, scored, baseline)
+
+
+def test_learn_dict_output_does_not_depend_on_blas_threads(tmp_path):
+    """learn-dict at the ner-tag shape (m = k = 64, sc4), where FISTA seeds
+    each mini-batch through matrix products, writes the same bytes with one
+    and with two BLAS threads."""
+    # the benchmark's ner-tag spec with fewer tokens: the vectors, drawn
+    # before the corpora, are the same 522 as the workload's at seed 1
+    spec = dict(task="ner", stream=3, k=64, vocab=500, train_tokens=300, test_tokens=100)
+    inputs = gen.write_inputs(spec, 1, tmp_path / "inputs")
+    src = str(Path(sparsetag.__file__).resolve().parents[1])
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        out.mkdir()
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        subprocess.run([
+            sys.executable, "-m", "sparsetag.cli", "learn-dict",
+            "--embeddings", str(inputs["embeddings"]), "--m", "64", "--lambda", "0.1",
+            "--variant", "sc4", "--epochs", "2", "--seed", "1",
+            "--out-dict", str(out / "dict.txt"), "--out-codes", str(out / "codes.txt"),
+        ], env=env, check=True, capture_output=True, timeout=120)
+        written.append([(out / name).read_bytes() for name in ("dict.txt", "codes.txt")])
+    assert written[0] == written[1]

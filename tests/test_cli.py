@@ -537,6 +537,17 @@ class TestRejectedEntries:
             f"sparsetag: {vectors}:3: duplicate word in vocabulary: 'a'\n"
         )
 
+    def test_empty_cluster_path(self, tmp_path, capsys):
+        clusters = tmp_path / "paths"
+        clusters.write_text("01\ta\t1\n\tb\t1\n", encoding="utf-8")
+        data = tmp_path / "data.conll"
+        data.write_text("1\ta\t_\tA\tA\n2\tb\t_\tB\tB\n\n", encoding="utf-8")
+        assert run("train", "--task", "pos", "--scheme", "brown", "--train", data,
+                   "--format", "conllx", "--clusters", clusters, "--out", tmp_path / "m") == 1
+        assert capsys.readouterr().err == (
+            f"sparsetag: {clusters}:2: path '' is not a non-empty bit string\n"
+        )
+
 
 class TestUndecodableInput:
     def test_codes_file_exits_1(self, tmp_path, capsys):

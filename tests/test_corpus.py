@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,6 +183,13 @@ class TestTagMap:
         path.write_text("# comment\nDT\tDET\nNN\tNOUN\n", encoding="utf-8")
         assert corpus.load_tagmap(path) == {"DT": "DET", "NN": "NOUN"}
 
+    @pytest.mark.parametrize("line", ["\tDET", "NN\t"])
+    def test_tagmap_empty_tag_rejected_with_location(self, tmp_path, line):
+        path = tmp_path / "map.txt"
+        path.write_text(f"DT\tDET\n{line}\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}:2: expected 'fine<TAB>"):
+            corpus.load_tagmap(path)
+
 
 class TestReaderFuzz:
     """Arbitrary bytes and format-like lines load or raise CorpusError."""
@@ -225,7 +234,7 @@ class TestReaderFuzz:
             mapping = corpus.load_tagmap(path)
         except CorpusError:
             return
-        assert all("\t" not in key + value for key, value in mapping.items())
+        assert all(key and value and "\t" not in key + value for key, value in mapping.items())
 
 
 class TestIobes:

@@ -13,7 +13,6 @@ from sparsetag.crf import (
     _log_forward_backward,
     _scaled_forward_backward,
     compile_batch,
-    forward_backward,
     load_model,
     save_model,
     score_sentences,
@@ -22,6 +21,7 @@ from sparsetag.crf import (
     viterbi_path,
 )
 
+from conftest import sentence_forward_backward
 from oracles import crf_enumerate, finite_difference_gradient, path_score, score_lattice_per_feature
 
 
@@ -164,14 +164,15 @@ class TestGatherSum:
 
 class TestInference:
     def test_logz_single_token_uniform(self):
-        assert forward_backward(np.zeros((1, 2)), np.zeros((2, 2)))[0] == pytest.approx(np.log(2))
+        logz = sentence_forward_backward(np.zeros((1, 2)), np.zeros((2, 2)))[0]
+        assert logz == pytest.approx(np.log(2))
 
     def test_logz_matches_enumeration(self):
         rng = np.random.default_rng(1)
         em = rng.standard_normal((3, 3))
         tr = rng.standard_normal((3, 3))
         expected, *_ = crf_enumerate(em, tr)
-        assert forward_backward(em, tr)[0] == pytest.approx(expected, abs=1e-10)
+        assert sentence_forward_backward(em, tr)[0] == pytest.approx(expected, abs=1e-10)
 
     def test_logz_constant_shift(self):
         rng = np.random.default_rng(2)
@@ -179,15 +180,15 @@ class TestInference:
         tr = rng.standard_normal((3, 3))
         shifted = em.copy()
         shifted[2] += 1.75
-        assert forward_backward(shifted, tr)[0] == pytest.approx(
-            forward_backward(em, tr)[0] + 1.75, abs=1e-10
+        assert sentence_forward_backward(shifted, tr)[0] == pytest.approx(
+            sentence_forward_backward(em, tr)[0] + 1.75, abs=1e-10
         )
 
     def test_marginals_sum_to_one(self):
         rng = np.random.default_rng(3)
         em = rng.standard_normal((5, 4))
         tr = rng.standard_normal((4, 4))
-        _, unary, pairwise = forward_backward(em, tr)
+        _, unary, pairwise = sentence_forward_backward(em, tr)
         np.testing.assert_allclose(unary.sum(axis=1), 1.0, atol=1e-10)
         np.testing.assert_allclose(pairwise.sum(axis=(1, 2)), 1.0, atol=1e-10)
 
@@ -199,7 +200,7 @@ class TestInference:
             em = rng.standard_normal((n_pos, n_lab))
             tr = rng.standard_normal((n_lab, n_lab))
             logz_bf, unary_bf, pairwise_bf, *_ = crf_enumerate(em, tr)
-            logz, unary, pairwise = forward_backward(em, tr)
+            logz, unary, pairwise = sentence_forward_backward(em, tr)
             assert logz == pytest.approx(logz_bf, abs=1e-10)
             np.testing.assert_allclose(unary, unary_bf, atol=1e-10)
             np.testing.assert_allclose(pairwise, pairwise_bf, atol=1e-10)
@@ -235,7 +236,7 @@ class TestInference:
         em = rng.standard_normal((6, 3))
         tr = rng.standard_normal((3, 3))
         path = viterbi_path(em, tr)
-        assert path_score(em, tr, path) <= forward_backward(em, tr)[0]
+        assert path_score(em, tr, path) <= sentence_forward_backward(em, tr)[0]
 
 
 def penalized_objective(model, batch_features, batch_labels):
@@ -401,7 +402,7 @@ class TestPackedKernel:
         emissions = np.array(emissions, dtype=np.float64)
         transitions = np.array(transitions, dtype=np.float64)
         logz_bf, unary_bf, pairwise_bf, *_ = crf_enumerate(emissions, transitions)
-        logz, unary, pairwise = forward_backward(emissions, transitions)
+        logz, unary, pairwise = sentence_forward_backward(emissions, transitions)
         assert logz == pytest.approx(logz_bf, abs=1e-10)
         np.testing.assert_allclose(unary, unary_bf, rtol=0, atol=1e-10)
         np.testing.assert_allclose(pairwise, pairwise_bf, rtol=0, atol=1e-10)
@@ -461,7 +462,7 @@ class TestPackedKernel:
             transitions[int(rng.integers(n_lab))] -= 800.0
             transitions[:, int(rng.integers(n_lab))] -= 800.0
             logz_bf, unary_bf, pairwise_bf, *_ = crf_enumerate(emissions, transitions)
-            logz, unary, pairwise = forward_backward(emissions, transitions)
+            logz, unary, pairwise = sentence_forward_backward(emissions, transitions)
             assert logz == pytest.approx(logz_bf, rel=1e-12, abs=1e-10)
             np.testing.assert_allclose(unary, unary_bf, rtol=0, atol=1e-10)
             np.testing.assert_allclose(pairwise, pairwise_bf, rtol=0, atol=1e-10)

@@ -1,3 +1,4 @@
+import re
 from itertools import chain
 
 import numpy as np
@@ -96,6 +97,13 @@ class TestBrownFeatures:
         with pytest.raises(FeatureError):
             load_clusters(path)
 
+    def test_empty_path_rejected_with_location(self, tmp_path):
+        # an empty path would give every such word the same bp4= ... bp20= features
+        path = tmp_path / "paths"
+        path.write_text("0110\tdog\t9\n\tthe\t3\n", encoding="utf-8")
+        with pytest.raises(FeatureError, match=rf"^{re.escape(str(path))}:2: path '' "):
+            load_clusters(path)
+
 
     # cluster-like lines, some well formed, plus arbitrary text and bytes
     _CLUSTER_LINE = st.sampled_from(
@@ -112,7 +120,7 @@ class TestBrownFeatures:
             clusters = load_clusters(path)
         except FeatureError:
             return
-        assert all(not bits.strip("01") for bits in clusters.values())
+        assert all(bits and not bits.strip("01") for bits in clusters.values())
 
 
 class TestRichFeatures:

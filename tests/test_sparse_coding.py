@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sparsetag._base import VARIANTS
@@ -281,6 +281,151 @@ class TestActiveSetFactor:
         assert solver._append(0) is None and solver._append(1) is None
         assert solver._append(2) is not None
         assert solver.size == 2
+
+
+class TestBatchedSeeding:
+    """With m <= k a mini-batch is seeded by FISTA, certified together, and
+    only the rows that fail go to the exact solver."""
+
+    LAM = 0.1
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_final_codes_match_encode(self, data):
+        k = data.draw(st.integers(2, 10), label="k")
+        m = data.draw(st.integers(1, k), label="m")
+        n = data.draw(st.integers(2, 24), label="n")
+        variant = data.draw(st.sampled_from(VARIANTS), label="variant")
+        config = SparseCodingConfig(
+            variant=variant, m=m, lam=data.draw(st.sampled_from((0.05, 0.1, 0.3)), label="lam"),
+            epochs=data.draw(st.integers(1, 3), label="epochs"),
+            batch_size=data.draw(st.integers(1, n - 1), label="batch_size"),  # splits the table
+            seed=data.draw(st.integers(0, 99), label="seed"),
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="table"))
+        table = table_from("w", random_unit_rows(rng, n, k))
+        dictionary, codes = learn_dictionary(table, config)
+        dense = codes.to_dense()
+        for x, alpha in zip(table.vectors, dense):
+            assert kkt_violation(dictionary.atoms, x, alpha, config.lam, config.nonneg) <= 1e-7
+        # With a nearly singular Gram matrix, points far apart all meet the
+        # KKT tolerance, and warm and cold exact solves already disagree
+        # (about 3 in 3,000 such draws, cond > 1e6); compare where the
+        # solution is well determined.
+        assume(np.linalg.cond(dictionary.atoms.T @ dictionary.atoms) <= 1e4)
+        for (idx, val), (ref_idx, ref_val) in zip(codes.entries, encode(dictionary, table).entries):
+            np.testing.assert_array_equal(idx, ref_idx)
+            np.testing.assert_array_equal(np.sign(val), np.sign(ref_val))
+            assert np.all(np.abs(val - ref_val) <= 1e-12 * np.maximum(1.0, np.abs(ref_val)))
+
+    @staticmethod
+    def count_exact_solves(monkeypatch, table, config):
+        from sparsetag.sparse_coding import _ActiveSetLasso
+
+        solved = []
+        solve = _ActiveSetLasso.solve
+        monkeypatch.setattr(_ActiveSetLasso, "solve",
+                            lambda self, c, warm=None: solved.append(c) or solve(self, c, warm))
+        learn_dictionary(table, config)
+        return len(solved)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_most_solves_are_certified(self, monkeypatch, variant):
+        table = table_from("w", random_unit_rows(np.random.default_rng(12), 200, 16))
+        config = SparseCodingConfig(variant=variant, m=16, lam=0.1, epochs=3, batch_size=64, seed=1)
+        # 6, 57 and 7 of the 800 solves go to the exact solver
+        assert self.count_exact_solves(monkeypatch, table, config) <= 100
+
+    def test_more_atoms_than_dimensions_solves_every_word(self, monkeypatch):
+        from sparsetag import sparse_coding
+
+        def no_seed(*args):
+            raise AssertionError("m > k must not be seeded")
+
+        monkeypatch.setattr(sparse_coding, "_fista", no_seed)
+        table = table_from("w", random_unit_rows(np.random.default_rng(13), 40, 6))
+        config = SparseCodingConfig(variant="sc1", m=12, lam=0.1, epochs=2, batch_size=16, seed=1)
+        assert self.count_exact_solves(monkeypatch, table, config) == 40 * 3
+
+    @staticmethod
+    def problem(nonneg, duplicate=False):
+        """A solver that records each (c, warm) it is asked to solve, D, and three signals X."""
+        from sparsetag.sparse_coding import _ActiveSetLasso
+
+        rng = np.random.default_rng(4)
+        D = rng.standard_normal((10, 8))
+        D /= np.linalg.norm(D, axis=0)
+        if duplicate:
+            D[:, 7] = D[:, 6]
+        X = random_unit_rows(rng, 3, 10) * 2.0
+        solver = _ActiveSetLasso(D.T @ D, TestBatchedSeeding.LAM, nonneg, 10)
+        solved = []
+        solve = solver.solve
+        solver.solve = lambda c, warm=None: solved.append((c, warm)) or solve(c, warm)
+        return solver, solved, D, X
+
+    def exact(self, D, X, nonneg):
+        return np.array([solve_lasso(D, x, self.LAM, nonneg) for x in X])
+
+    @pytest.mark.parametrize("nonneg", [False, True])
+    def test_correct_support_certifies(self, nonneg):
+        from sparsetag.sparse_coding import _seeded_codes
+
+        solver, solved, D, X = self.problem(nonneg)
+        exact = self.exact(D, X, nonneg)
+        assert np.all(np.count_nonzero(exact, axis=1) >= 2)
+        # only the signed support counts, not the seed's magnitudes
+        codes, entries = _seeded_codes(solver, X @ D, 0.5 * np.sign(exact))
+        assert solved == []
+        np.testing.assert_allclose(codes, exact, rtol=0.0, atol=1e-12)
+        for row, (idx, val) in zip(codes, entries):
+            np.testing.assert_array_equal(idx, row.nonzero()[0])
+            np.testing.assert_array_equal(val, row[idx])
+
+    @pytest.mark.parametrize("nonneg, fault", [
+        (False, "missing"), (True, "missing"), (False, "wrong sign"),
+    ])
+    def test_wrong_support_goes_to_the_exact_solver(self, nonneg, fault):
+        from sparsetag.sparse_coding import _seeded_codes
+
+        solver, solved, D, X = self.problem(nonneg)
+        exact = self.exact(D, X, nonneg)
+        seed = exact.copy()
+        j = np.flatnonzero(seed[1])[0]
+        seed[1, j] = 0.0 if fault == "missing" else -seed[1, j]
+        C = X @ D
+        codes, entries = _seeded_codes(solver, C, seed)
+        assert len(solved) == 1
+        c, (warm_idx, warm_val) = solved[0]
+        np.testing.assert_array_equal(c, C[1])
+        np.testing.assert_array_equal(warm_idx, np.flatnonzero(seed[1]))
+        np.testing.assert_array_equal(warm_val, seed[1, warm_idx])
+        np.testing.assert_allclose(codes, exact, rtol=0.0, atol=1e-12)
+        assert [idx.tolist() for idx, _ in entries] == [r.nonzero()[0].tolist() for r in exact]
+
+    def test_singular_group_goes_to_the_exact_solver(self):
+        from sparsetag.sparse_coding import _seeded_codes
+
+        solver, solved, D, X = self.problem(False, duplicate=True)
+        C = X @ D
+        # every seed holds atoms 0, 6 and 7, and atoms 6 and 7 are equal
+        seed = np.zeros((3, 8))
+        seed[:, [0, 6, 7]] = 1.0
+        block = solver.gram[np.ix_([0, 6, 7], [0, 6, 7])]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(np.stack([block] * 3), np.ones((3, 3, 1)))
+        codes, entries = _seeded_codes(solver, C, seed)
+        assert len(solved) == 3
+        for x, row, (idx, val) in zip(X, codes, entries):
+            assert not {6, 7} <= set(idx.tolist())
+            np.testing.assert_array_equal(row[idx], val)
+            assert kkt_violation(D, x, row, self.LAM) <= 1e-7
+
+    def test_zero_gram_gives_no_step(self):
+        from sparsetag.sparse_coding import _fista
+
+        start = np.arange(6.0).reshape(2, 3)
+        assert _fista(np.zeros((3, 3)), np.ones((2, 3)), start, 0.1, False, 50) is start
 
 
 class TestLearnDictionary:
