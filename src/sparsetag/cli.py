@@ -189,10 +189,7 @@ def _cmd_tag(args):
     feat_config = features.FeatureConfig(scheme=scheme, window=window)
     resources = _resources_for(scheme, args, lowercase=lowercase)
     dataset = corpus.read_dataset(args.input, args.format, use_cpostag=args.cpostag)
-    batch_features = [
-        features.sentence_features([tok.form for tok in sent], feat_config, resources)
-        for sent in dataset.sentences
-    ]
+    batch_features = _extract_all(dataset, feat_config, resources)
     predictions = [model.decode(em) for em in crf.score_sentences(model, batch_features)]
     tagged = corpus.replace_labels(dataset, predictions)
     with atomic_output(args.out) as tmp:
@@ -211,11 +208,12 @@ def _cmd_eval(args):
     pred_labels = pred.labels()
     _task_format_check(args.task, args.format)
     if args.task == "pos":
-        metrics = evaluation.token_accuracy(gold, pred_labels)
-        print(f"accuracy {metrics:.6f}")
+        metric, value = "accuracy", evaluation.token_accuracy(gold, pred_labels)
+        print(f"accuracy {value:.6f}")
     else:
         metrics = evaluation.entity_f1(gold, pred_labels)
         overall = metrics.overall
+        metric, value = "f1", overall.f1
         print(
             f"f1 {overall.f1:.6f} precision {overall.precision:.6f} "
             f"recall {overall.recall:.6f}"
@@ -227,14 +225,9 @@ def _cmd_eval(args):
                 f"recall {score.recall:.6f} ({score.correct}/{score.predicted}/{score.gold})"
             )
     if args.report:
-        _, row = evaluation.build_report(
-            treebank=args.treebank,
-            task=args.task,
-            scheme=args.scheme,
-            metrics=metrics,
-            lam=getattr(args, "lambda"),
-            m=args.m,
-            sparsity=args.sparsity,
+        row = evaluation.report_row(
+            args.treebank, args.task, args.scheme, getattr(args, "lambda"), args.m,
+            args.sparsity, metric, value,
         )
         evaluation.update_report(args.report, row)
     return 0

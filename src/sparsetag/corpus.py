@@ -45,18 +45,26 @@ UNIVERSAL_POS_TAGS = frozenset(
 _NER_TAG_RE = re.compile(r"^(O|[BIES]-[^\s]+)$")
 
 
-def _sentences_from_rows(row_iter):
+def _read_sentences(path, token):
+    """The sentences of a corpus file, as lists of the tokens its lines hold.
+
+    Blank lines end sentences. Every other line goes to ``token(lineno,
+    line)``, which returns its Token, or None for a line that holds none.
+    A file without a token raises ``CorpusError``.
+    """
     sentences = []
     current = []
-    for row in row_iter:
-        if row is None:
+    for lineno, line in read_lines(path, CorpusError):
+        if not line.strip():
             if current:
                 sentences.append(current)
                 current = []
-        else:
-            current.append(row)
+        elif (tok := token(lineno, line)) is not None:
+            current.append(tok)
     if current:
         sentences.append(current)
+    if not sentences:
+        raise CorpusError(f"{path}: no sentences found")
     return sentences
 
 
@@ -68,24 +76,17 @@ def read_conllx(path, use_cpostag=False) -> Dataset:
     """
     tag_col = 3 if use_cpostag else 4
 
-    def rows():
-        for lineno, line in read_lines(path, CorpusError):
-            if not line.strip():
-                yield None
-                continue
-            cols = line.split("\t")
-            if len(cols) < 5:
-                raise CorpusError(
-                    f"{path}:{lineno}: expected >= 5 tab-separated columns, found {len(cols)}"
-                )
-            if not cols[1]:
-                raise CorpusError(f"{path}:{lineno}: empty word form")
-            yield Token(form=cols[1], label=cols[tag_col])
+    def token(lineno, line):
+        cols = line.split("\t")
+        if len(cols) < 5:
+            raise CorpusError(
+                f"{path}:{lineno}: expected >= 5 tab-separated columns, found {len(cols)}"
+            )
+        if not cols[1]:
+            raise CorpusError(f"{path}:{lineno}: empty word form")
+        return Token(form=cols[1], label=cols[tag_col])
 
-    sentences = _sentences_from_rows(rows())
-    if not sentences:
-        raise CorpusError(f"{path}: no sentences found")
-    return Dataset(sentences=sentences, task="pos")
+    return Dataset(sentences=_read_sentences(path, token), task="pos")
 
 
 _CONLLU_PLAIN_ID = re.compile(r"^\d+$")
@@ -101,31 +102,24 @@ def read_conllu(path) -> Dataset:
     lines (id ``i.j``) are dropped.
     """
 
-    def rows():
-        for lineno, line in read_lines(path, CorpusError):
-            if not line.strip():
-                yield None
-                continue
-            if line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) < 4:
-                raise CorpusError(
-                    f"{path}:{lineno}: expected >= 4 tab-separated columns, found {len(cols)}"
-                )
-            tok_id = cols[0]
-            if _CONLLU_RANGE_ID.match(tok_id) or _CONLLU_EMPTY_ID.match(tok_id):
-                continue
-            if not _CONLLU_PLAIN_ID.match(tok_id):
-                raise CorpusError(f"{path}:{lineno}: malformed token id {tok_id!r}")
-            if not cols[1]:
-                raise CorpusError(f"{path}:{lineno}: empty word form")
-            yield Token(form=cols[1], label=cols[3])
+    def token(lineno, line):
+        if line.startswith("#"):
+            return None
+        cols = line.split("\t")
+        if len(cols) < 4:
+            raise CorpusError(
+                f"{path}:{lineno}: expected >= 4 tab-separated columns, found {len(cols)}"
+            )
+        tok_id = cols[0]
+        if _CONLLU_RANGE_ID.match(tok_id) or _CONLLU_EMPTY_ID.match(tok_id):
+            return None
+        if not _CONLLU_PLAIN_ID.match(tok_id):
+            raise CorpusError(f"{path}:{lineno}: malformed token id {tok_id!r}")
+        if not cols[1]:
+            raise CorpusError(f"{path}:{lineno}: empty word form")
+        return Token(form=cols[1], label=cols[3])
 
-    sentences = _sentences_from_rows(rows())
-    if not sentences:
-        raise CorpusError(f"{path}: no sentences found")
-    return Dataset(sentences=sentences, task="pos")
+    return Dataset(sentences=_read_sentences(path, token), task="pos")
 
 
 def read_conll_ner(path, fmt="2003", normalize=True) -> Dataset:
@@ -142,26 +136,20 @@ def read_conll_ner(path, fmt="2003", normalize=True) -> Dataset:
     if fmt not in ("2002", "2003"):
         raise CorpusError(f"unsupported NER format: {fmt!r}")
 
-    def rows():
-        for lineno, line in read_lines(path, CorpusError):
-            if not line.strip():
-                yield None
-                continue
-            cols = line.split()
-            if cols[0] == "-DOCSTART-":
-                continue
-            if len(cols) < 2:
-                raise CorpusError(
-                    f"{path}:{lineno}: expected at least 'form tag', found {line!r}"
-                )
-            tag = cols[-1]
-            if not _NER_TAG_RE.match(tag):
-                raise CorpusError(f"{path}:{lineno}: malformed NER tag {tag!r}")
-            yield Token(form=cols[0], label=tag)
+    def token(lineno, line):
+        cols = line.split()
+        if cols[0] == "-DOCSTART-":
+            return None
+        if len(cols) < 2:
+            raise CorpusError(
+                f"{path}:{lineno}: expected at least 'form tag', found {line!r}"
+            )
+        tag = cols[-1]
+        if not _NER_TAG_RE.match(tag):
+            raise CorpusError(f"{path}:{lineno}: malformed NER tag {tag!r}")
+        return Token(form=cols[0], label=tag)
 
-    sentences = _sentences_from_rows(rows())
-    if not sentences:
-        raise CorpusError(f"{path}: no sentences found")
+    sentences = _read_sentences(path, token)
     if fmt == "2003" and normalize:
         sentences = [_respan(sent, iobes=False)[0] for sent in sentences]
     return Dataset(sentences=sentences, task="ner")

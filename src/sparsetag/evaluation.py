@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ._base import SparsetagError
 from ._textfiles import atomic_output, read_lines
@@ -35,15 +35,8 @@ class TypeScore:
 
 @dataclass
 class EvalReport:
-    task: str
-    accuracy: float = None
-    overall: TypeScore = None
-    per_type: dict = field(default_factory=dict)
-
-    @property
-    def metric(self) -> float:
-        """Headline number: accuracy for POS, micro F1 for NER."""
-        return self.accuracy if self.task == "pos" else self.overall.f1
+    overall: TypeScore
+    per_type: dict
 
 
 def _check_shapes(gold_sentences, pred_sequences):
@@ -145,24 +138,7 @@ def entity_f1(gold_dataset, pred_sequences) -> EvalReport:
         predicted=sum(predicted.values()),
         gold=sum(gold.values()),
     )
-    return EvalReport(task="ner", overall=overall, per_type=per_type)
-
-
-def build_report(treebank, task, scheme, metrics, lam=None, m=None, sparsity=None):
-    """Assemble an EvalReport plus its serialized table row.
-
-    ``metrics`` is a token accuracy for POS or the EvalReport from
-    :func:`entity_f1` for NER.
-    """
-    if task == "pos":
-        report = EvalReport(task="pos", accuracy=float(metrics))
-    elif task == "ner":
-        report = metrics
-    else:
-        raise EvaluationError(f"unsupported task {task!r}")
-    metric = "accuracy" if task == "pos" else "f1"
-    row = report_row(treebank, task, scheme, lam, m, sparsity, metric, report.metric)
-    return report, row
+    return EvalReport(overall=overall, per_type=per_type)
 
 
 REPORT_COLUMNS = ("treebank", "task", "scheme", "lambda", "m", "sparsity", "metric", "value")

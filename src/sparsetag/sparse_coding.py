@@ -554,22 +554,27 @@ def _certify(gram, C, seed, lam, nonneg):
     return codes, certified
 
 
-def _seeded_codes(solver, C, seed):
-    """Codes of a block of rows from their FISTA seeds, as (dense, entries).
+def _code_batch(solver, C, start, certify):
+    """Codes of a block of rows from their starting points, as (dense, entries).
 
-    A row that ``_certify`` accepts keeps its Newton point; every other row
-    is solved by ``solver`` warm-started from its seed. ``entries`` holds
-    each row's (strictly increasing indices, values).
+    With ``certify``, a row that ``_certify`` accepts on the signed support
+    of its start keeps that Newton point. Every other row is solved by
+    ``solver``, warm-started from its start, or cold when that is empty.
+    ``entries`` holds each row's (strictly increasing indices, values).
+    Without ``certify`` the dense codes are written over ``start``.
     """
-    codes, certified = _certify(solver.gram, C, seed, solver.lam, solver.nonneg)
+    if certify:
+        codes, certified = _certify(solver.gram, C, start, solver.lam, solver.nonneg)
+    else:  # each row's start is read before its code overwrites it
+        codes, certified = start, np.zeros(len(start), dtype=bool)
     entries = []
     for row, ok in enumerate(certified):
         if ok:
             idx = codes[row].nonzero()[0]
             entries.append((idx, codes[row, idx]))
             continue
-        idx = seed[row].nonzero()[0]
-        idx, val = solver.solve(C[row], (idx, seed[row, idx]))
+        idx = start[row].nonzero()[0]
+        idx, val = solver.solve(C[row], (idx, start[row, idx]) if idx.size else None)
         codes[row] = 0.0
         codes[row, idx] = val
         entries.append((idx, val))
@@ -641,20 +646,19 @@ def learn_dictionary(table, config: SparseCodingConfig):
     final sparse refit against the finished dictionary produces the
     returned codes.
 
-    When m > k, each solve is warm-started from the word's code in the
-    previous sparse pass. After a dictionary update many of that code's
-    atoms are stale, so the solver first prunes the start to a support
-    whose Newton point keeps every sign and starts the search stationary
-    on it.
-
-    When m <= k, each mini-batch goes in three steps. _SEED_ITERATIONS
-    FISTA iterations (Beck & Teboulle 2009) with step 1/lambda_max(D^T D)
-    run on the whole batch from the words' previous codes. Each row's
-    Newton point on its seed's signed support is then certified together
-    with the others (see ``_certify``): it is kept only if it passes the
-    tests the exact solver stops on. Every row that fails is solved by the
-    exact solver, warm-started from its seed. Either way every code meets
-    the same KKT tolerances; the two ways differ only in rounding.
+    Each mini-batch starts from one dense block of the words' codes in the
+    previous sparse pass (zeros in the first). When m <= k, that block is
+    first moved by _SEED_ITERATIONS FISTA iterations (Beck & Teboulle
+    2009) with step 1/lambda_max(D^T D), and each row's Newton point on
+    its seed's signed support is certified together with the others (see
+    ``_certify``): it is kept only if it passes the tests the exact solver
+    stops on. One loop then writes every row (see ``_code_batch``): a
+    certified row keeps its Newton point, and every other row, which is
+    every row when m > k, is solved by the exact solver warm-started from
+    its start, or cold when that start is empty. The solver prunes a warm
+    start to a support whose Newton point keeps every sign, since after a
+    dictionary update many of its atoms are stale. Either way every code
+    meets the same KKT tolerances; the two ways differ only in rounding.
 
     Returns (Dictionary, SparseCodes); the Dictionary carries the
     objective trace (one value per epoch plus the final refit).
@@ -668,7 +672,7 @@ def learn_dictionary(table, config: SparseCodingConfig):
     D = _init_dictionary(X, m, config.variant, rng)
     sum_sq = float(np.sum(X * X))
     slices = _batch_slices(n, config.batch_size)
-    warm_entries = [None] * n
+    warm_entries = [(np.zeros(0, dtype=np.int64), np.zeros(0))] * n
     objectives = []
     # With m <= k the Gram matrix can be full rank, the lasso is then
     # strongly convex and FISTA converges linearly. With m > k it is
@@ -688,19 +692,12 @@ def learn_dictionary(table, config: SparseCodingConfig):
         for lo, hi in slices:
             Xb = X[lo:hi]
             ctx = Xb @ current_d
+            start = np.zeros((hi - lo, m))
+            for row, (idx, val) in enumerate(warm_entries[lo:hi]):
+                start[row, idx] = val
             if batched:
-                start = np.zeros((hi - lo, m))
-                for row, entry in enumerate(warm_entries[lo:hi]):
-                    if entry is not None:
-                        start[row, entry[0]] = entry[1]
-                seed = _fista(gram, ctx, start, config.lam, config.nonneg, _SEED_ITERATIONS)
-                alpha, warm_entries[lo:hi] = _seeded_codes(solver, ctx, seed)
-            else:
-                alpha = np.zeros((hi - lo, m))
-                for row, i in enumerate(range(lo, hi)):
-                    idx, val = solver.solve(ctx[row], warm_entries[i])
-                    alpha[row, idx] = val
-                    warm_entries[i] = (idx, val)
+                start = _fista(gram, ctx, start, config.lam, config.nonneg, _SEED_ITERATIONS)
+            alpha, warm_entries[lo:hi] = _code_batch(solver, ctx, start, batched)
             if not np.all(np.isfinite(alpha)):
                 raise SparseCodingError(f"non-finite codes during {epoch_label}")
             A += alpha.T @ alpha

@@ -341,6 +341,35 @@ class TestNerPipeline:
         assert labels == ["labels O S-PER"]
 
 
+class TestEvalReport:
+    # 3 of 5 tags right; 2 of 3 entities right on each side, so P = R = F1 = 2/3
+    CASES = {
+        "pos": ("conllx", "accuracy", 3 / 5,
+                [[("a", "DET"), ("dog", "NOUN"), ("ran", "VERB")], [("it", "PRON"), ("sat", "VERB")]],
+                [[("a", "DET"), ("dog", "VERB"), ("ran", "VERB")], [("it", "PRON"), ("sat", "NOUN")]]),
+        "ner": ("ner2002", "f1", 2 / 3,
+                [[("John", "B-PER"), ("met", "O"), ("Acme", "B-ORG")], [("New", "B-LOC"), ("York", "I-LOC")]],
+                [[("John", "B-PER"), ("met", "O"), ("Acme", "B-LOC")], [("New", "B-LOC"), ("York", "I-LOC")]]),
+    }
+
+    @pytest.mark.parametrize("task", sorted(CASES))
+    def test_report_row_is_the_scored_row(self, tmp_path, capsys, task):
+        from sparsetag.evaluation import REPORT_COLUMNS, report_row
+
+        fmt, metric, value, gold_sents, pred_sents = self.CASES[task]
+        gold, pred, report = tmp_path / "gold", tmp_path / "pred", tmp_path / "report.tsv"
+        write_dataset(gold, make_dataset(gold_sents, task=task), fmt)
+        write_dataset(pred, make_dataset(pred_sents, task=task), fmt)
+        assert run(
+            "eval", "--gold", gold, "--pred", pred, "--format", fmt, "--task", task,
+            "--report", report, "--treebank", "synth", "--scheme", "sc",
+            "--lambda", 0.1, "--m", 12, "--sparsity", 0.95,
+        ) == 0
+        assert capsys.readouterr().out.startswith(f"{metric} {value:.6f}")
+        row = report_row("synth", task, "sc", 0.1, 12, 0.95, metric, value)
+        assert report.read_text(encoding="utf-8") == "\t".join(REPORT_COLUMNS) + "\n" + row + "\n"
+
+
 class TestCoverage:
     def test_seventy_percent(self, tmp_path, capsys):
         words = [f"w{i}" for i in range(7)]

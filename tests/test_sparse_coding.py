@@ -319,22 +319,28 @@ class TestBatchedSeeding:
             assert np.all(np.abs(val - ref_val) <= 1e-12 * np.maximum(1.0, np.abs(ref_val)))
 
     @staticmethod
-    def count_exact_solves(monkeypatch, table, config):
+    def exact_solves(monkeypatch, table, config):
+        """Run learn_dictionary; return each exact solve's (warm start, code) in call order."""
         from sparsetag.sparse_coding import _ActiveSetLasso
 
-        solved = []
+        calls = []
         solve = _ActiveSetLasso.solve
-        monkeypatch.setattr(_ActiveSetLasso, "solve",
-                            lambda self, c, warm=None: solved.append(c) or solve(self, c, warm))
+
+        def spy(self, c, warm=None):
+            code = solve(self, c, warm)
+            calls.append((warm, code))
+            return code
+
+        monkeypatch.setattr(_ActiveSetLasso, "solve", spy)
         learn_dictionary(table, config)
-        return len(solved)
+        return calls
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_most_solves_are_certified(self, monkeypatch, variant):
         table = table_from("w", random_unit_rows(np.random.default_rng(12), 200, 16))
         config = SparseCodingConfig(variant=variant, m=16, lam=0.1, epochs=3, batch_size=64, seed=1)
         # 6, 57 and 7 of the 800 solves go to the exact solver
-        assert self.count_exact_solves(monkeypatch, table, config) <= 100
+        assert len(self.exact_solves(monkeypatch, table, config)) <= 100
 
     def test_more_atoms_than_dimensions_solves_every_word(self, monkeypatch):
         from sparsetag import sparse_coding
@@ -343,9 +349,24 @@ class TestBatchedSeeding:
             raise AssertionError("m > k must not be seeded")
 
         monkeypatch.setattr(sparse_coding, "_fista", no_seed)
-        table = table_from("w", random_unit_rows(np.random.default_rng(13), 40, 6))
+        n = 40
+        table = table_from("w", random_unit_rows(np.random.default_rng(13), n, 6))
         config = SparseCodingConfig(variant="sc1", m=12, lam=0.1, epochs=2, batch_size=16, seed=1)
-        assert self.count_exact_solves(monkeypatch, table, config) == 40 * 3
+        calls = self.exact_solves(monkeypatch, table, config)
+        assert len(calls) == n * 3
+        # the first pass is cold; every later solve starts from the word's
+        # previous code, or cold when that code is empty
+        assert all(warm is None for warm, _ in calls[:n])
+        warm_started = 0
+        for (warm, _), (_, (idx, val)) in zip(calls[n:], calls):
+            on = val != 0.0
+            if not on.any():
+                assert warm is None
+                continue
+            warm_started += 1
+            np.testing.assert_array_equal(warm[0], idx[on])
+            np.testing.assert_array_equal(warm[1], val[on])
+        assert warm_started >= n
 
     @staticmethod
     def problem(nonneg, duplicate=False):
@@ -369,13 +390,13 @@ class TestBatchedSeeding:
 
     @pytest.mark.parametrize("nonneg", [False, True])
     def test_correct_support_certifies(self, nonneg):
-        from sparsetag.sparse_coding import _seeded_codes
+        from sparsetag.sparse_coding import _code_batch
 
         solver, solved, D, X = self.problem(nonneg)
         exact = self.exact(D, X, nonneg)
         assert np.all(np.count_nonzero(exact, axis=1) >= 2)
         # only the signed support counts, not the seed's magnitudes
-        codes, entries = _seeded_codes(solver, X @ D, 0.5 * np.sign(exact))
+        codes, entries = _code_batch(solver, X @ D, 0.5 * np.sign(exact), True)
         assert solved == []
         np.testing.assert_allclose(codes, exact, rtol=0.0, atol=1e-12)
         for row, (idx, val) in zip(codes, entries):
@@ -386,7 +407,7 @@ class TestBatchedSeeding:
         (False, "missing"), (True, "missing"), (False, "wrong sign"),
     ])
     def test_wrong_support_goes_to_the_exact_solver(self, nonneg, fault):
-        from sparsetag.sparse_coding import _seeded_codes
+        from sparsetag.sparse_coding import _code_batch
 
         solver, solved, D, X = self.problem(nonneg)
         exact = self.exact(D, X, nonneg)
@@ -394,7 +415,7 @@ class TestBatchedSeeding:
         j = np.flatnonzero(seed[1])[0]
         seed[1, j] = 0.0 if fault == "missing" else -seed[1, j]
         C = X @ D
-        codes, entries = _seeded_codes(solver, C, seed)
+        codes, entries = _code_batch(solver, C, seed, True)
         assert len(solved) == 1
         c, (warm_idx, warm_val) = solved[0]
         np.testing.assert_array_equal(c, C[1])
@@ -404,7 +425,7 @@ class TestBatchedSeeding:
         assert [idx.tolist() for idx, _ in entries] == [r.nonzero()[0].tolist() for r in exact]
 
     def test_singular_group_goes_to_the_exact_solver(self):
-        from sparsetag.sparse_coding import _seeded_codes
+        from sparsetag.sparse_coding import _code_batch
 
         solver, solved, D, X = self.problem(False, duplicate=True)
         C = X @ D
@@ -414,7 +435,7 @@ class TestBatchedSeeding:
         block = solver.gram[np.ix_([0, 6, 7], [0, 6, 7])]
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(np.stack([block] * 3), np.ones((3, 3, 1)))
-        codes, entries = _seeded_codes(solver, C, seed)
+        codes, entries = _code_batch(solver, C, seed, True)
         assert len(solved) == 3
         for x, row, (idx, val) in zip(X, codes, entries):
             assert not {6, 7} <= set(idx.tolist())
