@@ -609,9 +609,13 @@ def _dictionary_pass(D, A, B, variant, tau, n_signals):
             D[:, j] = (B[:, j] - D @ A[:, j] + ajj * D[:, j]) / denom
 
 
-def _objective_from_stats(D, A, B, sum_sq, l1_sum, lam, tau, variant, n_signals):
-    """Mean-per-signal objective from accumulated sufficient statistics."""
-    quad = sum_sq - 2.0 * float(np.sum(D * B)) + float(np.sum((D.T @ D) * A))
+def _objective_from_stats(D, gram, A, B, sum_sq, l1_sum, lam, tau, variant, n_signals):
+    """Mean-per-signal objective from accumulated sufficient statistics.
+
+    ``gram`` is D^T D; the trace term sum (D^T D)*A is reduced without
+    forming the m x m product.
+    """
+    quad = sum_sq - 2.0 * float(np.sum(D * B)) + float(np.einsum("ij,ij->", gram, A))
     obj = 0.5 * quad / n_signals + lam * l1_sum / n_signals
     if variant != "sc1":
         obj += tau * float(np.sum(D * D))
@@ -660,6 +664,16 @@ def learn_dictionary(table, config: SparseCodingConfig):
     dictionary update many of its atoms are stale. Either way every code
     meets the same KKT tolerances; the two ways differ only in rounding.
 
+    The m x m arrays are the Gram matrix D^T D and A. The Gram matrix is
+    computed once from the initial dictionary and rewritten in place after
+    each epoch's dictionary update, so one matrix serves each dictionary's
+    objective and the sparse pass that follows it. A is the first
+    mini-batch's a^T a; each later mini-batch's product is added to it
+    through one temporary, so a pass holds two m x m arrays with one
+    mini-batch and three with more. A is released once its epoch's
+    objective is taken, before the next pass builds its own, and the
+    objective reduces sum (D^T D)*A without an m x m product.
+
     Returns (Dictionary, SparseCodes); the Dictionary carries the
     objective trace (one value per epoch plus the final refit).
     """
@@ -683,15 +697,13 @@ def learn_dictionary(table, config: SparseCodingConfig):
     # every word on its own, exactly as without seeding.
     batched = m <= k
 
-    def sparse_pass(current_d, epoch_label):
-        gram = current_d.T @ current_d
+    def sparse_pass(gram, epoch_label):
         solver = _ActiveSetLasso(gram, config.lam, config.nonneg, k)
-        A = np.zeros((m, m))
         B = np.zeros((k, m))
         l1_sum = 0.0
         for lo, hi in slices:
             Xb = X[lo:hi]
-            ctx = Xb @ current_d
+            ctx = Xb @ D
             start = np.zeros((hi - lo, m))
             for row, (idx, val) in enumerate(warm_entries[lo:hi]):
                 start[row, idx] = val
@@ -700,28 +712,37 @@ def learn_dictionary(table, config: SparseCodingConfig):
             alpha, warm_entries[lo:hi] = _code_batch(solver, ctx, start, batched)
             if not np.all(np.isfinite(alpha)):
                 raise SparseCodingError(f"non-finite codes during {epoch_label}")
-            A += alpha.T @ alpha
+            if lo:
+                A += alpha.T @ alpha
+            else:  # the first product is A itself, not added to a zero block
+                A = alpha.T @ alpha
             B += Xb.T @ alpha
             l1_sum += float(np.abs(alpha).sum())
         return A, B, l1_sum
 
+    gram = D.T @ D
+
+    def objective(A, B, l1_sum):
+        return _objective_from_stats(
+            D, gram, A, B, sum_sq, l1_sum, config.lam, config.tau, config.variant, n
+        )
+
     for epoch in range(1, config.epochs + 1):
-        A, B, l1_sum = sparse_pass(D, f"epoch {epoch}")
+        A, B, l1_sum = sparse_pass(gram, f"epoch {epoch}")
         for _ in slices:
             _dictionary_pass(D, A, B, config.variant, config.tau, n)
         if not np.all(np.isfinite(D)):
             raise SparseCodingError(f"non-finite dictionary after epoch {epoch}")
-        obj = _objective_from_stats(
-            D, A, B, sum_sq, l1_sum, config.lam, config.tau, config.variant, n
-        )
+        # the updated dictionary's Gram matrix serves its objective and the next pass
+        np.matmul(D.T, D, out=gram)
+        obj = objective(A, B, l1_sum)
+        del A  # the next pass builds its own
         if not math.isfinite(obj):
             raise SparseCodingError(f"objective diverged at epoch {epoch}")
         objectives.append(obj)
 
-    A, B, l1_sum = sparse_pass(D, "final refit")
-    objectives.append(
-        _objective_from_stats(D, A, B, sum_sq, l1_sum, config.lam, config.tau, config.variant, n)
-    )
+    A, B, l1_sum = sparse_pass(gram, "final refit")
+    objectives.append(objective(A, B, l1_sum))
     entries = [_significant(idx, val) for idx, val in warm_entries]
     dictionary = Dictionary(
         atoms=D,

@@ -94,13 +94,9 @@ def test_chain_passes_every_independent_check(name, tmp_path, capsys):
     checks.check_beats_baseline(task, scored, baseline)
 
 
-def test_learn_dict_output_does_not_depend_on_blas_threads(tmp_path):
-    """learn-dict at the ner-tag shape (m = k = 64, sc4), where FISTA seeds
-    each mini-batch through matrix products, writes the same bytes with one
-    and with two BLAS threads."""
-    # the benchmark's ner-tag spec with fewer tokens: the vectors, drawn
-    # before the corpora, are the same 522 as the workload's at seed 1
-    spec = dict(task="ner", stream=3, k=64, vocab=500, train_tokens=300, test_tokens=100)
+def _learn_dict_bytes_by_blas_threads(tmp_path, spec, m, variant):
+    """The dict.txt and codes.txt bytes of a 2-epoch learn-dict at seed 1,
+    run with one and with two BLAS threads."""
     inputs = gen.write_inputs(spec, 1, tmp_path / "inputs")
     src = str(Path(sparsetag.__file__).resolve().parents[1])
     written = []
@@ -111,9 +107,29 @@ def test_learn_dict_output_does_not_depend_on_blas_threads(tmp_path):
                    OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
         subprocess.run([
             sys.executable, "-m", "sparsetag.cli", "learn-dict",
-            "--embeddings", str(inputs["embeddings"]), "--m", "64", "--lambda", "0.1",
-            "--variant", "sc4", "--epochs", "2", "--seed", "1",
+            "--embeddings", str(inputs["embeddings"]), "--m", str(m), "--lambda", "0.1",
+            "--variant", variant, "--epochs", "2", "--seed", "1",
             "--out-dict", str(out / "dict.txt"), "--out-codes", str(out / "codes.txt"),
         ], env=env, check=True, capture_output=True, timeout=120)
         written.append([(out / name).read_bytes() for name in ("dict.txt", "codes.txt")])
-    assert written[0] == written[1]
+    return written
+
+
+def test_learn_dict_output_does_not_depend_on_blas_threads(tmp_path):
+    """learn-dict at the ner-tag shape (m = k = 64, sc4), where FISTA seeds
+    each mini-batch through matrix products, writes the same bytes with one
+    and with two BLAS threads."""
+    # the benchmark's ner-tag spec with fewer tokens: the vectors, drawn
+    # before the corpora, are the same 522 as the workload's at seed 1
+    spec = dict(task="ner", stream=3, k=64, vocab=500, train_tokens=300, test_tokens=100)
+    one, two = _learn_dict_bytes_by_blas_threads(tmp_path, spec, 64, "sc4")
+    assert one == two
+
+
+def test_learn_dict_output_does_not_depend_on_blas_threads_at_paper_shape(tmp_path):
+    """The same at the dict-paper shape (m = 1024 > k = 64, sc1, 256 words),
+    where every word is solved on its own against a Gram matrix that is
+    rewritten in place after each dictionary update."""
+    spec = dict(task="pos", stream=1, k=64, vocab=256, train_tokens=300, test_tokens=100)
+    one, two = _learn_dict_bytes_by_blas_threads(tmp_path, spec, 1024, "sc1")
+    assert one == two

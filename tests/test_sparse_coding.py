@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -517,6 +518,40 @@ class TestLearnDictionary:
         for (i1, v1), (i2, v2) in zip(c1.entries, c2.entries):
             np.testing.assert_array_equal(i1, i2)
             np.testing.assert_array_equal(v1, v2)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("k, m", [(8, 24), (16, 12)])
+    def test_objective_is_that_of_the_returned_dictionary_and_codes(self, variant, k, m):
+        table = table_from("w", random_unit_rows(np.random.default_rng(15), 64, k))
+        config = SparseCodingConfig(variant=variant, m=m, lam=0.1, epochs=3, batch_size=25, seed=4)
+        dictionary, codes = learn_dictionary(table, config)
+        D = dictionary.atoms
+        dense = codes.to_dense()
+        residual = table.vectors - dense @ D.T
+        direct = np.mean(0.5 * np.sum(residual**2, axis=1) + config.lam * np.abs(dense).sum(axis=1))
+        if variant != "sc1":
+            direct += config.tau * np.sum(D * D)
+        assert dictionary.objectives[-1] == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("batch_size, n, bound", [(256, 64, 3.0), (128, 300, 4.0)])
+    def test_m_by_m_working_set(self, batch_size, n, bound):
+        """With m > k the m x m arrays are the Gram matrix, A and, after the
+        first mini-batch of a pass, one a^T a product."""
+        m = 512
+        table = table_from("w", random_unit_rows(np.random.default_rng(16), n, 16))
+        config = SparseCodingConfig(variant="sc1", m=m, lam=0.1, epochs=2,
+                                    batch_size=batch_size, seed=1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            learn_dictionary(table, config)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # 2.5 and 3.7 m^2 doubles here; one more m x m array (a second Gram
+        # matrix, the previous pass's A, a product in the objective) passes
+        # the bound
+        assert peak < bound * m * m * 8
 
     def test_all_zero_table_rejected(self):
         table = EmbeddingTable(["a", "b"], np.zeros((2, 4)))
