@@ -343,32 +343,6 @@ class TestBatchedSeeding:
         # 6, 57 and 7 of the 800 solves go to the exact solver
         assert len(self.exact_solves(monkeypatch, table, config)) <= 100
 
-    def test_more_atoms_than_dimensions_solves_every_word(self, monkeypatch):
-        from sparsetag import sparse_coding
-
-        def no_seed(*args):
-            raise AssertionError("m > k must not be seeded")
-
-        monkeypatch.setattr(sparse_coding, "_fista", no_seed)
-        n = 40
-        table = table_from("w", random_unit_rows(np.random.default_rng(13), n, 6))
-        config = SparseCodingConfig(variant="sc1", m=12, lam=0.1, epochs=2, batch_size=16, seed=1)
-        calls = self.exact_solves(monkeypatch, table, config)
-        assert len(calls) == n * 3
-        # the first pass is cold; every later solve starts from the word's
-        # previous code, or cold when that code is empty
-        assert all(warm is None for warm, _ in calls[:n])
-        warm_started = 0
-        for (warm, _), (_, (idx, val)) in zip(calls[n:], calls):
-            on = val != 0.0
-            if not on.any():
-                assert warm is None
-                continue
-            warm_started += 1
-            np.testing.assert_array_equal(warm[0], idx[on])
-            np.testing.assert_array_equal(warm[1], val[on])
-        assert warm_started >= n
-
     @staticmethod
     def problem(nonneg, duplicate=False):
         """A solver that records each (c, warm) it is asked to solve, D, and three signals X."""
@@ -397,7 +371,7 @@ class TestBatchedSeeding:
         exact = self.exact(D, X, nonneg)
         assert np.all(np.count_nonzero(exact, axis=1) >= 2)
         # only the signed support counts, not the seed's magnitudes
-        codes, entries = _code_batch(solver, X @ D, 0.5 * np.sign(exact), True)
+        codes, entries = _code_batch(solver, X @ D, 0.5 * np.sign(exact))
         assert solved == []
         np.testing.assert_allclose(codes, exact, rtol=0.0, atol=1e-12)
         for row, (idx, val) in zip(codes, entries):
@@ -416,7 +390,7 @@ class TestBatchedSeeding:
         j = np.flatnonzero(seed[1])[0]
         seed[1, j] = 0.0 if fault == "missing" else -seed[1, j]
         C = X @ D
-        codes, entries = _code_batch(solver, C, seed, True)
+        codes, entries = _code_batch(solver, C, seed)
         assert len(solved) == 1
         c, (warm_idx, warm_val) = solved[0]
         np.testing.assert_array_equal(c, C[1])
@@ -436,7 +410,7 @@ class TestBatchedSeeding:
         block = solver.gram[np.ix_([0, 6, 7], [0, 6, 7])]
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(np.stack([block] * 3), np.ones((3, 3, 1)))
-        codes, entries = _code_batch(solver, C, seed, True)
+        codes, entries = _code_batch(solver, C, seed)
         assert len(solved) == 3
         for x, row, (idx, val) in zip(X, codes, entries):
             assert not {6, 7} <= set(idx.tolist())
@@ -448,6 +422,100 @@ class TestBatchedSeeding:
 
         start = np.arange(6.0).reshape(2, 3)
         assert _fista(np.zeros((3, 3)), np.ones((2, 3)), start, 0.1, False, 50) is start
+
+
+class TestLockstepCodes:
+    """With m > k each mini-batch is coded by one lockstep feature-sign
+    search in k-space, with no Gram matrix; its codes are the per-word
+    search's."""
+
+    @staticmethod
+    def dictionary(rng, k, m, variant):
+        D = rng.standard_normal((k, m))
+        if variant == "sc1":
+            return D / np.linalg.norm(D, axis=0)
+        return D * rng.uniform(0.3, 1.5, m)  # sc3/sc4 columns are shrunk, not normalized
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_codes_match_the_per_word_search(self, data):
+        from sparsetag.sparse_coding import _ActiveSetLasso, _LockstepLasso
+
+        # k <= 4 with a small lambda takes supports to the rank cap k
+        k = data.draw(st.integers(3, 8), label="k")
+        m = data.draw(st.integers(2 * k, 4 * k), label="m")
+        variant = data.draw(st.sampled_from(VARIANTS), label="variant")
+        lam = data.draw(st.sampled_from((0.02, 0.1, 0.3)), label="lam")
+        n = data.draw(st.integers(9, 30), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        D = self.dictionary(rng, k, m, variant)
+        X = rng.standard_normal((n, k))
+        nonneg = variant == "sc4"
+        # more rows than are searched at once
+        entries, residuals = _LockstepLasso(D, lam, nonneg, 8).solve(X)
+        solver = _ActiveSetLasso(D.T @ D, lam, nonneg, k)
+        for x, (idx, val), resid in zip(X, entries, residuals):
+            ref_idx, ref_val = solver.solve(x @ D)
+            np.testing.assert_array_equal(idx, ref_idx)
+            np.testing.assert_array_equal(np.sign(val), np.sign(ref_val))
+            alpha = np.zeros(m)
+            alpha[idx] = val
+            assert kkt_violation(D, x, alpha, lam, nonneg) <= 1e-7
+            np.testing.assert_allclose(resid, x - D @ alpha, rtol=0.0, atol=1e-12)
+            # both codes are exact to rounding; how far apart rounding puts
+            # them grows with the condition number of the support's Gram block
+            cond = np.linalg.cond(D[:, idx].T @ D[:, idx]) if idx.size else 1.0
+            tol = 1e-12 * max(1.0, cond / 1e3) * np.maximum(1.0, np.abs(ref_val))
+            assert np.all(np.abs(val - ref_val) <= tol)
+
+    def test_each_row_takes_the_per_word_search_steps(self):
+        """A row needs the per-word search's step budget, the check on a
+        fresh residual included; one step less raises LassoConvergenceError
+        with the row's iterate and residual correlations."""
+        from sparsetag.sparse_coding import LassoConvergenceError, _ActiveSetLasso, _LockstepLasso
+
+        def steps_needed(solve):
+            for budget in range(1, 200):
+                try:
+                    solve(budget)
+                    return budget
+                except LassoConvergenceError:
+                    continue
+
+        rng = np.random.default_rng(55)
+        D = self.dictionary(rng, 12, 30, "sc1")
+        for x in random_unit_rows(rng, 5, 12):
+            gram, c = D.T @ D, x @ D
+            budget = steps_needed(lambda s: _ActiveSetLasso(gram, 0.2, False, 12, s).solve(c))
+            search = _LockstepLasso(D, 0.2, False, 1, budget)
+            search.solve(x[None])
+            short = _LockstepLasso(D, 0.2, False, 1, budget - 1)
+            with pytest.raises(LassoConvergenceError) as exc:
+                short.solve(x[None])
+            assert search.fallback is short.fallback is None  # no row was handed off
+            alpha, residual = exc.value.alpha, exc.value.residual
+            assert alpha.shape == residual.shape == (30,)
+            np.testing.assert_allclose(residual, (x - D @ alpha) @ D, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("k, m, lam, handed_off", [(64, 128, 0.1, False), (3, 8, 0.02, True)])
+    def test_more_atoms_than_dimensions_codes_in_lockstep(self, monkeypatch, k, m, lam,
+                                                          handed_off):
+        """No FISTA seed and no warm start; the per-word search sees only the
+        rows handed off at the rank cap or on an atom in the support's span."""
+        from sparsetag import sparse_coding
+
+        def no_seed(*args):
+            raise AssertionError("m > k must not be seeded")
+
+        monkeypatch.setattr(sparse_coding, "_fista", no_seed)
+        table = table_from("w", random_unit_rows(np.random.default_rng(13), 40, k))
+        config = SparseCodingConfig(variant="sc1", m=m, lam=lam, epochs=2, batch_size=16, seed=1)
+        calls = TestBatchedSeeding.exact_solves(monkeypatch, table, config)
+        assert all(warm is None for warm, _ in calls)
+        assert len(calls) >= 1 if handed_off else len(calls) == 0
+        dictionary, codes = learn_dictionary(table, config)
+        for x, alpha in zip(table.vectors, codes.to_dense()):
+            assert kkt_violation(dictionary.atoms, x, alpha, lam) <= 1e-7
 
 
 class TestLearnDictionary:
@@ -535,8 +603,8 @@ class TestLearnDictionary:
 
     @pytest.mark.parametrize("batch_size, n, bound", [(256, 64, 3.0), (128, 300, 4.0)])
     def test_m_by_m_working_set(self, batch_size, n, bound):
-        """With m > k the m x m arrays are the Gram matrix, A and, after the
-        first mini-batch of a pass, one a^T a product."""
+        """With m > k the m x m arrays are A and, after the first mini-batch
+        of a pass, one a^T a product."""
         m = 512
         table = table_from("w", random_unit_rows(np.random.default_rng(16), n, 16))
         config = SparseCodingConfig(variant="sc1", m=m, lam=0.1, epochs=2,
@@ -548,10 +616,26 @@ class TestLearnDictionary:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        # 2.5 and 3.7 m^2 doubles here; one more m x m array (a second Gram
-        # matrix, the previous pass's A, a product in the objective) passes
-        # the bound
+        # 1.5 and 3.2 m^2 doubles here; one more m x m array (a Gram matrix,
+        # the previous pass's A, a product in the objective) passes the bound
         assert peak < bound * m * m * 8
+
+    def test_paper_shape_working_set(self):
+        """At the paper's shape (k = 64, m = 1024, one mini-batch) the traced
+        peak is A, the codes and the lockstep search's state, with no Gram
+        matrix."""
+        m = 1024
+        table = table_from("w", random_unit_rows(np.random.default_rng(17), 256, 64))
+        config = SparseCodingConfig(variant="sc1", m=m, lam=0.1, epochs=1, seed=1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            learn_dictionary(table, config)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # 1.7 m^2 doubles here, 3.0 with the Gram matrix of the per-word search
+        assert peak < 2.25 * m * m * 8
 
     def test_all_zero_table_rejected(self):
         table = EmbeddingTable(["a", "b"], np.zeros((2, 4)))
