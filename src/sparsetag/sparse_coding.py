@@ -9,19 +9,18 @@ Three objective variants over signals x_i (the embedding of word i):
 
 The sparse step is an l1-regularized least-squares problem solved exactly
 by an active-set (feature-sign) search. ``encode`` and ``solve_lasso`` run
-it word by word on the precomputed Gram matrix. Dictionary learning with
-more atoms than dimensions (m > k, the paper's shape) instead searches
-each mini-batch in lockstep in k-space: one matrix product gives every
-row's correlations each round, and no Gram matrix is formed. When the
-dictionary has no more atoms than dimensions (m <= k), each mini-batch is
-first seeded by a fixed number of batched FISTA iterations from the
-words' previous codes; the Newton point on each seed's signed support is
-accepted when it passes the exact solver's own stopping tests, and only
-the rows that fail go to the per-word search, warm-started from the seed,
-which it first prunes to a support whose exact solution keeps every sign.
-The dictionary step is block coordinate descent over columns on
-accumulated sufficient statistics. Every solver output carries an exact
-KKT certificate, checkable with :func:`kkt_violation`.
+it word by word on the precomputed Gram matrix. Dictionary learning codes
+the words of each sparse pass together. When the dictionary has no more
+atoms than dimensions (m <= k), each mini-batch is first seeded by a fixed
+number of batched FISTA iterations from the words' previous codes, and the
+Newton point on each seed's signed support is kept when it passes the
+exact solver's own stopping tests. Every other word (at m > k, the
+paper's shape, every word) goes to one search per pass that runs the
+words in lockstep in k-space: one matrix product gives every row's
+correlations each round, and no Gram matrix is formed. The dictionary
+step is block coordinate descent over columns on accumulated sufficient
+statistics. Every solver output carries an exact KKT certificate,
+checkable with :func:`kkt_violation`.
 """
 
 from __future__ import annotations
@@ -250,13 +249,6 @@ class _ActiveSetLasso:
     if that exceeds lam. Each move descends, so the search ends; it returns
     once the KKT conditions hold against a freshly computed rho.
 
-    A warm start is pruned before the search (see ``_start``): its support
-    is cut until the Newton point on it keeps every sign, so the search
-    begins stationary on A. Stale atoms then cost one solve on the Gram
-    block per round and one factorization in all instead of one Newton
-    step each, while a fresh start still saves the entries it already
-    holds.
-
     A holds independent atoms in insertion order with R = L^-1, the inverse
     of the Cholesky factor of G_AA (G_AA^-1 = R^T R): adding an atom appends
     a row to R, dropping one rotates R's later rows back to triangular
@@ -280,17 +272,12 @@ class _ActiveSetLasso:
         self.sign = np.zeros(self.cap)
         self.size = 0
 
-    def solve(self, c, warm=None):
-        """Codes for one signal as (strictly increasing indices, values).
-
-        ``warm`` is an optional (indices, values) starting point.
-        """
+    def solve(self, c):
+        """Codes for one signal as (strictly increasing indices, values)."""
         lam = self.lam
         self.size = 0
-        if warm is not None:
-            self._start(c, *warm)
-        rho = c - self.coef[: self.size] @ self.rows[: self.size]
-        fresh, stationary = True, False
+        rho = c.copy()
+        fresh = stationary = True
         for _ in range(self.max_steps):
             s = self.size
             act = self.act[:s]
@@ -322,61 +309,6 @@ class _ActiveSetLasso:
             alpha=alpha,
             residual=c - alpha @ self.gram,
         )
-
-    def _start(self, c, idx, val):
-        """Load a warm start pruned to a support whose Newton point keeps its signs.
-
-        While some coefficient of the Newton point G_AA^-1 (c_A - lam s_A)
-        of the warm support, one ``np.linalg.solve`` on the Gram block,
-        does not keep its sign strictly, those atoms are cut; a singular
-        block ends these rounds. The support is then factored once, and
-        the same test against R^T R repeats until no sign flips, so atoms
-        that ``_load`` leaves out as dependent are handled exactly. The
-        search then starts from a point that is stationary on A, so it
-        begins by adding atoms rather than dropping stale ones one Newton
-        step at a time.
-        """
-        keep = val > 0.0 if self.nonneg else val != 0.0
-        idx, sign = idx[keep], np.sign(val[keep])
-        while idx.size:
-            try:
-                coef = np.linalg.solve(self.gram[np.ix_(idx, idx)], c[idx] - self.lam * sign)
-            except np.linalg.LinAlgError:
-                break
-            kept = coef * sign > 0.0
-            if kept.all():
-                break
-            idx, sign = idx[kept], sign[kept]
-        self._load(idx, sign)
-        while s := self.size:
-            act, sign = self.act[:s], self.sign[:s]
-            inv = self.inv_chol[:s, :s]
-            coef = inv.T @ (inv @ (c[act] - self.lam * sign))
-            kept = coef * sign > 0.0
-            if kept.all():
-                self.coef[:s] = coef
-                return
-            self._load(act[kept], sign[kept])
-
-    def _load(self, idx, sign):
-        """Make A the atoms idx with signs sign; atoms that cannot join A are left out."""
-        s = idx.size
-        try:  # factor the whole support at once when it is independent
-            chol = np.linalg.cholesky(self.gram[np.ix_(idx, idx)])
-            whole = s <= self.cap and np.all(np.diagonal(chol) ** 2 > _SPAN_EPS * self.diag[idx])
-        except np.linalg.LinAlgError:
-            whole = False
-        if whole:
-            self.inv_chol[:s, :s] = np.tril(np.linalg.inv(chol))
-            self.rows[:s] = self.gram[idx]
-            self.act[:s] = idx
-            self.sign[:s] = sign
-            self.size = s
-            return
-        self.size = 0
-        for j, sj in zip(idx, sign):
-            if self._append(j) is None:
-                self.sign[self.size - 1] = sj
 
     def _append(self, j):
         """Add atom j to the support, or return w = R G[A, j] if in its span."""
@@ -470,10 +402,10 @@ class _LockstepLasso:
     """Feature-sign search (Lee et al. 2007) for many signals at once, in k-space.
 
     ``solve(X)`` codes every row x of X as ``_ActiveSetLasso`` does, move for
-    move, against D (k x m) itself: no Gram matrix is formed and no row is
-    warm-started. Besides its signed support A and coefficients a, a row
-    keeps R with R G_AA R^T = I (so G_AA^-1 = R^T R), U = R D_A^T, whose
-    rows are orthonormal, and its residual r = x - D a. Each round computes
+    move, against D (k x m) itself, so no Gram matrix is formed. Besides
+    its signed support A and coefficients a, a row keeps R with
+    R G_AA R^T = I (so G_AA^-1 = R^T R), U = R D_A^T, whose rows are
+    orthonormal, and its residual r = x - D a. Each round computes
     the correlations rho = r D of every live row in one matrix product, and
     each row takes one step:
 
@@ -727,13 +659,13 @@ class _LockstepLasso:
         self.size[rows] = last
 
 
-def solve_lasso(D, x, lam, nonneg=False, max_steps=None, warm_start=None):
+def solve_lasso(D, x, lam, nonneg=False, max_steps=None):
     """Minimize 0.5*||x - D a||^2 + lam*||a||_1 (a >= 0 when nonneg).
 
     Exact active-set (feature-sign) search on the Gram matrix D^T D; the
-    result satisfies the KKT conditions to 1e-7. ``warm_start`` is a
-    starting code; ``max_steps`` caps the active-set moves (default
-    4*m + 16) and LassoConvergenceError is raised when it runs out.
+    result satisfies the KKT conditions to 1e-7. ``max_steps`` caps the
+    active-set moves (default 4*m + 16) and LassoConvergenceError is
+    raised when it runs out.
     """
     D = np.asarray(D, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
@@ -744,14 +676,8 @@ def solve_lasso(D, x, lam, nonneg=False, max_steps=None, warm_start=None):
     if not lam > 0:
         raise SparseCodingError("lambda must be > 0")
     solver = _ActiveSetLasso(D.T @ D, lam, nonneg, D.shape[0], max_steps)
-    warm = None
-    if warm_start is not None:
-        warm_start = np.asarray(warm_start, dtype=np.float64)
-        if warm_start.shape != (D.shape[1],) or not np.all(np.isfinite(warm_start)):
-            raise SparseCodingError("warm_start must be a finite vector of length m")
-        warm = (np.flatnonzero(warm_start), warm_start[warm_start != 0.0])
     alpha = np.zeros(D.shape[1])
-    idx, val = solver.solve(x @ D, warm)
+    idx, val = solver.solve(x @ D)
     alpha[idx] = val
     return alpha
 
@@ -828,27 +754,47 @@ def _certify(gram, C, seed, lam, nonneg):
     return codes, certified
 
 
-def _code_batch(solver, C, start):
-    """Codes of a block of rows from their seeds, as (dense, entries).
+def _dense(entries, m):
+    """The (indices, values) entries as the rows of one dense block."""
+    block = np.zeros((len(entries), m))
+    for row, (idx, val) in enumerate(entries):
+        block[row, idx] = val
+    return block
 
-    A row that ``_certify`` accepts on the signed support of its seed
-    keeps that Newton point. Every other row is solved by ``solver``,
-    warm-started from its seed, or cold when that is empty. ``entries``
-    holds each row's (strictly increasing indices, values).
+
+def _code_pass(X, D, gram, slices, entries, lam, nonneg):
+    """Code every row of X against D into ``entries``; returns the residuals x - D a.
+
+    With a Gram matrix D^T D (m <= k), each mini-batch X[lo:hi] of
+    ``slices`` is seeded by _SEED_ITERATIONS FISTA iterations from its
+    rows' current entries, and the rows that ``_certify`` accepts keep
+    their Newton points. Every other row, or every row when ``gram`` is
+    None, is coded by one cold ``_LockstepLasso`` search, whose state is
+    freed on return. ``entries`` holds each row's (strictly increasing
+    indices, values).
     """
-    codes, certified = _certify(solver.gram, C, start, solver.lam, solver.nonneg)
-    entries = []
-    for row, ok in enumerate(certified):
-        if ok:
-            idx = codes[row].nonzero()[0]
-            entries.append((idx, codes[row, idx]))
-            continue
-        idx = start[row].nonzero()[0]
-        idx, val = solver.solve(C[row], (idx, start[row, idx]) if idx.size else None)
-        codes[row] = 0.0
-        codes[row, idx] = val
-        entries.append((idx, val))
-    return codes, entries
+    m = D.shape[1]
+    resid = np.empty_like(X)
+    search = np.arange(len(X))
+    if gram is not None:
+        left = []
+        for lo, hi in slices:
+            C = X[lo:hi] @ D
+            seed = _fista(gram, C, _dense(entries[lo:hi], m), lam, nonneg, _SEED_ITERATIONS)
+            codes, certified = _certify(gram, C, seed, lam, nonneg)
+            rows = np.flatnonzero(certified)
+            for row in rows.tolist():
+                idx = codes[row].nonzero()[0]
+                entries[lo + row] = idx, codes[row, idx]
+            resid[lo + rows] = X[lo + rows] - codes[rows] @ D.T
+            left.append(lo + np.flatnonzero(~certified))
+        search = np.concatenate(left)
+    if search.size:
+        search_rows = min(_LOCKSTEP_ROWS, search.size)
+        found, resid[search] = _LockstepLasso(D, lam, nonneg, search_rows).solve(X[search])
+        for row, entry in zip(search.tolist(), found):
+            entries[row] = entry
+    return resid
 
 
 def _dictionary_pass(D, A, B, variant, tau, n_signals):
@@ -862,12 +808,14 @@ def _dictionary_pass(D, A, B, variant, tau, n_signals):
     m = D.shape[1]
     diag_a = np.ascontiguousarray(np.diag(A))
     ridge = 2.0 * tau * n_signals
+    # A is exactly symmetric (every a^T a product goes through syrk), so
+    # its contiguous row j is its column j
     for j in range(m):
         ajj = diag_a[j]
         if variant == "sc1":
             if ajj <= 0.0:
                 continue
-            u = D[:, j] + (B[:, j] - D @ A[:, j]) / ajj
+            u = D[:, j] + (B[:, j] - D @ A[j]) / ajj
             norm = math.sqrt(float(u @ u))
             if norm > 1.0:
                 u = u / norm
@@ -876,7 +824,7 @@ def _dictionary_pass(D, A, B, variant, tau, n_signals):
             denom = ajj + ridge
             if denom <= 0.0:
                 continue
-            D[:, j] = (B[:, j] - D @ A[:, j] + ajj * D[:, j]) / denom
+            D[:, j] = (B[:, j] - D @ A[j] + ajj * D[:, j]) / denom
 
 
 def _objective(D, quad, l1_sum, lam, tau, variant, n_signals):
@@ -887,17 +835,13 @@ def _objective(D, quad, l1_sum, lam, tau, variant, n_signals):
     return obj
 
 
-def _objective_from_stats(D, gram, A, B, sum_sq, l1_sum, lam, tau, variant, n_signals):
+def _objective_from_stats(D, A, B, sum_sq, l1_sum, lam, tau, variant, n_signals):
     """Mean-per-signal objective from accumulated sufficient statistics.
 
-    The trace term sum (D^T D)*A is reduced against ``gram`` (D^T D) when
-    one is given, else as sum (D A)*D, a k x m temporary; neither forms an
-    m x m product.
+    The trace term sum (D^T D)*A is reduced as sum (D A)*D, a k x m
+    temporary, so no m x m product is formed.
     """
-    if gram is None:
-        trace = np.einsum("ij,ij->", D @ A, D)
-    else:
-        trace = np.einsum("ij,ij->", gram, A)
+    trace = np.einsum("ij,ij->", D @ A, D)
     quad = sum_sq - 2.0 * float(np.sum(D * B)) + float(trace)
     return _objective(D, quad, l1_sum, lam, tau, variant, n_signals)
 
@@ -930,28 +874,26 @@ def learn_dictionary(table, config: SparseCodingConfig):
     final sparse refit against the finished dictionary produces the
     returned codes.
 
-    When m > k, every pass starts cold and each mini-batch is coded by one
-    lockstep feature-sign search in k-space (see ``_LockstepLasso``),
-    which forms no Gram matrix. When m <= k, each mini-batch starts from
-    one dense block of the words' codes in the previous sparse pass (zeros
-    in the first), moved by _SEED_ITERATIONS FISTA iterations (Beck &
-    Teboulle 2009) with step 1/lambda_max(D^T D). Each row's Newton point
-    on its seed's signed support is certified together with the others
-    (see ``_certify``) and kept only if it passes the tests the exact
-    solver stops on; every other row is solved by the exact solver
-    warm-started from its seed (see ``_code_batch``). Either way every
-    code meets the same KKT tolerances.
+    When m <= k, each mini-batch starts from one dense block of the words'
+    codes in the previous sparse pass (zeros in the first), moved by
+    _SEED_ITERATIONS FISTA iterations (Beck & Teboulle 2009) with step
+    1/lambda_max(D^T D). Each row's Newton point on its seed's signed
+    support is certified together with the others (see ``_certify``) and
+    kept only if it passes the tests the exact solver stops on. Every other
+    row, and at m > k every row, is coded by one cold lockstep feature-sign
+    search per pass in k-space (see ``_LockstepLasso``), which forms no Gram
+    matrix. Either way every code meets the same KKT tolerances.
 
-    The m x m arrays are A and, when m <= k, the Gram matrix D^T D, which
-    is computed once from the initial dictionary and rewritten in place
-    after each epoch's dictionary update, so one matrix serves each
-    dictionary's objective and the sparse pass that follows it. A is the
-    first mini-batch's a^T a; each later mini-batch's product is added to
-    it through one temporary. A is released once its epoch's objective is
-    taken, before the next pass builds its own. The objective's trace term
-    sum (D^T D)*A takes no m x m product: it is reduced against the Gram
-    matrix when there is one, else as sum (D A)*D. When m > k the final
-    refit's objective comes from the residuals, so that pass builds no A.
+    The m x m arrays are A and, when m <= k, the Gram matrix D^T D that
+    FISTA and certification use, which is computed once from the initial
+    dictionary and rewritten in place after each epoch's dictionary update.
+    A is the first mini-batch's a^T a; each later mini-batch's product is
+    added to it through one temporary. A is formed only after the pass's
+    search has freed its state, and is released once its epoch's objective
+    is taken, before the next pass builds its own. The objective's trace
+    term sum (D^T D)*A is reduced as sum (D A)*D, a k x m temporary. The
+    final refit's objective comes from the residuals x - D a, so that pass
+    builds no A.
 
     Returns (Dictionary, SparseCodes); the Dictionary carries the
     objective trace (one value per epoch plus the final refit).
@@ -975,74 +917,44 @@ def learn_dictionary(table, config: SparseCodingConfig):
     # inputs (m = 1024, k = 64) 50 batched iterations of the first pass
     # cost 0.71-0.79 s and certified 57 of 256 rows, while the lockstep
     # search codes both passes in 0.13-0.14 s, against 0.31 s word by word.
-    batched = m <= k
-    gram = D.T @ D if batched else None
+    gram = D.T @ D if m <= k else None
+    lam = config.lam
 
-    def objective(A, B, l1_sum):
-        return _objective_from_stats(
-            D, gram, A, B, sum_sq, l1_sum, config.lam, config.tau, config.variant, n
-        )
+    def code(label):
+        """Code every word against D into ``entries``; returns the residuals."""
+        resid = _code_pass(X, D, gram, slices, entries, lam, config.nonneg)
+        if not np.all(np.isfinite(resid)):
+            raise SparseCodingError(f"non-finite codes during {label}")
+        return resid
 
-    def dense(lo, hi):
-        block = np.zeros((hi - lo, m))
-        for row, (idx, val) in enumerate(entries[lo:hi]):
-            block[row, idx] = val
-        return block
-
-    def sparse_pass(label, final=False):
-        """Code every word against D, as (A, B, l1_sum); the final m > k
-        pass returns the objective instead."""
-        if batched:
-            solver = _ActiveSetLasso(gram, config.lam, config.nonneg, k)
+    for epoch in range(1, config.epochs + 1):
+        code(f"epoch {epoch}")
         B = np.zeros((k, m))
-        l1_sum = quad = 0.0
+        l1_sum = 0.0
         for lo, hi in slices:
-            Xb = X[lo:hi]
-            if batched:
-                ctx = Xb @ D
-                start = dense(lo, hi)
-                start = _fista(gram, ctx, start, config.lam, config.nonneg, _SEED_ITERATIONS)
-                alpha, entries[lo:hi] = _code_batch(solver, ctx, start)
-            else:
-                # a search per mini-batch, so its state is freed before A is formed
-                entries[lo:hi], resid = _LockstepLasso(
-                    D, config.lam, config.nonneg, min(_LOCKSTEP_ROWS, hi - lo)
-                ).solve(Xb)
-                if not np.all(np.isfinite(resid)):
-                    raise SparseCodingError(f"non-finite codes during {label}")
-                if final:
-                    quad += float(np.einsum("ij,ij->", resid, resid))
-                    l1_sum += sum(float(np.abs(val).sum()) for _, val in entries[lo:hi])
-                    continue
-                alpha = dense(lo, hi)
-            if not np.all(np.isfinite(alpha)):
-                raise SparseCodingError(f"non-finite codes during {label}")
+            alpha = _dense(entries[lo:hi], m)
             if lo:
                 A += alpha.T @ alpha
             else:  # the first product is A itself, not added to a zero block
                 A = alpha.T @ alpha
-            B += Xb.T @ alpha
+            B += X[lo:hi].T @ alpha
             l1_sum += float(np.abs(alpha).sum())
-        if final and not batched:
-            return _objective(D, quad, l1_sum, config.lam, config.tau, config.variant, n)
-        return A, B, l1_sum
-
-    for epoch in range(1, config.epochs + 1):
-        A, B, l1_sum = sparse_pass(f"epoch {epoch}")
         for _ in slices:
             _dictionary_pass(D, A, B, config.variant, config.tau, n)
         if not np.all(np.isfinite(D)):
             raise SparseCodingError(f"non-finite dictionary after epoch {epoch}")
-        if batched:  # the updated dictionary's Gram matrix serves its objective and the next pass
+        if gram is not None:  # the updated dictionary's Gram matrix serves the next pass
             np.matmul(D.T, D, out=gram)
-        obj = objective(A, B, l1_sum)
+        obj = _objective_from_stats(D, A, B, sum_sq, l1_sum, lam, config.tau, config.variant, n)
         del A  # the next pass builds its own
         if not math.isfinite(obj):
             raise SparseCodingError(f"objective diverged at epoch {epoch}")
         objectives.append(obj)
 
-    final = sparse_pass("final refit", final=True)
-    objectives.append(final if not batched else objective(*final))
+    resid = code("final refit")
+    quad = float(np.einsum("ij,ij->", resid, resid))
+    l1_sum = sum(float(np.abs(val).sum()) for _, val in entries)
+    objectives.append(_objective(D, quad, l1_sum, lam, config.tau, config.variant, n))
     entries = [_significant(idx, val) for idx, val in entries]
     dictionary = Dictionary(
         atoms=D,
@@ -1116,8 +1028,9 @@ def save_dictionary(path, dictionary: Dictionary) -> None:
             f"{dictionary.m} {dictionary.k} {dictionary.variant} "
             f"{dictionary.lam:.17g} {dictionary.tau:.17g}\n"
         )
-        for j in range(dictionary.m):
-            fh.write(" ".join(f"{v:.17g}" for v in dictionary.atoms[:, j].tolist()) + "\n")
+        line = " ".join(["%.17g"] * dictionary.k) + "\n"
+        for column in map(tuple, dictionary.atoms.T.tolist()):
+            fh.write(line % column)
 
 
 def load_dictionary(path) -> Dictionary:
