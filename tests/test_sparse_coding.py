@@ -239,16 +239,17 @@ class TestBatchedSeeding:
     def exact(self, D, X, nonneg):
         return np.array([solve_lasso(D, x, self.LAM, nonneg) for x in X])
 
-    def code_from(self, monkeypatch, seed, D, X, nonneg):
-        """One sparse pass whose seed is ``seed`` itself, as (codes, entries,
-        the rows of X each lockstep search was given); the residuals it
-        returns must be x - D a."""
+    def code_from(self, monkeypatch, seed, D, X, nonneg, slices=None):
+        """One sparse pass whose seed is ``seed`` itself, over the mini-batches
+        ``slices`` (default one), as (codes, entries, the rows of X each
+        lockstep search was given); the residuals it returns must be x - D a."""
         from sparsetag import sparse_coding
 
         monkeypatch.setattr(sparse_coding, "_fista", lambda gram, C, start, *args: start)
         searches = self.searches(monkeypatch)
         entries = [(row.nonzero()[0], row[row.nonzero()[0]]) for row in seed]
-        resid = sparse_coding._code_pass(X, D, D.T @ D, [(0, len(X))], entries, self.LAM, nonneg)
+        slices = [(0, len(X))] if slices is None else slices
+        resid = sparse_coding._code_pass(X, D, D.T @ D, slices, entries, self.LAM, nonneg)
         codes = np.zeros_like(seed)
         for row, (idx, val) in zip(codes, entries):
             row[idx] = val
@@ -297,6 +298,96 @@ class TestBatchedSeeding:
         for x, row, (idx, val) in zip(X, codes, entries):
             assert not {6, 7} <= set(idx.tolist())
             assert kkt_violation(D, x, row, self.LAM) <= 1e-7
+
+    @pytest.mark.parametrize("nonneg", [False, True])
+    def test_rows_left_by_every_mini_batch_share_one_search(self, monkeypatch, nonneg):
+        D, X = self.problem()
+        exact = self.exact(D, X, nonneg)
+        X, exact = np.concatenate([X, X]), np.concatenate([exact, exact])
+        # rows 1 and 5, in the first and last of three mini-batches, have
+        # every sign stale; the middle mini-batch certifies whole
+        seed = exact.copy()
+        seed[[1, 5]] *= -1.0
+        codes, entries, searched = self.code_from(
+            monkeypatch, seed, D, X, nonneg, slices=[(0, 2), (2, 4), (4, 6)]
+        )
+        assert len(searched) == 1
+        np.testing.assert_array_equal(searched[0], X[[1, 5]])
+        np.testing.assert_allclose(codes, exact, rtol=0.0, atol=1e-12)
+        assert [idx.tolist() for idx, _ in entries] == [r.nonzero()[0].tolist() for r in exact]
+
+    @staticmethod
+    def stale_problem():
+        # m = 12 <= k = 30; every row's signed optimum holds 10 or 11 atoms
+        rng = np.random.default_rng(0)
+        D = rng.standard_normal((30, 12))
+        D /= np.linalg.norm(D, axis=0)
+        return D, rng.standard_normal((3, 30))
+
+    def stale_seed(self, D, X, nonneg, kind):
+        # "negated": every sign stale, the negated signed optimum (under nonneg
+        # its positive entries are atoms the optimum pushes below zero);
+        # "half": every other atom of the optimum flipped
+        if kind == "negated":
+            return -self.exact(D, X, False)
+        seed = self.exact(D, X, nonneg)
+        for row in seed:
+            row[np.flatnonzero(row)[::2]] *= -1.0
+        return seed
+
+    @pytest.mark.parametrize("nonneg", [False, True])
+    @pytest.mark.parametrize("kind", ["negated", "half"])
+    def test_stale_seed_gets_the_cold_code(self, monkeypatch, nonneg, kind):
+        from sparsetag.sparse_coding import _ActiveSetLasso
+
+        D, X = self.stale_problem()
+        seed = self.stale_seed(D, X, nonneg, kind)
+        codes, entries, searched = self.code_from(monkeypatch, seed, D, X, nonneg)
+        assert len(searched) == 1
+        np.testing.assert_array_equal(searched[0], X)
+        solver = _ActiveSetLasso(D.T @ D, self.LAM, nonneg, D.shape[0])
+        for x, row, (idx, val) in zip(X, codes, entries):
+            cold_idx, cold_val = solver.solve(x @ D)
+            np.testing.assert_array_equal(idx, cold_idx)
+            np.testing.assert_allclose(val, cold_val, rtol=0.0, atol=1e-9)
+            assert kkt_violation(D, x, row, self.LAM, nonneg=nonneg) <= 1e-7
+
+    @staticmethod
+    def dependent_problem():
+        # m = 8 <= k = 12; atoms 6 and 7 are one unit vector orthogonal to x,
+        # so the optimum leaves them out and stays unique
+        rng = np.random.default_rng(1)
+        D = rng.standard_normal((12, 8))
+        D /= np.linalg.norm(D, axis=0)
+        x = D[:, :3] @ np.array([1.0, -0.8, 0.6])
+        v = rng.standard_normal(12)
+        v -= (v @ x) / (x @ x) * x
+        D[:, 6] = D[:, 7] = v / np.linalg.norm(v)
+        return D, x
+
+    @pytest.mark.parametrize("nonneg", [False, True])
+    @pytest.mark.parametrize("support", ["duplicate", "all"])
+    def test_dependent_seed_gets_the_cold_code(self, monkeypatch, nonneg, support):
+        from sparsetag.sparse_coding import _ActiveSetLasso
+
+        D, x = self.dependent_problem()
+        gram, c = D.T @ D, x @ D
+        cold_idx, cold_val = _ActiveSetLasso(gram, self.LAM, nonneg, D.shape[0]).solve(c)
+        assert not {6, 7} & set(cold_idx.tolist())
+        # "duplicate": the optimum's atoms plus both copies of atom 6;
+        # "all": all 8 atoms
+        idx = np.union1d(cold_idx, [6, 7]) if support == "duplicate" else np.arange(8)
+        seed = np.zeros((1, 8))
+        seed[0, idx] = 1.0 if nonneg else np.where(np.arange(idx.size) % 2, -1.0, 1.0)
+        with pytest.raises(np.linalg.LinAlgError):  # certification's solve cannot run
+            np.linalg.solve(gram[np.ix_(idx, idx)], c[idx] - self.LAM * seed[0, idx])
+        codes, entries, searched = self.code_from(monkeypatch, seed, D, x[None], nonneg)
+        assert len(searched) == 1
+        np.testing.assert_array_equal(searched[0], x[None])
+        ((got_idx, got_val),) = entries
+        np.testing.assert_array_equal(got_idx, cold_idx)
+        np.testing.assert_allclose(got_val, cold_val, rtol=0.0, atol=1e-9)
+        assert kkt_violation(D, x, codes[0], self.LAM, nonneg=nonneg) <= 1e-7
 
     def test_zero_gram_gives_no_step(self):
         from sparsetag.sparse_coding import _fista
@@ -493,6 +584,26 @@ class TestLearnDictionary:
             direct += config.tau * np.sum(D * D)
         assert dictionary.objectives[-1] == pytest.approx(direct, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("k, m", [(8, 24), (16, 12)])
+    def test_dictionary_pass_is_given_an_exactly_symmetric_A(self, monkeypatch, variant, k, m):
+        """The column update reads row j of A for its column j."""
+        from sparsetag import sparse_coding
+
+        symmetric = []
+        update = sparse_coding._dictionary_pass
+
+        def spy(D, A, *args):
+            symmetric.append(np.array_equal(A, A.T))
+            return update(D, A, *args)
+
+        monkeypatch.setattr(sparse_coding, "_dictionary_pass", spy)
+        table = table_from("w", random_unit_rows(np.random.default_rng(15), 64, k))
+        config = SparseCodingConfig(variant=variant, m=m, lam=0.05, epochs=2, batch_size=25, seed=4)
+        learn_dictionary(table, config)
+        # three mini-batches, so A sums three products
+        assert symmetric == [True] * 6
+
     @pytest.mark.parametrize("batch_size, n, bound", [(256, 64, 3.0), (128, 300, 4.0)])
     def test_m_by_m_working_set(self, batch_size, n, bound):
         """With m > k the m x m arrays are A and, after the first mini-batch
@@ -662,6 +773,15 @@ class TestFiles:
         again = load_dictionary(path)
         np.testing.assert_array_equal(again.atoms, dictionary.atoms)
         assert (again.variant, again.lam, again.tau) == ("sc3", 0.25, 1e-5)
+
+    def test_dictionary_lines_hold_each_value_in_17g(self, tmp_path):
+        atoms = np.array([[0.1, -0.0, 5e-324], [1e308, -1.0 / 3.0, 2.0]])
+        path = tmp_path / "dict.txt"
+        save_dictionary(path, Dictionary(atoms=atoms, variant="sc3", lam=0.25, tau=0.0))
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[0] == "3 2 sc3 0.25 0"
+        assert lines[1:] == [" ".join(f"{v:.17g}" for v in col) for col in atoms.T] + [""]
+        assert lines[2] == "-0 -0.33333333333333331"
 
     @pytest.mark.parametrize("lam, tau", [
         (float("nan"), 0.0), (0.0, 0.0), (-1.0, 0.0), (float("inf"), 0.0),
