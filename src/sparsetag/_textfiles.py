@@ -1,7 +1,7 @@
 """Reading and writing the package's UTF-8 text files.
 
-Readers decode one line at a time, so bytes that are not UTF-8 are
-reported with their exact file and line, and parse numbers with
+Readers decode a file at once; bytes that are not UTF-8 are reported
+with their exact file and line. Numbers are parsed with
 :func:`parse_numbers`. Writers build their output next to the target and
 rename it over the target only once it is complete.
 """
@@ -14,29 +14,42 @@ from contextlib import contextmanager
 
 
 def read_lines(path, error):
-    """Yield (line number, line) for every line of a UTF-8 text file.
+    """An iterator of (line number, line) over every line of a UTF-8 text file.
 
-    Lines end at '\\n', '\\r\\n' or '\\r', as in text mode, and are
-    yielded without their terminator. A line that is not valid UTF-8
-    raises ``error("<path>:<line>: ...")``.
+    Lines end at '\\n', '\\r\\n' or '\\r', as in text mode, and come
+    without their terminator. The file is read and decoded at once. If it
+    is not valid UTF-8, the lines before the first bad one are still
+    yielded, and that line raises ``error("<path>:<line>: ...")``.
     """
-    lineno = 0
     with open(path, "rb") as fh:
-        for chunk in fh:
-            for raw in chunk.splitlines():
-                lineno += 1
-                try:
-                    line = raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise error(
-                        f"{path}:{lineno}: not UTF-8 ({exc.reason} at byte {exc.start + 1})"
-                    ) from None
-                yield lineno, line
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return _decode_each(path, data.splitlines(), error)
+    # str.splitlines would also split at '\x0c', '\x1c'-'\x1e', '\x85', '\u2028'
+    # and '\u2029'; bytes.splitlines splits where text mode does
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return enumerate(lines, 1)
+
+
+def _decode_each(path, raw_lines, error):
+    for lineno, raw in enumerate(raw_lines, 1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(
+                f"{path}:{lineno}: not UTF-8 ({exc.reason} at byte {exc.start + 1})"
+            ) from None
+        yield lineno, line
 
 
 # every character of a number int or float accepts, less '_', whitespace
 # and non-ASCII digits; "inf", "infinity" and "nan" in any case included
 _NUMBER_CHARS = "0123456789+-.eEinftyaINFTYA"
+_NUMBER_BYTES = _NUMBER_CHARS.encode("ascii")
 
 
 def parse_numbers(texts, kind=float):
@@ -47,6 +60,14 @@ def parse_numbers(texts, kind=float):
     raises ValueError, as any text they reject does, naming the first bad
     text.
     """
+    texts = list(texts)
+    joined = "".join(texts)
+    # every text non-empty and made of _NUMBER_CHARS alone: one check for all
+    if all(texts) and joined.isascii() and not joined.encode().translate(None, _NUMBER_BYTES):
+        try:
+            return list(map(kind, texts))
+        except ValueError:
+            pass  # the loop below names the text
     numbers = []
     for text in texts:
         try:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 
 from ._base import SparsetagError
@@ -14,10 +15,8 @@ class CorpusError(SparsetagError, ValueError):
     """Malformed corpus file or inconsistent labeling."""
 
 
-@dataclass(frozen=True)
-class Token:
-    form: str
-    label: str
+Token = namedtuple("Token", "form label")
+Token.__doc__ = "One (form, gold label) token; immutable."
 
 
 @dataclass
@@ -84,7 +83,7 @@ def read_conllx(path, use_cpostag=False) -> Dataset:
             )
         if not cols[1]:
             raise CorpusError(f"{path}:{lineno}: empty word form")
-        return Token(form=cols[1], label=cols[tag_col])
+        return Token(cols[1], cols[tag_col])
 
     return Dataset(sentences=_read_sentences(path, token), task="pos")
 
@@ -117,7 +116,7 @@ def read_conllu(path) -> Dataset:
             raise CorpusError(f"{path}:{lineno}: malformed token id {tok_id!r}")
         if not cols[1]:
             raise CorpusError(f"{path}:{lineno}: empty word form")
-        return Token(form=cols[1], label=cols[3])
+        return Token(cols[1], cols[3])
 
     return Dataset(sentences=_read_sentences(path, token), task="pos")
 
@@ -145,9 +144,9 @@ def read_conll_ner(path, fmt="2003", normalize=True) -> Dataset:
                 f"{path}:{lineno}: expected at least 'form tag', found {line!r}"
             )
         tag = cols[-1]
-        if not _NER_TAG_RE.match(tag):
+        if tag != "O" and not _NER_TAG_RE.match(tag):
             raise CorpusError(f"{path}:{lineno}: malformed NER tag {tag!r}")
-        return Token(form=cols[0], label=tag)
+        return Token(cols[0], tag)
 
     sentences = _read_sentences(path, token)
     if fmt == "2003" and normalize:
@@ -180,7 +179,7 @@ def map_universal(dataset: Dataset, tagmap: dict) -> Dataset:
         for tok in sent:
             if tok.label not in tagmap:
                 raise CorpusError(f"tag {tok.label!r} missing from tag map")
-            mapped.append(Token(form=tok.form, label=tagmap[tok.label]))
+            mapped.append(Token(tok.form, tagmap[tok.label]))
         sentences.append(mapped)
     return Dataset(sentences=sentences, task=dataset.task)
 
@@ -219,7 +218,7 @@ def _respan(sentence, iobes):
     if new_tags == tags:
         return sentence, repairs
     tokens = [
-        tok if tok.label == tag else Token(form=tok.form, label=tag)
+        tok if tok.label == tag else Token(tok.form, tag)
         for tok, tag in zip(sentence, new_tags)
     ]
     return tokens, repairs
@@ -269,7 +268,7 @@ def replace_labels(dataset: Dataset, label_sequences) -> Dataset:
         if len(labels) != len(sent):
             raise CorpusError("label sequences do not match dataset shape")
         sentences.append(
-            [Token(form=tok.form, label=lab) for tok, lab in zip(sent, labels)]
+            [Token(tok.form, lab) for tok, lab in zip(sent, labels)]
         )
     return Dataset(sentences=sentences, task=dataset.task)
 

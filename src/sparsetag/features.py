@@ -8,9 +8,16 @@ immutable resources; vectors come back sorted by feature string.
 
 Under every scheme but fr_w / fr_wc a token's vector is the union, over
 the offsets of its window, of the features of the word type at that
-offset. Each word's list is built and sorted once; its block at each
-offset of the window is a tuple of that list with the offset's tag in
-front of every name, cached on the FeatureResources object.
+offset. A word type's block at an offset is a tuple of (name, value)
+pairs in name order, built once per word type, window and scheme and
+cached on the FeatureResources object. An indicator feature (sc, brown,
+wi) enters a block as one offset-tagged pair, made on its first use and
+shared by every block that holds that feature at that offset. Under sc
+and wi_sc a word's signed atoms are put in name order by a rank computed
+once for all 2m of them, and their untagged names come from one table,
+so a word builds, tags and sorts no strings. A dense block holds its own
+values, paired with tagged names shared by every word.
+
 :func:`sentence_features` hands each position its blocks, in the string
 order of their tags; flattened in that order they are the token's
 sorted, unique vector, which :func:`token_features` returns. Extraction
@@ -24,7 +31,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
+from operator import itemgetter
 
 from ._base import SparsetagError
 from ._textfiles import read_lines
@@ -54,17 +63,44 @@ class FeatureConfig:
 class FeatureResources:
     """Immutable lookups the schemes draw on; only the needed ones are set.
 
-    The object also caches each word type's feature list per scheme and
-    window offset, filled on first use. The cache assumes the resources
-    never change: build a new object rather than editing the codes, table
-    or clusters it holds.
+    The object also caches, filled on first use, each word type's blocks
+    per scheme and window, and the offset-tagged pairs and names those
+    blocks share. The caches assume the resources never change: build a
+    new object rather than editing the codes, table or clusters it holds.
     """
 
     codes: object = None          # SparseCodes
     table: object = None          # EmbeddingTable
     clusters: dict = field(default=None)  # word -> bit-string path
     lowercase_fallback: bool = False
+    # (scheme, window) -> word -> {offset: block}
     _type_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # offset -> untagged name -> tagged pair; "atoms" and ("dense", k) -> their tables
+    _shared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+class _Table(dict):
+    """A dict that makes each missing value by ``make(key)`` and keeps it."""
+
+    def __init__(self, make):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key):
+        value = self[key] = self._make(key)
+        return value
+
+
+class _Pairs(dict):
+    """Untagged name -> its (tagged name, 1.0) pair at one offset, made once."""
+
+    def __init__(self, tag):
+        super().__init__()
+        self._tag = tag
+
+    def __missing__(self, name):
+        pair = self[name] = (self._tag + name, 1.0)
+        return pair
 
 
 def _safe(text: str) -> str:
@@ -176,46 +212,91 @@ def rich_features(sentence, t, include_chars=False) -> set:
     return feats
 
 
-def _word_features(word, config: FeatureConfig, resources: FeatureResources):
-    """(name, value) pairs of one word type under a windowed scheme, untagged."""
-    scheme = config.scheme
+def _pairs(offset, resources: FeatureResources) -> _Pairs:
+    """The shared pairs of every indicator feature at ``offset``."""
+    pairs = resources._shared.get(offset)
+    if pairs is None:
+        pairs = resources._shared[offset] = _Pairs(_offset_tag(offset))
+    return pairs
+
+
+def _atom_name(m, s):
+    return ("+%d" if s < m else "-%d") % (s % m)
+
+
+def _atom_names(entry, resources: FeatureResources):
+    """Untagged names of a sparse code's signed atoms, in string order.
+
+    Atom j counts as signed atom j when its coefficient is positive and
+    as m + j when negative. The names of all 2m signed atoms are ranked
+    once, so a word's names are put in order by sorting integers.
+    """
+    atoms = resources._shared.get("atoms")
+    if atoms is None:
+        m = resources.codes.m
+        rank = [0] * (2 * m)
+        for r, j in enumerate(sorted(range(m), key=str)):  # '+' sorts before '-'
+            rank[j], rank[m + j] = r, m + r
+        atoms = resources._shared["atoms"] = (m, rank, _Table(partial(_atom_name, m)))
+    m, rank, names = atoms
+    idx, val = entry
+    signed = (idx + m * (val < 0)).tolist()
+    signed.sort(key=rank.__getitem__)
+    return [names[s] for s in signed]
+
+
+def _dense_names(k, resources: FeatureResources):
+    """Coordinates of a k-vector in name order, and offset -> tagged names."""
+    dense = resources._shared.get(("dense", k))
+    if dense is None:
+        names = sorted(name for name, _ in dense_features([0.0] * k))
+        order = [int(name[2:]) for name in names]
+        tagged = _Table(lambda o: tuple([_offset_tag(o) + name for name in names]))
+        dense = resources._shared["dense", k] = (order, tagged)
+    return dense
+
+
+def _type_blocks(word, scheme, window, resources: FeatureResources):
+    """{offset: block} of ``word`` at every offset of the window.
+
+    A block holds the word's (name, value) pairs in name order, each name
+    tagged with the offset; a tag put in front of every name keeps the
+    order. Under dense a block pairs the shared tagged names with the
+    word's values; under every other scheme it is made of shared pairs.
+    """
+    offsets = _WINDOW_OFFSETS[window]
     low = resources.lowercase_fallback
-    feats = []
-    if scheme in ("wi", "wi_sc"):
-        feats.append((f"w={_safe(word)}", 1.0))
+    if scheme == "dense":
+        vector = resources.table.lookup(word, lowercase_fallback=low)
+        if vector is None:
+            return dict.fromkeys(offsets, ())
+        order, tagged = _dense_names(len(vector), resources)
+        values = vector.tolist()
+        values = [values[j] for j in order]
+        return {o: tuple(zip(tagged[o], values)) for o in offsets}
+    names = []
     if scheme in ("sc", "wi_sc"):
         entry = resources.codes.get(word, lowercase_fallback=low)
         if entry is not None:
-            feats.extend((f, 1.0) for f in sparse_features(entry))
-    elif scheme == "dense":
-        vector = resources.table.lookup(word, lowercase_fallback=low)
-        if vector is not None:
-            feats.extend(dense_features(vector))
+            names = _atom_names(entry, resources)
     elif scheme == "brown":
         path = resources.clusters.get(word)
         if path is not None:
-            feats.extend((f, 1.0) for f in brown_features(path))
-    return feats
+            names = sorted(brown_features(path))
+    if scheme in ("wi", "wi_sc"):
+        names.append(f"w={_safe(word)}")  # after every '+j' and '-j'
+    return {o: tuple(map(_pairs(o, resources).__getitem__, names)) for o in offsets}
 
 
-def _type_features(word, offset, config: FeatureConfig, resources: FeatureResources):
-    """Sorted, offset-tagged features of ``word`` seen at ``offset``; cached.
-
-    On a word's first use its untagged list is sorted once, and the
-    blocks of every offset of the window are built from it: a tag put in
-    front of every name keeps the order. A block is a tuple, so the same
-    object can be shared by every position that holds it.
-    """
-    scheme = config.scheme
-    cache = resources._type_cache
-    feats = cache.get((scheme, offset, word))
-    if feats is None:
-        untagged = sorted(_word_features(word, config, resources))
-        for o in _WINDOW_OFFSETS[config.window]:
-            tag = _offset_tag(o)
-            cache[scheme, o, word] = tuple([(tag + name, value) for name, value in untagged])
-        feats = cache[scheme, offset, word]
-    return feats
+def _word_blocks(config: FeatureConfig, resources: FeatureResources):
+    """word -> {offset: block} under the configured scheme and window; cached."""
+    key = config.scheme, config.window
+    blocks = resources._type_cache.get(key)
+    if blocks is None:
+        blocks = resources._type_cache[key] = _Table(
+            partial(_type_blocks, scheme=config.scheme, window=config.window, resources=resources)
+        )
+    return blocks
 
 
 _REQUIRED = {
@@ -251,16 +332,31 @@ def token_features(sentence, t, config: FeatureConfig, resources: FeatureResourc
         return out
 
     _check_resources(scheme, resources)
-    return list(chain.from_iterable(_position_blocks(sentence, t, config, resources)))
+    types = list(map(_word_blocks(config, resources).__getitem__, sentence))
+    return list(chain.from_iterable(_blocks_at(types, t, config.window)))
 
 
-def _position_blocks(sentence, t, config: FeatureConfig, resources: FeatureResources):
-    """Cached blocks of the offsets around t inside the sentence, in tag order."""
-    n = len(sentence)
-    return tuple([
-        _type_features(sentence[t + o], o, config, resources)
-        for o in _WINDOW_OFFSETS[config.window] if 0 <= t + o < n
-    ])
+def _blocks_at(types, t, window):
+    """Blocks of the offsets around t inside the sentence, in tag order.
+
+    ``types`` holds the {offset: block} of each word of the sentence.
+    """
+    n = len(types)
+    return tuple([types[t + o][o] for o in _WINDOW_OFFSETS[window] if 0 <= t + o < n])
+
+
+def _position_blocks(types, window):
+    """:func:`_blocks_at` of every position of the sentence.
+
+    A position at least ``window`` words from both ends has a block at
+    every offset, so those positions are built a column per offset.
+    """
+    n = len(types)
+    offsets = _WINDOW_OFFSETS[window]
+    lo, hi = window, max(window, n - window)
+    inner = zip(*[map(itemgetter(o), types[lo + o:hi + o]) for o in offsets])
+    edges = [_blocks_at(types, t, window) for t in (*range(min(lo, n)), *range(hi, n))]
+    return [*edges[:lo], *inner, *edges[lo:]]
 
 
 def sentence_features(sentence, config: FeatureConfig, resources: FeatureResources):
@@ -278,4 +374,5 @@ def sentence_features(sentence, config: FeatureConfig, resources: FeatureResourc
     if scheme in ("fr_w", "fr_wc"):
         return [(token_features(sentence, t, config, resources),) for t in range(n)]
     _check_resources(scheme, resources)
-    return [_position_blocks(sentence, t, config, resources) for t in range(n)]
+    types = list(map(_word_blocks(config, resources).__getitem__, sentence))
+    return _position_blocks(types, config.window)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -170,24 +171,50 @@ class SparseCodes:
             raise SparseCodingError("m must be >= 1")
         self.words = list(words)
         self.m = int(m)
-        self.entries = []
-        self._by_word = {}
-        for row, (word, (idx, val)) in enumerate(zip(self.words, entries)):
-            idx = np.asarray(idx, dtype=np.int64)
-            val = np.asarray(val, dtype=np.float64)
+        self.entries = [
+            (np.asarray(idx, dtype=np.int64), np.asarray(val, dtype=np.float64))
+            for idx, val in entries
+        ]
+        self._by_word = dict(zip(self.words, self.entries))
+        if not self._valid():
+            self._reject()
+
+    def _valid(self) -> bool:
+        """Whether every entry is well formed, checked on all entries at once."""
+        if any(idx.shape != val.shape or idx.ndim != 1 for idx, val in self.entries):
+            return False
+        if len(self._by_word) < len(self.words):
+            return False
+        idx = np.concatenate([np.zeros(0, dtype=np.int64), *(i for i, _ in self.entries)])
+        val = np.concatenate([np.zeros(0), *(v for _, v in self.entries)])
+        # a step from one row's last index to the next row's first may go down
+        row_ends = np.cumsum([i.size for i, _ in self.entries], dtype=np.int64)
+        row_ends = row_ends[(row_ends > 0) & (row_ends < idx.size)] - 1
+        steps = np.diff(idx)
+        steps[row_ends] = 1
+        return bool(
+            np.all(steps > 0)
+            and (idx.size == 0 or (idx.min() >= 0 and idx.max() < self.m))
+            and np.all(np.isfinite(val))
+            and np.all(val != 0.0)
+        )
+
+    def _reject(self):
+        """Raise the error of the first bad entry, checking one row at a time."""
+        seen = set()
+        for row, (word, (idx, val)) in enumerate(zip(self.words, self.entries)):
             if idx.shape != val.shape or idx.ndim != 1:
                 raise SparseCodingError(f"bad sparse entry for {word!r}", row)
             if idx.size:
                 if np.any(np.diff(idx) <= 0):
                     raise SparseCodingError(f"indices not strictly increasing for {word!r}", row)
-                if idx[0] < 0 or idx[-1] >= m:
+                if idx[0] < 0 or idx[-1] >= self.m:
                     raise SparseCodingError(f"index out of range for {word!r}", row)
                 if not np.all(np.isfinite(val)) or np.any(val == 0.0):
                     raise SparseCodingError(f"zero or non-finite coefficient for {word!r}", row)
-            self.entries.append((idx, val))
-            if word in self._by_word:
+            if word in seen:
                 raise SparseCodingError(f"duplicate word {word!r}", row)
-            self._by_word[word] = (idx, val)
+            seen.add(word)
 
     def __len__(self):
         return len(self.words)
@@ -1076,46 +1103,70 @@ def save_codes(path, codes: SparseCodes) -> None:
     """One line per word: `word idx:coef ...`, 6 significant digits."""
     with open(path, "w", encoding="utf-8") as fh:
         for word, (idx, val) in zip(codes.words, codes.entries):
-            parts = [word] + [f"{i}:{v:.6g}" for i, v in zip(idx.tolist(), val.tolist())]
-            fh.write(" ".join(parts) + "\n")
+            line = "%s" + " %d:%.6g" * idx.size + "\n"
+            fh.write(line % (word, *chain.from_iterable(zip(idx.tolist(), val.tolist()))))
 
 
 def load_codes(path, m=None) -> SparseCodes:
     """Read a codes file; ``m`` is inferred from the largest index if absent.
 
-    An entry that :class:`SparseCodes` rejects raises
-    ``SparseCodingError("<path>:<line>: ...")``.
+    A line without a word, with a word that holds whitespace or with an
+    entry that is not `index:value`, and an entry that :class:`SparseCodes`
+    rejects, raise ``SparseCodingError("<path>:<line>: ...")``; a file
+    without a line raises ``SparseCodingError("<path>: no codes found")``.
+    The whole file is parsed at once; only a file that fails is read
+    again line by line, to name the first bad line.
     """
-    words = []
-    entries = []
-    linenos = []
-    max_idx = -1
-    for lineno, line in read_lines(path, SparseCodingError):
-        fields = line.split(" ")
-        if not fields or not fields[0]:
-            raise SparseCodingError(f"{path}:{lineno}: missing word")
-        words.append(fields[0])
-        linenos.append(lineno)
-        parts = [part.split(":") for part in fields[1:] if part]
-        bad = next((":".join(p) for p in parts if len(p) != 2), None)
-        if bad is not None:
-            raise SparseCodingError(f"{path}:{lineno}: bad entry {bad!r}, expected 'index:value'")
-        try:
-            idx = parse_numbers([p[0] for p in parts], int)
-            val = parse_numbers([p[1] for p in parts])
-        except ValueError as exc:
-            raise SparseCodingError(f"{path}:{lineno}: bad entry: {exc}") from None
-        if idx:
-            max_idx = max(max_idx, max(idx))
-        try:
-            entries.append((np.array(idx, dtype=np.int64), np.array(val)))
-        except OverflowError:
-            raise SparseCodingError(f"{path}:{lineno}: index out of range") from None
+    try:
+        lines = [line for _, line in read_lines(path, SparseCodingError)]
+        words, counts, idx, val = _parse_codes(lines)
+    except ValueError:  # SparseCodingError too, for a line that is not UTF-8
+        for lineno, line in read_lines(path, SparseCodingError):
+            try:
+                _parse_codes([line])
+            except ValueError as exc:
+                raise SparseCodingError(f"{path}:{lineno}: {exc}") from None
+        raise
+    if not words:
+        raise SparseCodingError(f"{path}: no codes found")
     if m is None:
-        m = max(max_idx + 1, 1)
+        m = max(int(idx.max(initial=-1)) + 1, 1)
+    ends = np.cumsum(counts).tolist()
+    entries = [(idx[a:b], val[a:b]) for a, b in zip([0, *ends], ends)]
     try:
         return SparseCodes(words, entries, m)
     except SparseCodingError as exc:
         if exc.row is None:
             raise
-        raise SparseCodingError(f"{path}:{linenos[exc.row]}: {exc}") from None
+        raise SparseCodingError(f"{path}:{exc.row + 1}: {exc}") from None
+
+
+def _parse_codes(lines):
+    """(words, entries per line, indices, values) of codes-file lines.
+
+    Raises ValueError on a bad line; given one line, the message says
+    what is wrong with it.
+    """
+    rows = [line.split(" ") for line in lines]
+    words = [row[0] for row in rows]
+    if " ".join(words).split() != words:
+        word = next(word for word in words if word.split() != [word])
+        raise ValueError(f"word {word!r} holds whitespace" if word else "missing word")
+    parts = [list(filter(None, row[1:])) for row in rows]
+    counts = list(map(len, parts))
+    parts = list(chain.from_iterable(parts))
+    colons = list(map(str.count, parts, repeat(":")))
+    if colons.count(1) < len(colons):
+        bad = parts[next(i for i, n in enumerate(colons) if n != 1)]
+        raise ValueError(f"bad entry {bad!r}, expected 'index:value'")
+    texts = ":".join(parts).split(":") if parts else []
+    try:
+        idx = parse_numbers(texts[0::2], int)
+        val = parse_numbers(texts[1::2])
+    except ValueError as exc:
+        raise ValueError(f"bad entry: {exc}") from None
+    try:
+        idx = np.array(idx, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("index out of range") from None
+    return words, counts, idx, np.array(val, dtype=np.float64)

@@ -6,6 +6,7 @@ label path, and gradients are checked by central finite differences.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -173,3 +174,75 @@ def score_lattice_per_feature(model, sent_features):
             if fid is not None:
                 emissions[t] += value * model.emissions[fid]
     return emissions
+
+
+# every character int and float accept in the package's number texts
+_NUMBER_CHARS = set("0123456789+-.eEinftyaINFTYA")
+
+
+def load_codes_by_line(path, m=None):
+    """A codes file read one line at a time: (words, entries, m).
+
+    Entries are (index list, value list) pairs. Checks run in the order
+    of the line-by-line reader: each line's decoding, word and entries,
+    in line order, then each row's indices and values and its word's
+    uniqueness, in row order. A bad file raises ValueError with the
+    message ``load_codes`` must give.
+    """
+    def number(text, kind):
+        if not text or not set(text) <= _NUMBER_CHARS:
+            raise ValueError
+        return kind(text)
+
+    with open(path, "rb") as fh:
+        raw_lines = fh.read().splitlines()  # at '\n', '\r\n' and '\r' only
+    rows = []
+    for lineno, raw in enumerate(raw_lines, 1):
+        where = f"{path}:{lineno}"
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(
+                f"{where}: not UTF-8 ({exc.reason} at byte {exc.start + 1})"
+            ) from None
+        word, *fields = line.split(" ")
+        if not word:
+            raise ValueError(f"{where}: missing word")
+        if any(ch.isspace() for ch in word):
+            raise ValueError(f"{where}: word {word!r} holds whitespace")
+        parts = [field for field in fields if field]
+        for part in parts:
+            if part.count(":") != 1:
+                raise ValueError(f"{where}: bad entry {part!r}, expected 'index:value'")
+        pairs = [part.split(":") for part in parts]
+        numbers = []
+        for side, kind, what in ((0, int, "an integer"), (1, float, "a number")):
+            numbers.append([])
+            for text in (pair[side] for pair in pairs):
+                try:
+                    numbers[-1].append(number(text, kind))
+                except ValueError:
+                    raise ValueError(
+                        f"{where}: bad entry: could not convert {text!r} to {what}"
+                    ) from None
+        idx, val = numbers
+        if not all(-2**63 <= i < 2**63 for i in idx):
+            raise ValueError(f"{where}: index out of range")
+        rows.append((where, word, idx, val))
+    if not rows:
+        raise ValueError(f"{path}: no codes found")
+    if m is None:
+        m = max([i + 1 for _, _, idx, _ in rows for i in idx] + [1])
+    seen = set()
+    for where, word, idx, val in rows:
+        if any(b <= a for a, b in zip(idx, idx[1:])):
+            raise ValueError(f"{where}: indices not strictly increasing for {word!r}")
+        if idx and (idx[0] < 0 or idx[-1] >= m):
+            raise ValueError(f"{where}: index out of range for {word!r}")
+        if not all(math.isfinite(v) and v != 0.0 for v in val):
+            raise ValueError(f"{where}: zero or non-finite coefficient for {word!r}")
+        if word in seen:
+            raise ValueError(f"{where}: duplicate word {word!r}")
+        seen.add(word)
+    return [row[1] for row in rows], [(idx, val) for _, _, idx, val in rows], m
+

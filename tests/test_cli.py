@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -437,6 +439,17 @@ class TestImports:
             "True", "sparsetag.crf sparsetag.embeddings sparsetag.sparse_coding",
         ]
 
+    def test_cli_import_without_site_leaves_out_numpy_and_typing(self):
+        # site may import typing through a .pth file, which would hide a
+        # start-up import of it from the probes above; -S runs without site
+        src = str(Path(cli.__file__).resolve().parents[1])
+        out = self.run_python(
+            "-S", "-c",
+            f"import sys\nsys.path.insert(0, {src!r})\nimport sparsetag.cli\n"
+            "print('numpy' in sys.modules, 'typing' in sys.modules)",
+        ).stdout
+        assert out.split() == ["False", "False"]
+
     def test_help_leaves_out_numpy(self):
         code, loaded = self.cli_imports("--help")
         assert code == 0
@@ -545,6 +558,7 @@ class TestRejectedEntries:
         ("w 0:1\nv 1:1 0:1\n", 2, "indices not strictly increasing for 'v'"),
         ("w -1:1\n", 1, "index out of range for 'w'"),
         ("w 0:1\nv 1:0\n", 2, "zero or non-finite coefficient for 'v'"),
+        ("w 0:1\nw\t0:1.0\n", 2, "word 'w\\t0:1.0' holds whitespace"),
     ])
     def test_codes_entry(self, tmp_path, capsys, text, lineno, message):
         dictionary = tmp_path / "dict.txt"
@@ -554,6 +568,18 @@ class TestRejectedEntries:
         assert run("analyze-basis", "--dict", dictionary, "--codes", codes,
                    "--out", tmp_path / "o") == 1
         assert capsys.readouterr().err == f"sparsetag: {codes}:{lineno}: {message}\n"
+
+    def test_codes_file_without_a_word(self, tmp_path, capsys):
+        codes = tmp_path / "codes.txt"
+        codes.write_bytes(b"")
+        data = tmp_path / "data.conll"
+        data.write_text("1\ta\t_\tA\tA\n2\tb\t_\tB\tB\n\n", encoding="utf-8")
+        model = tmp_path / "m"
+        assert run("train", "--task", "pos", "--scheme", "sc", "--train", data,
+                   "--format", "conllx", "--codes", codes, "--out", model) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"sparsetag: {codes}: no codes found\n")
+        assert not model.exists()
 
     def test_duplicate_embedding_word(self, tmp_path, capsys):
         vectors = tmp_path / "vectors.txt"

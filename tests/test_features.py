@@ -325,6 +325,69 @@ class TestCachedExtractionMatchesPerTokenOracle:
             assert token_features(sentence, 0, config, resources) == expected[0]
 
 
+def _tag_order(window):
+    return sorted(range(-window, window + 1), key=lambda o: "[0]" if o == 0 else f"[{o:+d}]")
+
+
+def _per_word_block(word, offset, scheme, codes, lowercase):
+    """A word's block at an offset, from the strings of its own code."""
+    entry = codes.get(word, lowercase_fallback=lowercase)
+    names = set() if entry is None else sparse_features(entry)
+    if scheme == "wi_sc":
+        names.add("w=" + word.replace(" ", "_"))
+    tag = "[0]" if offset == 0 else f"[{offset:+d}]"
+    return sorted((tag + name, 1.0) for name in names)
+
+
+class TestSharedPairs:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_blocks_equal_per_word_blocks_and_share_their_pairs(self, data):
+        # up to 120 atoms put "+10" before "+2" and "+100" before "+11"; one
+        # resources object serves every run, so pairs made under one scheme
+        # and window are met again under another
+        m = data.draw(st.integers(1, 120), label="m")
+        known = data.draw(st.lists(st.sampled_from(_VOCAB), unique=True), label="known")
+        coefficient = st.sampled_from((0.5, -0.25, 1.5, -3.0))
+        dense = {}
+        for word in known:
+            code = data.draw(st.dictionaries(st.integers(0, m - 1), coefficient, max_size=10))
+            dense[word] = [code.get(j, 0.0) for j in range(m)]
+        codes = codes_table(dense, m)
+        lowercase = data.draw(st.booleans(), label="lowercase")
+        resources = FeatureResources(codes=codes, lowercase_fallback=lowercase)
+        pairs = {}  # tagged name -> the first pair met with that name
+        for _ in range(data.draw(st.integers(1, 4), label="runs")):
+            scheme = data.draw(st.sampled_from(("sc", "wi_sc")))
+            window = data.draw(st.sampled_from((1, 2)))
+            sentence = data.draw(st.lists(st.sampled_from(_FORMS), min_size=1, max_size=7))
+            positions = sentence_features(sentence, FeatureConfig(scheme, window), resources)
+            assert len(positions) == len(sentence)
+            for t, position in enumerate(positions):
+                inside = [o for o in _tag_order(window) if 0 <= t + o < len(sentence)]
+                assert len(position) == len(inside)
+                for offset, block in zip(inside, position):
+                    assert isinstance(block, tuple)
+                    word = sentence[t + offset]
+                    assert list(block) == _per_word_block(word, offset, scheme, codes, lowercase)
+                    for pair in block:
+                        assert pairs.setdefault(pair[0], pair) is pair
+
+    def test_dense_blocks_share_names_and_brown_blocks_share_pairs(self):
+        table = EmbeddingTable(["a", "b"], np.arange(24.0).reshape(2, 12))
+        resources = FeatureResources(table=table, clusters={"a": "011010", "b": "011011"})
+        # position 0 holds ([+1] b, [0] a) and position 1 ([+1] a, [-1] a, [0] b)
+        dense = sentence_features(["a", "b", "a"], FeatureConfig("dense", 1), resources)
+        a, b = dense[0][1], dense[1][2]
+        assert [name for name, _ in a] == sorted(f"[0]d:{j}" for j in range(12))
+        assert all(x[0] is y[0] for x, y in zip(a, b))
+        assert [value for _, value in b] == [table.lookup("b")[int(name[5:])] for name, _ in b]
+        assert dense[2][1] is a  # one block per word type and offset
+        brown = sentence_features(["a", "b"], FeatureConfig("brown", 1), resources)
+        a, b = dict((p[0], p) for p in brown[0][1]), dict((p[0], p) for p in brown[1][1])
+        assert a["[0]bp4=0110"] is b["[0]bp4=0110"]
+
+
 class TestBlockScores:
     @settings(max_examples=200, deadline=None)
     @given(_resources_and_runs(schemes=_WINDOWED + ("fr_wc",)), st.data())

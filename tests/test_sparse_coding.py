@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,7 @@ from sparsetag.sparse_coding import (
     sparsity_level,
 )
 
-from oracles import lasso_bruteforce, lasso_objective
+from oracles import lasso_bruteforce, lasso_objective, load_codes_by_line
 
 
 def random_unit_rows(rng, n, k):
@@ -886,6 +887,44 @@ class TestFiles:
         save_codes(path, codes)
         assert path.read_text(encoding="utf-8") == "hello 1:0.5 5:-0.25\n"
 
+    def test_codes_lines_hold_each_entry_in_6g(self, tmp_path):
+        # one %d:%.6g template per line writes what one f-string per entry wrote
+        rng = np.random.default_rng(23)
+        special = [5e-324, -2.5e-310, 0.1234565, -9.9999995, 999999.5, 1e-5, -123456789.0,
+                   1e300, -1.0 / 3.0, 2.0]
+        words, entries = [], []
+        for row in range(40):
+            nnz = int(rng.integers(0, 12))
+            idx = np.sort(rng.choice(1000, size=nnz, replace=False)).astype(np.int64)
+            val = rng.standard_normal(nnz) * 10.0 ** rng.uniform(-320, 300, nnz)
+            val[rng.random(nnz) < 0.3] = rng.choice(special)
+            words.append(f"w{row}")
+            entries.append((idx, val))
+        entries.append((np.arange(len(special), dtype=np.int64), np.array(special)))
+        words.append("all-special")
+        path = tmp_path / "codes.txt"
+        save_codes(path, SparseCodes(words, entries, m=1000))
+        expected = "".join(
+            " ".join([word] + [f"{i}:{v:.6g}" for i, v in zip(idx.tolist(), val.tolist())]) + "\n"
+            for word, (idx, val) in zip(words, entries)
+        )
+        assert path.read_text(encoding="utf-8") == expected
+
+    def test_file_without_codes_rejected(self, tmp_path):
+        path = tmp_path / "codes.txt"
+        path.write_bytes(b"")
+        with pytest.raises(SparseCodingError, match=rf"^{re.escape(str(path))}: no codes found$"):
+            load_codes(path)
+
+    @pytest.mark.parametrize("word", ["w\t0:1.0", "w\xa0", "\x1cw", "w\u2028v", "w\x0c"])
+    def test_word_holding_whitespace_rejected(self, tmp_path, word):
+        # split at ' ' alone, such a line would load as one word with an empty code
+        path = tmp_path / "codes.txt"
+        path.write_text(f"v 0:1\n{word} 1:1\n", encoding="utf-8")
+        with pytest.raises(SparseCodingError) as caught:
+            load_codes(path)
+        assert str(caught.value) == f"{path}:2: word {word!r} holds whitespace"
+
     def test_strictly_increasing_indices_enforced(self):
         with pytest.raises(SparseCodingError):
             SparseCodes(["w"], [(np.array([3, 1], dtype=np.int64), np.array([1.0, 1.0]))], m=4)
@@ -899,21 +938,36 @@ class TestFiles:
     # codes-like lines, some well formed, plus arbitrary text and bytes
     _CODE_PART = st.sampled_from(
         ["0:1.5", "3:-0.25", "1:0", "2:nan", "1:inf", "-1:1", "99999999999999999999:1", "1:1:1",
-         "x:1", ":", "", "2:1e-300", "5:2"]
+         "x:1", ":", "", "2:1e-300", "5:2", "1:1\t", "+4:1e5", "1:-0", "٣:1", "1_0:1", "0:1.5"]
     )
     _CODE_LINE = st.tuples(
-        st.sampled_from(["w", "v", "", "w\t1"]) | st.text(max_size=4),
+        st.sampled_from(["w", "v", "", "w\t1", "w\xa0", "\x1cv", "w\u2028"]) | st.text(max_size=4),
         st.lists(_CODE_PART | st.text(max_size=6), max_size=4),
     ).map(lambda wp: " ".join([wp[0], *wp[1]]))
+    _CODE_LINES = st.lists(st.tuples(_CODE_LINE, st.sampled_from(["\n", "\r\n", "\r"])), max_size=6)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(content=st.binary(max_size=120)
-           | st.lists(_CODE_LINE, max_size=6).map(lambda ls: "\n".join(ls).encode("utf-8")))
+           | _CODE_LINES.map(lambda ls: "".join(a + b for a, b in ls).encode("utf-8"))
+           | st.tuples(_CODE_LINES, st.binary(max_size=3), _CODE_LINES).map(
+               lambda t: "".join(a + b for a, b in t[0]).encode("utf-8") + t[1]
+               + "".join(a + b for a, b in t[2]).encode("utf-8")))
     def test_arbitrary_bytes_load_or_raise_sparse_coding_error(self, tmp_path_factory, content):
+        # the one-pass reader loads what the line-by-line reader loads, and
+        # fails where it fails, with its message
         path = tmp_path_factory.getbasetemp() / "fuzzed-codes.txt"
         path.write_bytes(content)
         try:
-            codes = load_codes(path)
-        except SparseCodingError:
+            words, entries, m = load_codes_by_line(path)
+        except ValueError as exc:
+            with pytest.raises(SparseCodingError) as caught:
+                load_codes(path)
+            assert str(caught.value) == str(exc)
             return
-        assert len(codes.entries) == len(codes.words)
+        codes = load_codes(path)
+        assert codes.words == words
+        assert codes.m == m
+        assert len(codes.entries) == len(entries)
+        for (idx, val), (expected_idx, expected_val) in zip(codes.entries, entries):
+            assert idx.dtype == np.int64 and idx.tolist() == expected_idx
+            assert val.dtype == np.float64 and val.tolist() == expected_val

@@ -9,7 +9,7 @@ from sparsetag._textfiles import parse_numbers, read_lines
 
 class TestReadLines:
     @settings(max_examples=200, deadline=None)
-    @given(st.text(alphabet="ab é\t\r\n\x0c\x85 ", max_size=40))
+    @given(st.text(alphabet="ab é\t\r\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029", max_size=40))
     def test_lines_match_text_mode(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("lines") / "f.txt"
         path.write_bytes(text.encode("utf-8"))
@@ -17,6 +17,26 @@ class TestReadLines:
             expected = [line.rstrip("\n") for line in fh]
         assert [line for _, line in read_lines(path, ValueError)] == expected
         assert [n for n, _ in read_lines(path, ValueError)] == list(range(1, len(expected) + 1))
+
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                                      "\u2029"])
+    def test_only_text_mode_line_ends_split(self, tmp_path, char):
+        # str.splitlines splits at each of these; text mode does not
+        path = tmp_path / "f.txt"
+        path.write_bytes(f"a{char}b\nc{char}\r\n{char}\r{char}d".encode("utf-8"))
+        assert list(read_lines(path, ValueError)) == [
+            (1, f"a{char}b"), (2, f"c{char}"), (3, char), (4, f"{char}d"),
+        ]
+
+    def test_lines_before_a_bad_byte_are_read(self, tmp_path):
+        # a caller that rejects an earlier line reports that line, not the bad byte
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"one\r\ntwo\n\xc3(\nfour\n")
+        lines = read_lines(path, ValueError)
+        assert next(lines) == (1, "one")
+        assert next(lines) == (2, "two")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: not UTF-8 "):
+            next(lines)
 
     def test_bad_byte_names_file_and_line(self, tmp_path):
         path = tmp_path / "f.txt"
