@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain
 from operator import itemgetter
 
@@ -75,8 +74,13 @@ class FeatureResources:
     lowercase_fallback: bool = False
     # (scheme, window) -> word -> {offset: block}
     _type_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # offset -> untagged name -> tagged pair; "atoms" and ("dense", k) -> their tables
-    _shared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # offset -> untagged name -> its tagged pair, for every indicator feature
+    _pairs: dict = field(
+        default_factory=lambda: {o: _Pairs(_offset_tag(o)) for o in range(-2, 3)},
+        init=False, repr=False, compare=False,
+    )
+    # "atoms" and ("dense", k) -> the names those features are given
+    _names: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 class _Table(dict):
@@ -212,18 +216,6 @@ def rich_features(sentence, t, include_chars=False) -> set:
     return feats
 
 
-def _pairs(offset, resources: FeatureResources) -> _Pairs:
-    """The shared pairs of every indicator feature at ``offset``."""
-    pairs = resources._shared.get(offset)
-    if pairs is None:
-        pairs = resources._shared[offset] = _Pairs(_offset_tag(offset))
-    return pairs
-
-
-def _atom_name(m, s):
-    return ("+%d" if s < m else "-%d") % (s % m)
-
-
 def _atom_names(entry, resources: FeatureResources):
     """Untagged names of a sparse code's signed atoms, in string order.
 
@@ -231,13 +223,14 @@ def _atom_names(entry, resources: FeatureResources):
     as m + j when negative. The names of all 2m signed atoms are ranked
     once, so a word's names are put in order by sorting integers.
     """
-    atoms = resources._shared.get("atoms")
+    atoms = resources._names.get("atoms")
     if atoms is None:
         m = resources.codes.m
         rank = [0] * (2 * m)
         for r, j in enumerate(sorted(range(m), key=str)):  # '+' sorts before '-'
             rank[j], rank[m + j] = r, m + r
-        atoms = resources._shared["atoms"] = (m, rank, _Table(partial(_atom_name, m)))
+        names = _Table(lambda s: ("+%d" if s < m else "-%d") % (s % m))
+        atoms = resources._names["atoms"] = (m, rank, names)
     m, rank, names = atoms
     idx, val = entry
     signed = (idx + m * (val < 0)).tolist()
@@ -247,12 +240,12 @@ def _atom_names(entry, resources: FeatureResources):
 
 def _dense_names(k, resources: FeatureResources):
     """Coordinates of a k-vector in name order, and offset -> tagged names."""
-    dense = resources._shared.get(("dense", k))
+    dense = resources._names.get(("dense", k))
     if dense is None:
         names = sorted(name for name, _ in dense_features([0.0] * k))
         order = [int(name[2:]) for name in names]
         tagged = _Table(lambda o: tuple([_offset_tag(o) + name for name in names]))
-        dense = resources._shared["dense", k] = (order, tagged)
+        dense = resources._names["dense", k] = (order, tagged)
     return dense
 
 
@@ -285,7 +278,7 @@ def _type_blocks(word, scheme, window, resources: FeatureResources):
             names = sorted(brown_features(path))
     if scheme in ("wi", "wi_sc"):
         names.append(f"w={_safe(word)}")  # after every '+j' and '-j'
-    return {o: tuple(map(_pairs(o, resources).__getitem__, names)) for o in offsets}
+    return {o: tuple(map(resources._pairs[o].__getitem__, names)) for o in offsets}
 
 
 def _word_blocks(config: FeatureConfig, resources: FeatureResources):
@@ -294,7 +287,7 @@ def _word_blocks(config: FeatureConfig, resources: FeatureResources):
     blocks = resources._type_cache.get(key)
     if blocks is None:
         blocks = resources._type_cache[key] = _Table(
-            partial(_type_blocks, scheme=config.scheme, window=config.window, resources=resources)
+            lambda word: _type_blocks(word, *key, resources)
         )
     return blocks
 
