@@ -1,7 +1,7 @@
 """Reading and writing the package's UTF-8 text files.
 
-Readers decode a file at once; bytes that are not UTF-8 are reported
-with their exact file and line. Numbers are parsed with
+Readers decode a file a block of lines at a time; bytes that are not
+UTF-8 are reported with their exact file and line. Numbers are parsed with
 :func:`parse_numbers`. Writers build their output next to the target and
 rename it over the target only once it is complete.
 """
@@ -14,29 +14,50 @@ from contextlib import contextmanager
 
 
 def read_lines(path, error):
-    """An iterator of (line number, line) over every line of a UTF-8 text file.
+    """Yield (line number, line) for every line of a UTF-8 text file.
 
-    Lines end at '\\n', '\\r\\n' or '\\r', as in text mode, and come
-    without their terminator. The file is read and decoded at once. If it
-    is not valid UTF-8, the lines before the first bad one are still
-    yielded, and that line raises ``error("<path>:<line>: ...")``.
+    Lines end at '\\n', '\\r\\n' or '\\r', as in text mode, and are
+    yielded without their terminator. The file is read and decoded about
+    ``_BLOCK`` bytes of whole lines at a time. A line that is not valid
+    UTF-8 raises ``error("<path>:<line>: ...")``, after the lines before it.
     """
+    lineno = 0
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        return _decode_each(path, data.splitlines(), error)
-    # str.splitlines would also split at '\x0c', '\x1c'-'\x1e', '\x85', '\u2028'
-    # and '\u2029'; bytes.splitlines splits where text mode does
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if not lines[-1]:
-        lines.pop()
-    return enumerate(lines, 1)
+        for data in _line_blocks(fh):
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError:
+                yield from _decode_each(path, data.splitlines(), lineno, error)  # raises
+            # str.splitlines would also split at '\x0c', '\x1c'-'\x1e', '\x85',
+            # '\u2028' and '\u2029'; bytes.splitlines splits where text mode does
+            lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+            if not lines[-1]:
+                lines.pop()
+            yield from enumerate(lines, lineno + 1)
+            lineno += len(lines)
 
 
-def _decode_each(path, raw_lines, error):
-    for lineno, raw in enumerate(raw_lines, 1):
+# bytes read and decoded at a time, which bounds the memory a large file takes
+_BLOCK = 1 << 18
+
+
+def _line_blocks(fh):
+    """The bytes of a binary file in blocks that end at a line end or at its end."""
+    pending = []
+    for block in iter(lambda: fh.read(_BLOCK), b""):
+        # a '\r' that ends the block may begin a '\r\n'
+        end = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
+        if end:
+            yield b"".join([*pending, block[:end]])
+            pending = [block[end:]]
+        else:
+            pending.append(block)
+    yield b"".join(pending)
+
+
+def _decode_each(path, raw_lines, lineno, error):
+    """Decode lines after line ``lineno`` one at a time, up to the bad one."""
+    for lineno, raw in enumerate(raw_lines, lineno + 1):
         try:
             line = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -48,8 +69,11 @@ def _decode_each(path, raw_lines, error):
 
 # every character of a number int or float accepts, less '_', whitespace
 # and non-ASCII digits; "inf", "infinity" and "nan" in any case included
-_NUMBER_CHARS = "0123456789+-.eEinftyaINFTYA"
-_NUMBER_BYTES = _NUMBER_CHARS.encode("ascii")
+_NUMBER_CHARS = b"0123456789+-.eEinftyaINFTYA"
+
+
+def _number_chars_only(text):
+    return text.isascii() and not text.encode().translate(None, _NUMBER_CHARS)
 
 
 def parse_numbers(texts, kind=float):
@@ -61,9 +85,8 @@ def parse_numbers(texts, kind=float):
     text.
     """
     texts = list(texts)
-    joined = "".join(texts)
-    # every text non-empty and made of _NUMBER_CHARS alone: one check for all
-    if all(texts) and joined.isascii() and not joined.encode().translate(None, _NUMBER_BYTES):
+    # one check for all texts, and one conversion if they pass it
+    if all(texts) and _number_chars_only("".join(texts)):
         try:
             return list(map(kind, texts))
         except ValueError:
@@ -71,7 +94,7 @@ def parse_numbers(texts, kind=float):
     numbers = []
     for text in texts:
         try:
-            if not text or text.strip(_NUMBER_CHARS):
+            if not text or not _number_chars_only(text):
                 raise ValueError
             numbers.append(kind(text))
         except ValueError:

@@ -12,11 +12,10 @@ offset. A word type's block at an offset is a tuple of (name, value)
 pairs in name order, built once per word type, window and scheme and
 cached on the FeatureResources object. An indicator feature (sc, brown,
 wi) enters a block as one offset-tagged pair, made on its first use and
-shared by every block that holds that feature at that offset. Under sc
-and wi_sc a word's signed atoms are put in name order by a rank computed
-once for all 2m of them, and their untagged names come from one table,
-so a word builds, tags and sorts no strings. A dense block holds its own
-values, paired with tagged names shared by every word.
+shared by every block that holds that feature at that offset, so a
+tagged name is built once per feature and offset, not once per word. A
+dense block is built per word: its sorted pairs with the offset's tag in
+front of every name.
 
 :func:`sentence_features` hands each position its blocks, in the string
 order of their tags; flattened in that order they are the token's
@@ -32,7 +31,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import itemgetter
 
 from ._base import SparsetagError
 from ._textfiles import read_lines
@@ -63,8 +61,8 @@ class FeatureResources:
     """Immutable lookups the schemes draw on; only the needed ones are set.
 
     The object also caches, filled on first use, each word type's blocks
-    per scheme and window, and the offset-tagged pairs and names those
-    blocks share. The caches assume the resources never change: build a
+    per scheme and window, and the offset-tagged pairs those blocks
+    share. The caches assume the resources never change: build a
     new object rather than editing the codes, table or clusters it holds.
     """
 
@@ -76,11 +74,9 @@ class FeatureResources:
     _type_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # offset -> untagged name -> its tagged pair, for every indicator feature
     _pairs: dict = field(
-        default_factory=lambda: {o: _Pairs(_offset_tag(o)) for o in range(-2, 3)},
+        default_factory=lambda: {o: _tagged_pairs(o) for o in range(-2, 3)},
         init=False, repr=False, compare=False,
     )
-    # "atoms" and ("dense", k) -> the names those features are given
-    _names: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 class _Table(dict):
@@ -95,16 +91,10 @@ class _Table(dict):
         return value
 
 
-class _Pairs(dict):
-    """Untagged name -> its (tagged name, 1.0) pair at one offset, made once."""
-
-    def __init__(self, tag):
-        super().__init__()
-        self._tag = tag
-
-    def __missing__(self, name):
-        pair = self[name] = (self._tag + name, 1.0)
-        return pair
+def _tagged_pairs(o):
+    """Untagged name -> its (tagged name, 1.0) pair at offset o, made once."""
+    tag = _offset_tag(o)
+    return _Table(lambda name: (tag + name, 1.0))
 
 
 def _safe(text: str) -> str:
@@ -216,46 +206,13 @@ def rich_features(sentence, t, include_chars=False) -> set:
     return feats
 
 
-def _atom_names(entry, resources: FeatureResources):
-    """Untagged names of a sparse code's signed atoms, in string order.
-
-    Atom j counts as signed atom j when its coefficient is positive and
-    as m + j when negative. The names of all 2m signed atoms are ranked
-    once, so a word's names are put in order by sorting integers.
-    """
-    atoms = resources._names.get("atoms")
-    if atoms is None:
-        m = resources.codes.m
-        rank = [0] * (2 * m)
-        for r, j in enumerate(sorted(range(m), key=str)):  # '+' sorts before '-'
-            rank[j], rank[m + j] = r, m + r
-        names = _Table(lambda s: ("+%d" if s < m else "-%d") % (s % m))
-        atoms = resources._names["atoms"] = (m, rank, names)
-    m, rank, names = atoms
-    idx, val = entry
-    signed = (idx + m * (val < 0)).tolist()
-    signed.sort(key=rank.__getitem__)
-    return [names[s] for s in signed]
-
-
-def _dense_names(k, resources: FeatureResources):
-    """Coordinates of a k-vector in name order, and offset -> tagged names."""
-    dense = resources._names.get(("dense", k))
-    if dense is None:
-        names = sorted(name for name, _ in dense_features([0.0] * k))
-        order = [int(name[2:]) for name in names]
-        tagged = _Table(lambda o: tuple([_offset_tag(o) + name for name in names]))
-        dense = resources._names["dense", k] = (order, tagged)
-    return dense
-
-
 def _type_blocks(word, scheme, window, resources: FeatureResources):
     """{offset: block} of ``word`` at every offset of the window.
 
     A block holds the word's (name, value) pairs in name order, each name
     tagged with the offset; a tag put in front of every name keeps the
-    order. Under dense a block pairs the shared tagged names with the
-    word's values; under every other scheme it is made of shared pairs.
+    order. Under dense a block holds pairs of its own; under every other
+    scheme it is made of shared pairs.
     """
     offsets = _WINDOW_OFFSETS[window]
     low = resources.lowercase_fallback
@@ -263,15 +220,16 @@ def _type_blocks(word, scheme, window, resources: FeatureResources):
         vector = resources.table.lookup(word, lowercase_fallback=low)
         if vector is None:
             return dict.fromkeys(offsets, ())
-        order, tagged = _dense_names(len(vector), resources)
-        values = vector.tolist()
-        values = [values[j] for j in order]
-        return {o: tuple(zip(tagged[o], values)) for o in offsets}
+        untagged = sorted(dense_features(vector))
+        return {
+            o: tuple([(_offset_tag(o) + name, value) for name, value in untagged])
+            for o in offsets
+        }
     names = []
     if scheme in ("sc", "wi_sc"):
         entry = resources.codes.get(word, lowercase_fallback=low)
         if entry is not None:
-            names = _atom_names(entry, resources)
+            names = sorted(sparse_features(entry))
     elif scheme == "brown":
         path = resources.clusters.get(word)
         if path is not None:
@@ -338,20 +296,6 @@ def _blocks_at(types, t, window):
     return tuple([types[t + o][o] for o in _WINDOW_OFFSETS[window] if 0 <= t + o < n])
 
 
-def _position_blocks(types, window):
-    """:func:`_blocks_at` of every position of the sentence.
-
-    A position at least ``window`` words from both ends has a block at
-    every offset, so those positions are built a column per offset.
-    """
-    n = len(types)
-    offsets = _WINDOW_OFFSETS[window]
-    lo, hi = window, max(window, n - window)
-    inner = zip(*[map(itemgetter(o), types[lo + o:hi + o]) for o in offsets])
-    edges = [_blocks_at(types, t, window) for t in (*range(min(lo, n)), *range(hi, n))]
-    return [*edges[:lo], *inner, *edges[lo:]]
-
-
 def sentence_features(sentence, config: FeatureConfig, resources: FeatureResources):
     """Feature blocks of every position of a sentence of word forms.
 
@@ -368,4 +312,4 @@ def sentence_features(sentence, config: FeatureConfig, resources: FeatureResourc
         return [(token_features(sentence, t, config, resources),) for t in range(n)]
     _check_resources(scheme, resources)
     types = list(map(_word_blocks(config, resources).__getitem__, sentence))
-    return _position_blocks(types, config.window)
+    return [_blocks_at(types, t, config.window) for t in range(n)]

@@ -67,6 +67,10 @@ _SPAN_EPS = 1e-10
 # peak RSS from 54 to 62 MB.
 _LOCKSTEP_ROWS = 128
 
+# Rows of codes that load_codes parses and SparseCodes checks at once, which
+# bounds the temporaries a large codes file makes.
+_CODE_ROWS = 4096
+
 
 class SparseCodingError(SparsetagError, ValueError):
     """Invalid configuration or degenerate input.
@@ -180,23 +184,14 @@ class SparseCodes:
             self._reject()
 
     def _valid(self) -> bool:
-        """Whether every entry is well formed, checked on all entries at once."""
+        """Whether every entry is well formed, checked ``_CODE_ROWS`` rows at a time."""
         if any(idx.shape != val.shape or idx.ndim != 1 for idx, val in self.entries):
             return False
         if len(self._by_word) < len(self.words):
             return False
-        idx = np.concatenate([np.zeros(0, dtype=np.int64), *(i for i, _ in self.entries)])
-        val = np.concatenate([np.zeros(0), *(v for _, v in self.entries)])
-        # a step from one row's last index to the next row's first may go down
-        row_ends = np.cumsum([i.size for i, _ in self.entries], dtype=np.int64)
-        row_ends = row_ends[(row_ends > 0) & (row_ends < idx.size)] - 1
-        steps = np.diff(idx)
-        steps[row_ends] = 1
-        return bool(
-            np.all(steps > 0)
-            and (idx.size == 0 or (idx.min() >= 0 and idx.max() < self.m))
-            and np.all(np.isfinite(val))
-            and np.all(val != 0.0)
+        return all(
+            _rows_valid(self.entries[start:start + _CODE_ROWS], self.m)
+            for start in range(0, len(self.entries), _CODE_ROWS)
         )
 
     def _reject(self):
@@ -236,6 +231,23 @@ class SparseCodes:
         for row, (idx, val) in enumerate(self.entries):
             dense[row, idx] = val
         return dense
+
+
+def _rows_valid(entries, m) -> bool:
+    """Whether (indices, values) rows of equal-length 1-D arrays are well formed."""
+    idx = np.concatenate([np.zeros(0, dtype=np.int64), *(i for i, _ in entries)])
+    val = np.concatenate([np.zeros(0), *(v for _, v in entries)])
+    # a step from one row's last index to the next row's first may go down
+    row_ends = np.cumsum([i.size for i, _ in entries], dtype=np.int64)
+    row_ends = row_ends[(row_ends > 0) & (row_ends < idx.size)] - 1
+    steps = np.diff(idx)
+    steps[row_ends] = 1
+    return bool(
+        np.all(steps > 0)
+        and (idx.size == 0 or (idx.min() >= 0 and idx.max() < m))
+        and np.all(np.isfinite(val))
+        and np.all(val != 0.0)
+    )
 
 
 @dataclass
@@ -1114,31 +1126,53 @@ def load_codes(path, m=None) -> SparseCodes:
     entry that is not `index:value`, and an entry that :class:`SparseCodes`
     rejects, raise ``SparseCodingError("<path>:<line>: ...")``; a file
     without a line raises ``SparseCodingError("<path>: no codes found")``.
-    The whole file is parsed at once; only a file that fails is read
-    again line by line, to name the first bad line.
+    The file is parsed ``_CODE_ROWS`` lines at a time.
     """
+    parsed, chunk = [], []
     try:
-        lines = [line for _, line in read_lines(path, SparseCodingError)]
-        words, counts, idx, val = _parse_codes(lines)
-    except ValueError:  # SparseCodingError too, for a line that is not UTF-8
-        for lineno, line in read_lines(path, SparseCodingError):
-            try:
-                _parse_codes([line])
-            except ValueError as exc:
-                raise SparseCodingError(f"{path}:{lineno}: {exc}") from None
+        for item in read_lines(path, SparseCodingError):
+            chunk.append(item)
+            if len(chunk) == _CODE_ROWS:
+                full, chunk = chunk, []
+                parsed.append(_parse_chunk(path, full))
+    except SparseCodingError:
+        # read_lines stops at a line that is not UTF-8, and a bad line before
+        # it is named first; chunk is empty when a full chunk failed
+        _parse_chunk(path, chunk)
         raise
+    parsed.append(_parse_chunk(path, chunk))
+    words = list(chain.from_iterable(chunk_words for chunk_words, *_ in parsed))
     if not words:
         raise SparseCodingError(f"{path}: no codes found")
     if m is None:
-        m = max(int(idx.max(initial=-1)) + 1, 1)
-    ends = np.cumsum(counts).tolist()
-    entries = [(idx[a:b], val[a:b]) for a, b in zip([0, *ends], ends)]
+        m = max(max(int(idx.max(initial=-1)) for _, _, idx, _ in parsed) + 1, 1)
+    entries = []
+    for _, counts, idx, val in parsed:  # each entry a view of its chunk's arrays
+        ends = np.cumsum(counts).tolist()
+        entries += [(idx[a:b], val[a:b]) for a, b in zip([0, *ends], ends)]
     try:
         return SparseCodes(words, entries, m)
     except SparseCodingError as exc:
         if exc.row is None:
             raise
         raise SparseCodingError(f"{path}:{exc.row + 1}: {exc}") from None
+
+
+def _parse_chunk(path, chunk):
+    """:func:`_parse_codes` of the lines of (line number, line) pairs.
+
+    A chunk that fails is walked line by line, to name the first bad line
+    in a ``SparseCodingError("<path>:<line>: ...")``.
+    """
+    try:
+        return _parse_codes([line for _, line in chunk])
+    except ValueError:
+        for lineno, line in chunk:
+            try:
+                _parse_codes([line])
+            except ValueError as exc:
+                raise SparseCodingError(f"{path}:{lineno}: {exc}") from None
+        raise
 
 
 def _parse_codes(lines):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sparsetag import sparse_coding
 from sparsetag._base import VARIANTS
 from sparsetag.embeddings import EmbeddingTable
 from sparsetag.sparse_coding import (
@@ -951,20 +952,24 @@ class TestFiles:
            | _CODE_LINES.map(lambda ls: "".join(a + b for a, b in ls).encode("utf-8"))
            | st.tuples(_CODE_LINES, st.binary(max_size=3), _CODE_LINES).map(
                lambda t: "".join(a + b for a, b in t[0]).encode("utf-8") + t[1]
-               + "".join(a + b for a, b in t[2]).encode("utf-8")))
-    def test_arbitrary_bytes_load_or_raise_sparse_coding_error(self, tmp_path_factory, content):
-        # the one-pass reader loads what the line-by-line reader loads, and
-        # fails where it fails, with its message
+               + "".join(a + b for a, b in t[2]).encode("utf-8")),
+           chunk=st.sampled_from([1, 2, 3, 4096]))
+    def test_arbitrary_bytes_load_or_raise_sparse_coding_error(self, tmp_path_factory, content,
+                                                              chunk):
+        # the chunked reader loads what the line-by-line reader loads, and
+        # fails where it fails, with its message, whatever the chunk size
         path = tmp_path_factory.getbasetemp() / "fuzzed-codes.txt"
         path.write_bytes(content)
-        try:
-            words, entries, m = load_codes_by_line(path)
-        except ValueError as exc:
-            with pytest.raises(SparseCodingError) as caught:
-                load_codes(path)
-            assert str(caught.value) == str(exc)
-            return
-        codes = load_codes(path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sparse_coding, "_CODE_ROWS", chunk)
+            try:
+                words, entries, m = load_codes_by_line(path)
+            except ValueError as exc:
+                with pytest.raises(SparseCodingError) as caught:
+                    load_codes(path)
+                assert str(caught.value) == str(exc)
+                return
+            codes = load_codes(path)
         assert codes.words == words
         assert codes.m == m
         assert len(codes.entries) == len(entries)

@@ -4,19 +4,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsetag import _textfiles
 from sparsetag._textfiles import parse_numbers, read_lines
 
 
 class TestReadLines:
-    @settings(max_examples=200, deadline=None)
-    @given(st.text(alphabet="ab é\t\r\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029", max_size=40))
-    def test_lines_match_text_mode(self, tmp_path_factory, text):
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="ab é\t\r\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029", max_size=40),
+           st.sampled_from([1, 2, 3, 7, 1 << 18]))
+    def test_lines_match_text_mode(self, tmp_path_factory, text, block):
+        # small blocks end inside '\r\n', inside a character and inside a line
         path = tmp_path_factory.mktemp("lines") / "f.txt"
         path.write_bytes(text.encode("utf-8"))
         with open(path, encoding="utf-8") as fh:
             expected = [line.rstrip("\n") for line in fh]
-        assert [line for _, line in read_lines(path, ValueError)] == expected
-        assert [n for n, _ in read_lines(path, ValueError)] == list(range(1, len(expected) + 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_textfiles, "_BLOCK", block)
+            assert list(read_lines(path, ValueError)) == list(enumerate(expected, 1))
 
     @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
                                       "\u2029"])
@@ -38,7 +42,9 @@ class TestReadLines:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: not UTF-8 "):
             next(lines)
 
-    def test_bad_byte_names_file_and_line(self, tmp_path):
+    @pytest.mark.parametrize("block", [2, 1 << 18])
+    def test_bad_byte_names_file_and_line(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(_textfiles, "_BLOCK", block)
         path = tmp_path / "f.txt"
         path.write_bytes(b"ok\r\nok\n\xc3\n")
         with pytest.raises(ValueError, match=f"{path}:3: not UTF-8"):
