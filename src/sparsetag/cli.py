@@ -131,7 +131,7 @@ def _cmd_train(args):
     dataset = _load_train_data(args)
     feat_config = features.FeatureConfig(scheme=args.scheme, window=args.window)
     resources = _resources_for(args.scheme, args, lowercase=args.lowercase)
-    batch_features = _extract_all(dataset, feat_config, resources)
+    batch_ids = _extract_all(dataset, feat_config, resources)
     from . import crf  # after the usage checks, so a usage error loads no NumPy
 
     train_config = crf.TrainConfig(
@@ -147,7 +147,8 @@ def _cmd_train(args):
         "iobes": "1" if args.iobes else "0",
         "lowercase": "1" if args.lowercase else "0",
     }
-    model = crf.train(batch_features, dataset.labels(), train_config, meta=meta)
+    types = features.word_types(feat_config, resources)
+    model = crf.train(types, batch_ids, dataset.labels(), train_config, meta=meta)
     print(
         f"owlqn stopped: {model.meta['owlqn_stop']} after "
         f"{model.meta['owlqn_iterations']} iteration(s)",
@@ -188,12 +189,14 @@ def _cmd_tag(args):
     lowercase = _model_setting(model, args.model, "lowercase", ("0", "1"), default="0") == "1"
     feat_config = features.FeatureConfig(scheme=scheme, window=window)
     resources = _resources_for(scheme, args, lowercase=lowercase)
-    dataset = corpus.read_dataset(args.input, args.format, use_cpostag=args.cpostag)
-    batch_features = _extract_all(dataset, feat_config, resources)
-    predictions = [model.decode(em) for em in crf.score_sentences(model, batch_features)]
-    tagged = corpus.replace_labels(dataset, predictions)
+    # the input's own labels are not written, so they are read as they stand
+    dataset = corpus.read_dataset(args.input, args.format, use_cpostag=args.cpostag,
+                                  normalize=False)
+    batch_ids = _extract_all(dataset, feat_config, resources)
+    emissions = crf.score_sentences(model, features.word_types(feat_config, resources), batch_ids)
+    predictions = model.decode(emissions, list(map(len, batch_ids)))
     with atomic_output(args.out) as tmp:
-        corpus.write_dataset(tmp, tagged, args.format)
+        corpus.write_dataset(tmp, dataset, args.format, labels=predictions)
     print(f"tagged {len(dataset)} sentences")
     return 0
 

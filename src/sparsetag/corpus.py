@@ -273,23 +273,30 @@ def replace_labels(dataset: Dataset, label_sequences) -> Dataset:
     return Dataset(sentences=sentences, task=dataset.task)
 
 
-def write_dataset(path, dataset: Dataset, fmt: str) -> None:
+def write_dataset(path, dataset: Dataset, fmt: str, labels=None) -> None:
     """Write ``dataset`` in the given input format's column layout.
 
     Only the columns this toolkit reads are populated; the rest are '_'.
-    The output re-parses under the matching reader.
+    The output re-parses under the matching reader. ``labels``, if given,
+    holds one label per token of the whole dataset, in order, written in
+    place of the tokens' own.
     """
+    if labels is None:
+        labels = [tok.label for sent in dataset.sentences for tok in sent]
+    elif len(labels) != sum(map(len, dataset.sentences)):
+        raise CorpusError("labels do not match the dataset's token count")
+    labels = iter(labels)
     with open(path, "w", encoding="utf-8") as fh:
         for sent in dataset.sentences:
-            for i, tok in enumerate(sent, start=1):
+            for i, (tok, label) in enumerate(zip(sent, labels), start=1):
                 if fmt == "conllx":
-                    cols = [str(i), tok.form, "_", tok.label, tok.label] + ["_"] * 5
+                    cols = [str(i), tok.form, "_", label, label] + ["_"] * 5
                     fh.write("\t".join(cols) + "\n")
                 elif fmt == "conllu":
-                    cols = [str(i), tok.form, "_", tok.label] + ["_"] * 6
+                    cols = [str(i), tok.form, "_", label] + ["_"] * 6
                     fh.write("\t".join(cols) + "\n")
                 elif fmt in ("ner2002", "ner2003"):
-                    fh.write(f"{tok.form} {tok.label}\n")
+                    fh.write(f"{tok.form} {label}\n")
                 else:
                     raise CorpusError(f"unsupported output format: {fmt!r}")
             fh.write("\n")

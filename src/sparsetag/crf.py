@@ -10,11 +10,13 @@ with an orthant-wise limited-memory quasi-Newton method, so the l1 term
 is handled exactly. Inference is one forward-backward in scaled
 probabilities (CRFsuite's scaling) over a batch of sentences sorted by
 length; a batch whose products underflow is redone as a whole in log
-space. Training multiplies by a design matrix factored through the
-feature blocks of :mod:`sparsetag.features` (:class:`BlockMatrix`), built
-with NumPy alone. Tagging scores each distinct feature block of its whole
-input once (:func:`score_sentences`), then runs Viterbi on each sentence
-with ties broken toward the lower label index.
+space. Sentences come as type ids of a
+:class:`sparsetag.features.WordTypes` table, so the CRF works per
+(window offset, type): training multiplies by a design matrix factored
+through the (offset, type) blocks (:class:`BlockMatrix`), built with
+NumPy alone. Tagging scores each type in use once per offset
+(:func:`score_sentences`), then runs one Viterbi over the whole input,
+packed as in training, with ties broken toward the lower label index.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import itemgetter
 
 import numpy as np
 
@@ -160,25 +161,67 @@ def _log_forward_backward(emissions, batch_sizes, transitions):
     return float(log_z.sum()), unary, pairs
 
 
-def viterbi_path(emissions, transitions):
-    """Highest-scoring label index sequence; ties take the lower index."""
-    emissions = np.asarray(emissions, dtype=np.float64)
-    transitions = np.asarray(transitions, dtype=np.float64)
+def _viterbi(emissions, batch_sizes, transitions):
+    """Best label path of each sentence of a packed batch; ties take the lower index.
+
+    ``emissions`` and ``batch_sizes`` are packed as for
+    :func:`_scaled_forward_backward`. The forward pass keeps, per position
+    and label j, the best score of a path ending there: the emission plus
+    the maximum over the previous label i of delta[i] + T[i, j]. The
+    backward pass starts each sentence at the ``argmax`` of its last
+    position and steps back to the ``argmax`` over i of the same sums
+    delta[i] + T[i, j], for the label j it holds, so ``argmax`` gives the
+    lower index on ties and no choice is stored for the labels off the
+    path. The scores are kept in ``emissions``, which is overwritten.
+    Returns the (n_positions,) label indices in packed order.
+    """
     n_pos, n_lab = emissions.shape
-    back = np.zeros((n_pos, n_lab), dtype=np.int64)
-    delta = emissions[0].copy()
-    rows = np.arange(n_lab)
-    into = np.ascontiguousarray(transitions.T)  # into[j, i]: score of i -> j
-    for t in range(1, n_pos):
-        cand = into + delta  # cand[j, i]: best path ending in i, then j
-        best = cand.argmax(axis=1)
-        back[t] = best
-        delta = cand[rows, best] + emissions[t]
-    path = [int(np.argmax(delta))]
-    for t in range(n_pos - 1, 0, -1):
-        path.append(int(back[t][path[-1]]))
-    path.reverse()
+    starts = np.concatenate(([0], np.cumsum(batch_sizes)))
+    delta = emissions
+    for t in range(1, len(batch_sizes)):
+        n, cur, prev = batch_sizes[t], starts[t], starts[t - 1]
+        before = delta[prev:prev + n]
+        best = before[:, 0, None] + transitions[0]
+        for i in range(1, n_lab):
+            np.maximum(best, before[:, i, None] + transitions[i], out=best)
+        delta[cur:cur + n] += best
+    into = transitions.T
+    path = np.empty(n_pos, dtype=np.intp)
+    label = np.empty(batch_sizes[0] if n_pos else 0, dtype=np.intp)  # of each sentence at step t
+    for t in range(len(batch_sizes) - 1, -1, -1):
+        n, cur = batch_sizes[t], starts[t]
+        on = batch_sizes[t + 1] if t + 1 < len(batch_sizes) else 0  # sentences longer than t + 1
+        label[on:n] = delta[cur + on:cur + n].argmax(axis=1)
+        label[:on] = (delta[cur:cur + on] + into[label[:on]]).argmax(axis=1)
+        path[cur:cur + n] = label[:n]
     return path
+
+
+def viterbi_path(emissions, transitions):
+    """Highest-scoring label index sequence of one sentence; ties take the lower index."""
+    emissions = np.array(emissions, dtype=np.float64)
+    transitions = np.asarray(transitions, dtype=np.float64)
+    return _viterbi(emissions, np.ones(len(emissions), dtype=np.int64), transitions).tolist()
+
+
+def _packing(lengths):
+    """(packed_rows, batch_sizes) of sentences of these lengths, stored one after another.
+
+    Sentences are sorted by length, longest first (ties in input order),
+    and laid out step by step, so step t is the t-th position of the
+    ``batch_sizes[t]`` sentences longer than t; ``packed_rows`` gives the
+    stored row of each packed position.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    batch_sizes = np.count_nonzero(
+        lengths[order][None, :] > np.arange(lengths.max(initial=0))[:, None], axis=1
+    )
+    first = (np.cumsum(lengths) - lengths)[order]
+    packed_rows = np.concatenate(
+        [first[:n] + t for t, n in enumerate(batch_sizes)] or [np.zeros(0, dtype=np.int64)]
+    )
+    return packed_rows, batch_sizes
 
 
 # ---------------------------------------------------------------------------
@@ -212,80 +255,109 @@ class CrfModel:
         # line of each [meta] key in the file the model was loaded from
         self.meta_lines = {}
 
-    def decode(self, emissions):
-        """Predicted label sequence for one sentence's (n, L) emission scores.
+    def decode(self, emissions, lengths=None):
+        """Predicted labels of sentences, from their (positions, L) emission scores.
 
-        ``emissions`` is one of the arrays :func:`score_sentences` returns.
+        ``emissions`` holds the positions of sentences of the given
+        ``lengths`` (default: one sentence) one after another, as
+        :func:`score_sentences` returns them. One Viterbi pass runs over
+        the whole batch, packed as in training; returns one flat list of
+        labels, in position order.
         """
-        return [self.labels[i] for i in viterbi_path(emissions, self.transitions)]
+        emissions = np.asarray(emissions, dtype=np.float64)
+        packed_rows, batch_sizes = _packing([len(emissions)] if lengths is None else lengths)
+        best = np.empty(len(emissions), dtype=np.intp)
+        # the packed copy is the kernel's to overwrite
+        best[packed_rows] = _viterbi(emissions[packed_rows], batch_sizes, self.transitions)
+        return list(map(self.labels.__getitem__, best.tolist()))
 
 
-def score_sentences(model: CrfModel, batch_features):
-    """Each sentence's (n_i, L) per-position per-label emission scores.
+def _window_sources(types, batch_ids):
+    """The batch's positions and, per window offset, where each position reads.
 
-    ``batch_features`` holds sentences as
-    :func:`sparsetag.features.sentence_features` returns them; names absent
-    from the model's index are skipped. Each distinct block of the whole
-    batch (see :func:`_distinct_blocks`) is scored once: per label, one
-    ``np.bincount`` adds each block's entries in order from zero. A
-    position's emissions are then the sum of its block rows, added in order
-    from zero by a second ``bincount`` per label. A one-block position
-    therefore equals a per-feature loop bit for bit; with more blocks the
-    sum is grouped by block, which moves it by rounding only. One label at
-    a time, no temporary array grows with the labels.
+    Returns (ids, sources): every position's type id in order, and a
+    (len(types.offsets), positions) array holding, for offset o, the
+    position p + o of each position p, or -1 where p + o falls outside
+    p's sentence.
     """
-    n_blocks, ent_block, ent_feature, ent_value, pair_position, pair_block = _distinct_blocks(
-        batch_features, model.feature_index
+    lengths = np.fromiter(map(len, batch_ids), dtype=np.int64, count=len(batch_ids))
+    ids = np.fromiter(chain.from_iterable(batch_ids), dtype=np.int64, count=int(lengths.sum()))
+    at = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    length = np.repeat(lengths, lengths)
+    sources = np.full((len(types.offsets), len(ids)), -1, dtype=np.int64)
+    for row, (offset, _) in zip(sources, types.offsets):
+        inside = np.flatnonzero((at + offset >= 0) & (at + offset < length))
+        row[inside] = inside + offset
+    return ids, sources
+
+
+def _type_entries(types, type_ids):
+    """The rows of the given types, one after another: (row, attribute id, value) per entry."""
+    attrs = list(map(types.attrs.__getitem__, type_ids))
+    counts = np.fromiter(map(len, attrs), dtype=np.int64, count=len(attrs))
+    n = int(counts.sum())
+    return (
+        np.repeat(np.arange(len(attrs)), counts),
+        np.fromiter(chain.from_iterable(attrs), dtype=np.int64, count=n),
+        np.fromiter(chain.from_iterable(map(types.values.__getitem__, type_ids)),
+                    dtype=np.float64, count=n),
     )
-    starts = np.cumsum([0, *map(len, batch_features)])
-    emissions = np.empty((starts[-1], len(model.labels)))
-    for label, weights in enumerate(model.emissions.T):
-        block_scores = np.bincount(ent_block, weights[ent_feature] * ent_value, minlength=n_blocks)
-        emissions[:, label] = np.bincount(pair_position, block_scores[pair_block],
-                                          minlength=starts[-1])
-    return [emissions[a:b] for a, b in zip(starts[:-1], starts[1:])]
 
 
-def _distinct_blocks(batch_features, feature_index, grow=False):
-    """Sentences' positions as their distinct feature blocks, told apart by ``id``.
+def _feature_ids(names, feature_index, grow=False):
+    """Each name's id in ``feature_index``, or -1.
 
-    Returns (n_blocks, ent_block, ent_feature, ent_value, pair_position,
-    pair_block): each distinct block's (block, feature id, value) entries
-    in order, and one (position, block) pair per occurrence, positions
-    numbered through the sentences and pairs in position order. Each block
-    is a sequence of (name, value) pairs, so a cached per-type block shared
-    by many positions has its names resolved once. Names missing from
-    ``feature_index`` are skipped, or with ``grow`` first added to it in
-    order of first occurrence, as if every occurrence were read. A block
-    left with no entries, and its pairs, are dropped; the others are
-    numbered 0, 1, ... in order of first occurrence.
+    With ``grow``, missing names are first added, in order.
     """
-    positions = list(chain.from_iterable(batch_features))
-    blocks = list(chain.from_iterable(positions))
-    numbers = {}  # id of each distinct block -> its number, in order of first occurrence
-    pair_block = np.fromiter(
-        (numbers.setdefault(b, len(numbers)) for b in map(id, blocks)), dtype=np.int64,
-        count=len(blocks),
-    )
-    unique = list({id(b): b for b in blocks}.values())
-    entries = list(chain.from_iterable(unique))
-    names = map(itemgetter(0), entries)
     if grow:
-        names = list(names)
         for name in names:
             if name not in feature_index:
                 feature_index[name] = len(feature_index)
-    ids = np.fromiter(map(feature_index.get, names, repeat(-1)), dtype=np.int64, count=len(entries))
-    values = np.fromiter(map(itemgetter(1), entries), dtype=np.float64, count=len(entries))
-    found = ids >= 0
-    ent_block = np.repeat(np.arange(len(unique)), list(map(len, unique)))[found]
-    nonempty = np.zeros(len(unique), dtype=bool)
-    nonempty[ent_block] = True
-    number = np.cumsum(nonempty) - 1
-    pair_position = np.repeat(np.arange(len(positions)), list(map(len, positions)))
-    paired = nonempty[pair_block]
-    return (int(nonempty.sum()), number[ent_block], ids[found], values[found],
-            pair_position[paired], number[pair_block[paired]])
+    return np.fromiter(map(feature_index.get, names, repeat(-1)), dtype=np.int64, count=len(names))
+
+
+def score_sentences(model: CrfModel, types, batch_ids):
+    """The (positions, L) per-label emission scores of every position of the sentences.
+
+    ``batch_ids`` holds sentences as
+    :func:`sparsetag.features.sentence_features` returns them, as ids of
+    the types in ``types`` (a :class:`sparsetag.features.WordTypes`).
+    Only the types and attributes in use are read. Per window offset, each
+    distinct attribute is resolved once, to its weight row or, for a name
+    absent from the model's index, a zero row, and one (types + 1) x L
+    table scores each type's block there: per label, ``np.bincount`` adds
+    its entries in order from zero, and the last row is zero. A position's
+    emissions are the table rows of the types at its offsets added in the
+    string order of the offset tags, from zero, with the zero row where
+    the offset falls outside the sentence. That is the order of a
+    per-block loop that skips absent names (a finite value times a zero
+    weight adds a zero), so a one-block position equals a per-feature loop
+    bit for bit. One label at a time, no temporary grows with the entries
+    times the labels.
+    """
+    ids, sources = _window_sources(types, batch_ids)
+    n_lab = len(model.labels)
+    used = np.flatnonzero(np.bincount(ids, minlength=len(types)))
+    local = np.empty(len(types), dtype=np.int64)
+    local[used] = np.arange(len(used))
+    table_row = np.append(local[ids], len(used))  # of each position; source -1 reads the zero row
+    row, attr, value = _type_entries(types, used.tolist())
+    attrs = np.flatnonzero(np.bincount(attr, minlength=len(types.attr_names)))
+    names = list(map(types.attr_names.__getitem__, attrs.tolist()))
+    attr_row = np.empty(len(types.attr_names), dtype=np.int64)
+    attr_row[attrs] = np.arange(len(attrs))
+    attr = attr_row[attr]
+    emissions = np.zeros((len(ids), n_lab))
+    table = np.empty((len(used) + 1, n_lab))
+    for (_, tag), source in zip(types.offsets, sources):
+        features = _feature_ids([tag + name for name in names], model.feature_index)
+        found = features >= 0
+        weights = np.zeros((n_lab, len(attrs)))
+        weights[:, found] = model.emissions[features[found]].T
+        for label, column in enumerate(weights):
+            table[:, label] = np.bincount(row, column[attr] * value, minlength=len(used) + 1)
+        emissions += table[table_row[source]]
+    return emissions
 
 
 # rows gathered and added per np.add.reduceat call, so that each call's
@@ -430,22 +502,71 @@ class CompiledBatch:
         return len(self.feature_index)
 
 
-def compile_batch(batch_features, batch_labels, labels=None, feature_index=None,
+def _first_occurrences(keys):
+    """The distinct keys in order of first occurrence, and each key's number in that order."""
+    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    return distinct[order], number[inverse]
+
+
+def _blocks(types, batch_ids, feature_index, grow):
+    """The batch's distinct non-empty (offset, type) blocks and their occurrences.
+
+    Returns (n_blocks, ent_block, ent_feature, ent_value, pair_position,
+    pair_block), in :class:`BlockMatrix`'s argument order: each block's
+    (block, feature id, value) entries in row order, and one (position,
+    block) pair per offset inside the sentence, in position order and then
+    in the string order of the offset tags. Blocks are numbered in order of
+    first occurrence among the pairs. Each distinct (offset, attribute) is
+    resolved once; names missing from ``feature_index`` are skipped, or
+    with ``grow`` first added to it in order of first occurrence, as if
+    every occurrence were read. A block left with no entries, and its
+    pairs, are dropped.
+    """
+    ids, sources = _window_sources(types, batch_ids)
+    n_offsets = len(types.offsets)
+    n_types, n_attrs = max(len(types), 1), max(len(types.attr_names), 1)
+    stream = sources.T.ravel()
+    inside = stream >= 0
+    pair_position = np.repeat(np.arange(len(ids)), n_offsets)[inside]
+    pair_offset = np.tile(np.arange(n_offsets), len(ids))[inside]
+    blocks, pair_block = _first_occurrences(pair_offset * n_types + ids[stream[inside]])
+    block_offset, block_type = np.divmod(blocks, n_types)
+    ent_block, attr, values = _type_entries(types, block_type.tolist())
+    keys, ent_key = _first_occurrences(block_offset[ent_block] * n_attrs + attr)
+    tags = [tag for _, tag in types.offsets]
+    names = [tags[o] + types.attr_names[a]
+             for o, a in zip(*(part.tolist() for part in np.divmod(keys, n_attrs)))]
+    ent_feature = _feature_ids(names, feature_index, grow)[ent_key]
+    found = ent_feature >= 0
+    ent_block = ent_block[found]
+    nonempty = np.zeros(len(blocks), dtype=bool)
+    nonempty[ent_block] = True
+    renumber = np.cumsum(nonempty) - 1
+    paired = nonempty[pair_block]
+    return (int(nonempty.sum()), renumber[ent_block], ent_feature[found], values[found],
+            pair_position[paired], renumber[pair_block[paired]])
+
+
+def compile_batch(types, batch_ids, batch_labels, labels=None, feature_index=None,
                   grow_index=True) -> CompiledBatch:
     """Compile labeled sentences for training or objective evaluation.
 
-    ``batch_features`` holds each sentence's positions as
-    :func:`sparsetag.features.sentence_features` returns them. The design
-    matrix (:class:`BlockMatrix`) keeps each distinct non-empty block's
-    entries once and a (position, block) pair per occurrence, as
-    :func:`_distinct_blocks` lists them. Feature ids follow first
+    ``batch_ids`` holds each sentence as
+    :func:`sparsetag.features.sentence_features` returns it, as ids of the
+    types in ``types`` (a :class:`sparsetag.features.WordTypes`). The
+    design matrix (:class:`BlockMatrix`) keeps each distinct non-empty
+    (offset, type) block's entries once and a (position, block) pair per
+    occurrence, as :func:`_blocks` lists them. Feature ids follow first
     occurrence in the positions' flattened blocks, as if every occurrence
     were read. ``labels`` defaults to the sorted gold alphabet.
     When an existing ``feature_index`` is supplied and ``grow_index`` is
     off, unseen features are dropped (inference semantics); otherwise new
     features get ids in order of first occurrence.
     """
-    if len(batch_features) != len(batch_labels):
+    if len(batch_ids) != len(batch_labels):
         raise CrfError("feature and label sequence counts differ")
     if labels is None:
         labels = sorted({lab for seq in batch_labels for lab in seq})
@@ -453,11 +574,10 @@ def compile_batch(batch_features, batch_labels, labels=None, feature_index=None,
     feature_index = {} if feature_index is None else dict(feature_index)
 
     gold = []
-    starts = []
     n_lab = len(labels)
     trans_counts = np.zeros((n_lab, n_lab))
-    for feats_seq, labs_seq in zip(batch_features, batch_labels):
-        if len(feats_seq) != len(labs_seq) or not labs_seq:
+    for ids_seq, labs_seq in zip(batch_ids, batch_labels):
+        if len(ids_seq) != len(labs_seq) or not labs_seq:
             raise CrfError("sentence feature/label shape mismatch")
         pos = len(gold)
         for lab in labs_seq:
@@ -466,20 +586,11 @@ def compile_batch(batch_features, batch_labels, labels=None, feature_index=None,
             gold.append(label_index[lab])
         for prev, y in zip(gold[pos:], gold[pos + 1:]):
             trans_counts[prev, y] += 1.0
-        starts.append(pos)
 
-    blocks = _distinct_blocks(batch_features, feature_index, grow=grow_index)
+    blocks = _blocks(types, batch_ids, feature_index, grow_index)
     # n_blocks and the entry and pair arrays, in BlockMatrix's argument order
     matrix = BlockMatrix(max(len(feature_index), 1), *blocks, n_positions=len(gold))
-    lengths = np.diff(np.asarray(starts + [len(gold)], dtype=np.int64))
-    order = np.argsort(-lengths, kind="stable")
-    batch_sizes = np.count_nonzero(
-        lengths[order][None, :] > np.arange(lengths.max(initial=0))[:, None], axis=1
-    )
-    first = np.asarray(starts, dtype=np.int64)[order]
-    packed_rows = np.concatenate(
-        [first[:n] + t for t, n in enumerate(batch_sizes)] or [np.zeros(0, dtype=np.int64)]
-    )
+    packed_rows, batch_sizes = _packing(list(map(len, batch_ids)))
     return CompiledBatch(
         matrix=matrix,
         gold=np.asarray(gold, dtype=np.int64),
@@ -634,17 +745,17 @@ def _owlqn(fun, w0, c1, max_iterations, tolerance):
     return w, total, iterations, reason
 
 
-def train(batch_features, batch_labels, config: TrainConfig, meta=None) -> CrfModel:
-    """Fit CRF weights on labeled, feature-extracted sentences.
+def train(types, batch_ids, batch_labels, config: TrainConfig, meta=None) -> CrfModel:
+    """Fit CRF weights on labeled sentences, given as ids of ``types`` (see :func:`compile_batch`).
 
     Deterministic: label order is sorted, feature ids follow first
     occurrence, and all reductions have fixed structure. The model's meta
     records why OWL-QN stopped (``owlqn_stop``) and how many iterations it
     accepted (``owlqn_iterations``).
     """
-    if not batch_features:
+    if not batch_ids:
         raise CrfError("training set is empty")
-    batch = compile_batch(batch_features, batch_labels)
+    batch = compile_batch(types, batch_ids, batch_labels)
     for lab in batch.labels:
         if any(ch.isspace() for ch in lab):
             raise CrfError(f"label {lab!r} contains whitespace")

@@ -8,22 +8,20 @@ immutable resources; vectors come back sorted by feature string.
 
 Under every scheme but fr_w / fr_wc a token's vector is the union, over
 the offsets of its window, of the features of the word type at that
-offset. A word type's block at an offset is a tuple of (name, value)
-pairs in name order, built once per word type, window and scheme and
-cached on the FeatureResources object. An indicator feature (sc, brown,
-wi) enters a block as one offset-tagged pair, made on its first use and
-shared by every block that holds that feature at that offset, so a
-tagged name is built once per feature and offset, not once per word. A
-dense block is built per word: its sorted pairs with the offset's tag in
+offset. Each word type is numbered once per run in a :class:`WordTypes`
+table cached on the FeatureResources object, as CRFsuite interns its
+attributes: the type holds one row of untagged attributes (names such
+as ``+3`` or ``w=dog``, each numbered once, and their values) in name
+order, and its block at offset o is that row with the offset's tag in
 front of every name.
 
-:func:`sentence_features` hands each position its blocks, in the string
-order of their tags; flattened in that order they are the token's
-sorted, unique vector, which :func:`token_features` returns. Extraction
-therefore costs per word type, not per feature occurrence, and so do
-training and tagging: a block is the same object wherever its word
-appears, and the CRF reads each distinct block of a batch once. fr_w /
-fr_wc keep per-token templates, one list per position.
+:func:`sentence_features` therefore returns a sentence as its type ids
+alone; the CRF reads each (offset, type) block from the table, so
+extraction, training and tagging cost per word type, not per feature
+occurrence. Flattened in the string order of their tags, a position's
+blocks are the token's sorted, unique vector, which
+:func:`token_features` returns. Under fr_w / fr_wc each position is a
+type of its own, at the one offset 0, whose names carry no tag.
 """
 
 from __future__ import annotations
@@ -60,23 +58,18 @@ class FeatureConfig:
 class FeatureResources:
     """Immutable lookups the schemes draw on; only the needed ones are set.
 
-    The object also caches, filled on first use, each word type's blocks
-    per scheme and window, and the offset-tagged pairs those blocks
-    share. The caches assume the resources never change: build a
-    new object rather than editing the codes, table or clusters it holds.
+    The object also caches, filled on first use, the :class:`WordTypes`
+    table of each scheme and window. The cache assumes the resources never
+    change: build a new object rather than editing the codes, table or
+    clusters it holds.
     """
 
     codes: object = None          # SparseCodes
     table: object = None          # EmbeddingTable
     clusters: dict = field(default=None)  # word -> bit-string path
     lowercase_fallback: bool = False
-    # (scheme, window) -> word -> {offset: block}
+    # (scheme, window) -> WordTypes
     _type_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # offset -> untagged name -> its tagged pair, for every indicator feature
-    _pairs: dict = field(
-        default_factory=lambda: {o: _tagged_pairs(o) for o in range(-2, 3)},
-        init=False, repr=False, compare=False,
-    )
 
 
 class _Table(dict):
@@ -91,10 +84,53 @@ class _Table(dict):
         return value
 
 
-def _tagged_pairs(o):
-    """Untagged name -> its (tagged name, 1.0) pair at offset o, made once."""
-    tag = _offset_tag(o)
-    return _Table(lambda name: (tag + name, 1.0))
+class WordTypes:
+    """The types of one scheme and window, numbered in order of first use.
+
+    Type i is one row of attributes: ``attrs[i]`` lists the ids of its
+    untagged names in block order and ``values[i]`` their values.
+    ``attr_names`` holds each name once, at its id. ``offsets`` pairs each
+    window offset with the tag put in front of the names there, in the
+    string order of the tags, so the type's block at offset o holds
+    ``(tag + name, value)`` for every entry of its row. Given ``row``, a
+    function from a word form to its (names, values), ``words`` maps each
+    form to its type id, adding the type on first use.
+    """
+
+    def __init__(self, offsets, row=None):
+        self.offsets = tuple(offsets)
+        self.attr_names = []
+        self.attrs = []
+        self.values = []
+        self._attr_index = {}
+        if row is not None:
+            self.words = _Table(lambda word: self.add(*row(word)))
+
+    def __len__(self):
+        return len(self.attrs)
+
+    def add(self, names, values=None):
+        """Append a type whose row holds ``names`` (values 1.0 if None); returns its id."""
+        index = self._attr_index
+        for name in names:
+            if name not in index:
+                index[name] = len(self.attr_names)
+                self.attr_names.append(name)
+        self.attrs.append([index[name] for name in names])
+        self.values.append([1.0] * len(names) if values is None else list(values))
+        return len(self.attrs) - 1
+
+    def blocks(self, ids, t):
+        """The blocks of position t of a sentence of type ``ids``, in tag order.
+
+        One tuple of (tagged name, value) pairs per offset inside the
+        sentence.
+        """
+        names = self.attr_names
+        return [
+            tuple(zip([tag + names[a] for a in self.attrs[ids[t + o]]], self.values[ids[t + o]]))
+            for o, tag in self.offsets if 0 <= t + o < len(ids)
+        ]
 
 
 def _safe(text: str) -> str:
@@ -206,25 +242,13 @@ def rich_features(sentence, t, include_chars=False) -> set:
     return feats
 
 
-def _type_blocks(word, scheme, window, resources: FeatureResources):
-    """{offset: block} of ``word`` at every offset of the window.
-
-    A block holds the word's (name, value) pairs in name order, each name
-    tagged with the offset; a tag put in front of every name keeps the
-    order. Under dense a block holds pairs of its own; under every other
-    scheme it is made of shared pairs.
-    """
-    offsets = _WINDOW_OFFSETS[window]
+def _word_row(word, scheme, resources: FeatureResources):
+    """(names, values) of ``word``'s untagged attributes, in name order."""
     low = resources.lowercase_fallback
     if scheme == "dense":
         vector = resources.table.lookup(word, lowercase_fallback=low)
-        if vector is None:
-            return dict.fromkeys(offsets, ())
-        untagged = sorted(dense_features(vector))
-        return {
-            o: tuple([(_offset_tag(o) + name, value) for name, value in untagged])
-            for o in offsets
-        }
+        pairs = () if vector is None else sorted(dense_features(vector))
+        return [name for name, _ in pairs], [value for _, value in pairs]
     names = []
     if scheme in ("sc", "wi_sc"):
         entry = resources.codes.get(word, lowercase_fallback=low)
@@ -236,18 +260,7 @@ def _type_blocks(word, scheme, window, resources: FeatureResources):
             names = sorted(brown_features(path))
     if scheme in ("wi", "wi_sc"):
         names.append(f"w={_safe(word)}")  # after every '+j' and '-j'
-    return {o: tuple(map(resources._pairs[o].__getitem__, names)) for o in offsets}
-
-
-def _word_blocks(config: FeatureConfig, resources: FeatureResources):
-    """word -> {offset: block} under the configured scheme and window; cached."""
-    key = config.scheme, config.window
-    blocks = resources._type_cache.get(key)
-    if blocks is None:
-        blocks = resources._type_cache[key] = _Table(
-            lambda word: _type_blocks(word, *key, resources)
-        )
-    return blocks
+    return names, None
 
 
 _REQUIRED = {
@@ -263,6 +276,29 @@ def _check_resources(scheme, resources: FeatureResources):
         attr, what = _REQUIRED[scheme]
         if getattr(resources, attr) is None:
             raise FeatureError(f"scheme {scheme!r} needs a {what}")
+
+
+def word_types(config: FeatureConfig, resources: FeatureResources) -> WordTypes:
+    """The run's :class:`WordTypes` table for the configured scheme and window.
+
+    Made on first use and cached on ``resources``. Under fr_w / fr_wc it
+    has the one offset 0 with an empty tag and grows by one type per
+    position that :func:`sentence_features` extracts.
+    """
+    scheme = config.scheme
+    _check_resources(scheme, resources)
+    key = scheme, config.window
+    types = resources._type_cache.get(key)
+    if types is None:
+        if scheme in ("fr_w", "fr_wc"):
+            types = WordTypes([(0, "")])
+        else:
+            types = WordTypes(
+                [(o, _offset_tag(o)) for o in _WINDOW_OFFSETS[config.window]],
+                lambda word: _word_row(word, scheme, resources),
+            )
+        resources._type_cache[key] = types
+    return types
 
 
 def token_features(sentence, t, config: FeatureConfig, resources: FeatureResources):
@@ -282,34 +318,23 @@ def token_features(sentence, t, config: FeatureConfig, resources: FeatureResourc
         out.sort()
         return out
 
-    _check_resources(scheme, resources)
-    types = list(map(_word_blocks(config, resources).__getitem__, sentence))
-    return list(chain.from_iterable(_blocks_at(types, t, config.window)))
-
-
-def _blocks_at(types, t, window):
-    """Blocks of the offsets around t inside the sentence, in tag order.
-
-    ``types`` holds the {offset: block} of each word of the sentence.
-    """
-    n = len(types)
-    return tuple([types[t + o][o] for o in _WINDOW_OFFSETS[window] if 0 <= t + o < n])
+    types = word_types(config, resources)
+    return list(chain.from_iterable(types.blocks(list(map(types.words.__getitem__, sentence)), t)))
 
 
 def sentence_features(sentence, config: FeatureConfig, resources: FeatureResources):
-    """Feature blocks of every position of a sentence of word forms.
+    """The type ids of a sentence of word forms, one per position.
 
-    Position t gets a tuple of blocks, each a sequence of (name, value)
-    pairs; flattened in order they give ``token_features(sentence, t,
-    ...)``. Under a windowed scheme there is one block per offset inside
-    the sentence, in the string order of the offset tags, and each is the
-    cached tuple of the word type there. Under fr_w / fr_wc a position
-    has one block, a list built for that token alone.
+    Ids index the :class:`WordTypes` table that :func:`word_types` gives
+    for the same config and resources; position t's blocks
+    (``WordTypes.blocks``), flattened, are ``token_features(sentence, t,
+    ...)``. Under a windowed scheme a position's id is its word's type.
+    Under fr_w / fr_wc each position becomes a new type, holding its
+    token's feature-rich templates.
     """
-    n = len(sentence)
-    scheme = config.scheme
-    if scheme in ("fr_w", "fr_wc"):
-        return [(token_features(sentence, t, config, resources),) for t in range(n)]
-    _check_resources(scheme, resources)
-    types = list(map(_word_blocks(config, resources).__getitem__, sentence))
-    return [_blocks_at(types, t, config.window) for t in range(n)]
+    types = word_types(config, resources)
+    if config.scheme in ("fr_w", "fr_wc"):
+        chars = config.scheme == "fr_wc"
+        return [types.add(sorted(rich_features(sentence, t, include_chars=chars)))
+                for t in range(len(sentence))]
+    return list(map(types.words.__getitem__, sentence))

@@ -10,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from sparsetag.corpus import Dataset, Token, write_dataset
 from sparsetag.crf import _scaled_forward_backward
+from sparsetag.features import WordTypes
 
 
 def write_embedding_file(path, words, vectors, header=False):
@@ -34,6 +35,21 @@ def sentence_forward_backward(emissions, transitions):
     the sentence's pairwise marginal.
     """
     return _scaled_forward_backward(emissions, np.ones(len(emissions), dtype=np.int64), transitions)
+
+
+def per_position(batch_positions):
+    """Hand-built sentences as (types, type ids), one type per position.
+
+    Each position is a sequence of (name, value) pairs. It becomes a type
+    of its own, at the one offset 0 with no tag, as fr_w / fr_wc positions
+    do, so its emissions are its pairs' rows added in order from zero.
+    """
+    types = WordTypes([(0, "")])
+    ids = [
+        [types.add([name for name, _ in pos], [value for _, value in pos]) for pos in sent]
+        for sent in batch_positions
+    ]
+    return types, ids
 
 
 def make_dataset(tagged_sentences, task="pos"):

@@ -79,6 +79,19 @@ def crf_enumerate(emissions, transitions):
     return logz, unary, pairwise, best, float(mx)
 
 
+def viterbi_enumerate(emissions, transitions):
+    """The best label path by scoring every sequence, ties broken as Viterbi breaks them.
+
+    Viterbi takes the lower label index on every tie, from the last
+    position backward, so among the best paths it returns the one whose
+    labels, read from the last position back, are smallest.
+    """
+    n_pos, n_lab = np.shape(emissions)
+    paths = itertools.product(range(n_lab), repeat=n_pos)
+    return list(max(paths, key=lambda p: (path_score(emissions, transitions, p),
+                                          [-y for y in reversed(p)])))
+
+
 def path_score(emissions, transitions, path):
     """Score of one label path: its emissions plus its transitions."""
     score = float(emissions[0][path[0]])
@@ -165,14 +178,18 @@ def token_features_per_token(sentence, t, config, resources):
 def score_lattice_per_feature(model, sent_features):
     """Emission scores by one row addition per feature occurrence.
 
-    Each position holds a sequence of feature blocks, read in order.
+    Each position holds a sequence of feature blocks, read in order: a
+    block's rows are added from zero, then the block sums from zero.
     """
     emissions = np.zeros((len(sent_features), len(model.labels)))
     for t, blocks in enumerate(sent_features):
-        for name, value in itertools.chain.from_iterable(blocks):
-            fid = model.feature_index.get(name)
-            if fid is not None:
-                emissions[t] += value * model.emissions[fid]
+        for block in blocks:
+            block_sum = np.zeros(len(model.labels))
+            for name, value in block:
+                fid = model.feature_index.get(name)
+                if fid is not None:
+                    block_sum += value * model.emissions[fid]
+            emissions[t] += block_sum
     return emissions
 
 

@@ -26,7 +26,7 @@ from sparsetag.sparse_coding import (
     sparsity_level,
 )
 
-from conftest import make_dataset, sentence_forward_backward
+from conftest import make_dataset, per_position, sentence_forward_backward
 from oracles import (
     crf_enumerate,
     finite_difference_gradient,
@@ -157,11 +157,11 @@ class TestCriterion5CrfGradient:
                     (f"d:{int(rng.integers(4))}", float(rng.standard_normal())),
                     (f"d:{int(rng.integers(4, 8))}", float(rng.standard_normal())),
                 ]
-                sent.append((feats,))
+                sent.append(feats)
                 labs.append(["A", "B", "C"][int(rng.integers(3))])
             sentences.append(sent)
             labels.append(labs)
-        batch = compile_batch(sentences, labels)
+        batch = compile_batch(*per_position(sentences), labels)
         n_params = batch.n_features * len(batch.labels) + len(batch.labels) ** 2
         params = rng.standard_normal(n_params) * 0.7
         _, grad = smooth_objective(params, batch, c2=0.001)

@@ -199,7 +199,12 @@ class TestTrainTagEval:
         from sparsetag.corpus import read_conllx
         from sparsetag.crf import load_model, score_sentences
         from sparsetag.evaluation import token_accuracy
-        from sparsetag.features import FeatureConfig, FeatureResources, sentence_features
+        from sparsetag.features import (
+            FeatureConfig,
+            FeatureResources,
+            sentence_features,
+            word_types,
+        )
         from sparsetag.sparse_coding import load_codes
 
         pred = tmp_path / "pred.conll"
@@ -222,7 +227,9 @@ class TestTrainTagEval:
         gold = read_conllx(small_task_files["test"])
         batch = [sentence_features([t.form for t in sent], config, resources)
                  for sent in gold.sentences]
-        decoded = [model.decode(emissions) for emissions in score_sentences(model, batch)]
+        lengths = list(map(len, batch))
+        labels = model.decode(score_sentences(model, word_types(config, resources), batch), lengths)
+        decoded = [labels[start:start + n] for start, n in zip(np.cumsum([0, *lengths]), lengths)]
         assert token_accuracy(gold, decoded) == pytest.approx(file_metric, abs=5e-7)
 
     def test_tag_task_mismatch_exits_2(self, small_task_files, trained_sc_model, tmp_path):
@@ -328,6 +335,27 @@ class TestNerPipeline:
         out = capsys.readouterr().out
         assert out.startswith("f1 ")
         assert float(out.split()[1]) == 1.0
+
+    @pytest.mark.parametrize("fmt", ["ner2002", "ner2003"])
+    def test_tag_input_with_a_malformed_last_tag_exits_1(self, ner_files, tmp_path, capsys, fmt):
+        # tag reads its input without the IOB1 normalization, which rewrites
+        # labels it does not keep, yet every line is still checked
+        model = tmp_path / "ner-model"
+        assert run(
+            "train", "--task", "ner", "--scheme", "wi",
+            "--train", ner_files["train"], "--format", "ner2002", "--out", model,
+        ) == 0
+        text = ner_files["test"].read_text(encoding="utf-8")
+        bad = tmp_path / "bad.ner"
+        bad.write_text(text + "Rome X-LOC\n", encoding="utf-8")
+        pred = tmp_path / "pred.ner"
+        capsys.readouterr()
+        assert run("tag", "--model", model, "--input", bad, "--format", fmt, "--out", pred) == 1
+        lineno = text.count("\n") + 1
+        assert capsys.readouterr().err == f"sparsetag: {bad}:{lineno}: malformed NER tag 'X-LOC'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "bad.ner", "ner-model", "test.ner", "train.ner",
+        ]
 
     def test_iobes_singletons_train_as_two_entities(self, tmp_path, capsys):
         train = tmp_path / "train.ner"

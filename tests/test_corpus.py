@@ -341,3 +341,50 @@ class TestInvariants:
         mapped = map_universal(data, mapping)
         tags = {t for sent in mapped.labels() for t in sent}
         assert tags <= corpus.UNIVERSAL_POS_TAGS
+
+
+def _written_before_labels(dataset, fmt):
+    """The bytes write_dataset gave before it took labels.
+
+    One line per token in the format's column layout, and a blank line
+    after each sentence.
+    """
+    out = []
+    for sent in dataset.sentences:
+        for i, tok in enumerate(sent, start=1):
+            if fmt == "conllx":
+                out.append("\t".join([str(i), tok.form, "_", tok.label, tok.label] + ["_"] * 5))
+            elif fmt == "conllu":
+                out.append("\t".join([str(i), tok.form, "_", tok.label] + ["_"] * 6))
+            else:
+                out.append(f"{tok.form} {tok.label}")
+        out.append("")
+    return "".join(line + "\n" for line in out).encode("utf-8")
+
+
+class TestWriteDataset:
+    _WORD = st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.sampled_from(("conllx", "conllu", "ner2002", "ner2003")))
+    def test_labels_are_written_as_a_relabelled_copy_was(self, tmp_path_factory, data, fmt):
+        sentences = data.draw(st.lists(st.lists(st.tuples(self._WORD, self._WORD), min_size=1,
+                                                max_size=12), min_size=1, max_size=5))
+        dataset = make_dataset(sentences)
+        labels = data.draw(st.lists(self._WORD, min_size=sum(map(len, sentences)),
+                                    max_size=sum(map(len, sentences))))
+        per_sentence, start = [], 0
+        for sent in sentences:
+            per_sentence.append(labels[start:start + len(sent)])
+            start += len(sent)
+        relabelled = corpus.replace_labels(dataset, per_sentence)
+        path = tmp_path_factory.getbasetemp() / "written.txt"
+        corpus.write_dataset(path, dataset, fmt, labels=labels)
+        assert path.read_bytes() == _written_before_labels(relabelled, fmt)
+        corpus.write_dataset(path, dataset, fmt)  # the tokens' own labels
+        assert path.read_bytes() == _written_before_labels(dataset, fmt)
+
+    def test_label_count_must_match(self, tmp_path):
+        dataset = make_dataset([[("a", "X"), ("b", "Y")]])
+        with pytest.raises(CorpusError, match="token count"):
+            corpus.write_dataset(tmp_path / "out", dataset, "conllx", labels=["X"])

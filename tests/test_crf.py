@@ -1,5 +1,3 @@
-from itertools import chain
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,14 +18,16 @@ from sparsetag.crf import (
     train,
     viterbi_path,
 )
+from sparsetag.features import WordTypes
 
-from conftest import sentence_forward_backward
-from oracles import crf_enumerate, finite_difference_gradient, path_score, score_lattice_per_feature
-
-
-def one_block(positions):
-    """A sentence whose positions each hold their flat feature list as one block."""
-    return [(list(pos),) for pos in positions]
+from conftest import per_position, sentence_forward_backward
+from oracles import (
+    crf_enumerate,
+    finite_difference_gradient,
+    path_score,
+    score_lattice_per_feature,
+    viterbi_enumerate,
+)
 
 
 def toy_model(labels=("A", "B"), features=("fa", "fb")):
@@ -38,21 +38,20 @@ def toy_model(labels=("A", "B"), features=("fa", "fb")):
 
 
 def score_one(model, sentence):
-    """The emissions score_sentences gives a one-sentence batch."""
-    [emissions] = score_sentences(model, [sentence])
-    return emissions
+    """The emissions score_sentences gives a one-sentence batch of hand-built positions."""
+    return score_sentences(model, *per_position([sentence]))
 
 
 class TestScoreLattice:
     def test_zero_weights_zero_scores(self):
         model = toy_model()
-        em = score_one(model, one_block([[("fa", 1.0)], [("fb", 2.0)]]))
+        em = score_one(model, [[("fa", 1.0)], [("fb", 2.0)]])
         np.testing.assert_array_equal(em, np.zeros((2, 2)))
 
     def test_weighted_feature(self):
         model = toy_model()
         model.emissions[0, 0] = 0.5
-        em = score_one(model, one_block([[("fa", 2.0)]]))
+        em = score_one(model, [[("fa", 2.0)]])
         assert em[0, 0] == pytest.approx(1.0)
         assert em[0, 1] == 0.0
 
@@ -62,12 +61,12 @@ class TestScoreLattice:
         model.emissions[:] = rng.standard_normal(model.emissions.shape)
         feats = [[("fa", 0.7), ("fb", -1.2)], [("fb", 2.0)]]
         doubled = [[(n, 2 * v) for n, v in pos] for pos in feats]
-        em1, em2 = score_sentences(model, [one_block(feats), one_block(doubled)])
-        np.testing.assert_allclose(em2, 2 * em1, atol=1e-12)
+        em = score_sentences(model, *per_position([feats, doubled]))
+        np.testing.assert_allclose(em[2:], 2 * em[:2], atol=1e-12)
 
     def test_unseen_features_skipped(self):
         model = toy_model()
-        em = score_one(model, one_block([[("never-seen", 1.0)]]))
+        em = score_one(model, [[("never-seen", 1.0)]])
         np.testing.assert_array_equal(em, np.zeros((1, 2)))
 
     @settings(max_examples=300, deadline=None)
@@ -84,47 +83,44 @@ class TestScoreLattice:
         model.emissions[:] = np.reshape(weights, (n_feat, n_lab))
         name = st.sampled_from([f"[0]+{i}" for i in range(n_feat)] + ["[0]missing", "[-1]+0"])
         value = st.just(1.0) | st.floats(-3.0, 3.0, allow_nan=False)  # indicators and dense
-        pairs = st.lists(st.tuples(name, value), max_size=8)  # empty blocks too
-        # tuple blocks shared by positions of every sentence, as the cached
-        # per-type blocks are, and a fresh list per position, as fr_* builds
-        shared = [tuple(b) for b in data.draw(st.lists(pairs, min_size=1, max_size=4))]
-        block = st.sampled_from(shared) | pairs
-        # one block per position, so the sum is the loop's bit for bit, or none
-        position = st.lists(block, max_size=1).map(tuple)
+        position = st.lists(st.tuples(name, value), max_size=8)  # empty positions too
         sentences = data.draw(st.lists(st.lists(position, min_size=1, max_size=5), min_size=1,
                                        max_size=4))
-        scored = score_sentences(model, sentences)
-        assert len(scored) == len(sentences)
-        for emissions, sentence in zip(scored, sentences):
-            assert np.array_equal(emissions, score_lattice_per_feature(model, sentence))
+        scored = score_sentences(model, *per_position(sentences))
+        # one block per position, so the sum is the loop's bit for bit
+        expected = [score_lattice_per_feature(model, [(pos,) for pos in sent])
+                    for sent in sentences]
+        assert np.array_equal(scored, np.concatenate(expected))
 
-    def test_list_blocks_are_scored_on_every_call(self):
+    def test_types_added_after_a_call_are_scored(self):
         model = toy_model()
         model.emissions[:] = [[1.0, 2.0], [3.0, 5.0]]
-        block = [("fa", 1.0)]
-        assert score_one(model, [(block,)]).tolist() == [[1.0, 2.0]]
-        block.append(("fb", 1.0))
-        assert score_one(model, [(block,)]).tolist() == [[4.0, 7.0]]
+        types, [ids] = per_position([[[("fa", 1.0)]]])
+        assert score_sentences(model, types, [ids]).tolist() == [[1.0, 2.0]]
+        more = [types.add(["fa", "fb"]), *ids]
+        assert score_sentences(model, types, [more]).tolist() == [[4.0, 7.0], [1.0, 2.0]]
 
-    def test_tuple_blocks_read_the_current_weights(self):
+    def test_scores_read_the_current_weights(self):
         model = toy_model()
-        block = (("fa", 1.0),)
+        types, ids = per_position([[[("fa", 1.0)]]])
         model.emissions[:] = [[1.0, 2.0], [3.0, 5.0]]
-        assert score_one(model, [(block,)]).tolist() == [[1.0, 2.0]]
+        assert score_sentences(model, types, ids).tolist() == [[1.0, 2.0]]
         model.emissions[0] = [-1.0, 0.5]
-        assert score_one(model, [(block,)]).tolist() == [[-1.0, 0.5]]
+        assert score_sentences(model, types, ids).tolist() == [[-1.0, 0.5]]
 
-    def test_blocks_sum_per_position(self):
-        model = toy_model()
-        model.emissions[:] = [[1.0, 2.0], [3.0, 5.0]]
-        fa, fb = (("fa", 1.0),), [("fb", 2.0)]
-        sentences = [[(fa, fb), (), (fb, fa, fa)], [(fb,)], [(fa, ())]]
-        assert [em.tolist() for em in score_sentences(model, sentences)] == [
-            [[7.0, 12.0], [0.0, 0.0], [8.0, 14.0]], [[6.0, 10.0]], [[1.0, 2.0]],
+    def test_offsets_add_the_neighbours_rows_in_tag_order(self):
+        types = WordTypes([(1, "[+1]"), (-1, "[-1]"), (0, "[0]")])
+        a, b = types.add(["x"]), types.add(["y", "x"], [2.0, 1.0])
+        model = toy_model(features=("[0]x", "[+1]x", "[-1]y"))
+        model.emissions[:] = [[1.0, 2.0], [10.0, 20.0], [100.0, 200.0]]
+        # [+1]y, [-1]x and [0]y are absent from the model; offsets past
+        # either end of a sentence add nothing
+        assert score_sentences(model, types, [[a, b, a], [b]]).tolist() == [
+            [11.0, 22.0], [11.0, 22.0], [201.0, 402.0], [1.0, 2.0],
         ]
 
     def test_empty_batch(self):
-        assert score_sentences(toy_model(), []) == []
+        assert score_sentences(toy_model(), *per_position([])).shape == (0, 2)
 
 
 class TestGatherSum:
@@ -239,6 +235,70 @@ class TestInference:
         assert path_score(em, tr, path) <= sentence_forward_backward(em, tr)[0]
 
 
+class TestBatchedViterbi:
+    """CrfModel.decode: one Viterbi over a whole packed batch of sentences."""
+
+    @staticmethod
+    def _model(transitions):
+        n_lab = len(transitions)
+        return CrfModel([f"L{j}" for j in range(n_lab)], {}, np.zeros((0, n_lab)),
+                        transitions, c1=0.0, c2=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_small_batches_match_enumeration(self, data):
+        # integer scores make ties common; every sentence's path must be the
+        # one the brute-force oracle picks, ties included
+        n_lab = data.draw(st.integers(1, 4), label="labels")
+        n_sent = data.draw(st.integers(1, 4), label="sentences")
+        if data.draw(st.booleans(), label="equal lengths"):
+            lengths = [data.draw(st.integers(1, 5))] * n_sent
+        else:
+            lengths = data.draw(st.lists(st.integers(1, 5), min_size=n_sent, max_size=n_sent))
+        score = st.integers(-2, 2).map(float)
+        n_pos = sum(lengths)
+        emissions = np.reshape(data.draw(st.lists(score, min_size=n_pos * n_lab,
+                                                  max_size=n_pos * n_lab)), (n_pos, n_lab))
+        transitions = np.reshape(data.draw(st.lists(score, min_size=n_lab ** 2,
+                                                    max_size=n_lab ** 2)), (n_lab, n_lab))
+        model = self._model(transitions)
+        expected = []
+        for start, n in zip(np.cumsum([0, *lengths]), lengths):
+            em = emissions[start:start + n]
+            path = viterbi_enumerate(em, transitions)
+            assert path_score(em, transitions, path) == crf_enumerate(em, transitions)[-1]
+            expected += [model.labels[y] for y in path]
+        assert model.decode(emissions, lengths) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_large_batches_match_per_sentence_calls(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        n_lab = data.draw(st.integers(1, 8), label="labels")
+        lengths = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=60), label="lengths")
+        n_pos = sum(lengths)
+        if data.draw(st.booleans(), label="integer scores"):
+            emissions = rng.integers(-2, 3, size=(n_pos, n_lab)).astype(np.float64)
+            transitions = rng.integers(-2, 3, size=(n_lab, n_lab)).astype(np.float64)
+        else:
+            emissions = rng.standard_normal((n_pos, n_lab)) * 3.0
+            transitions = rng.standard_normal((n_lab, n_lab))
+        model = self._model(transitions)
+        expected = []
+        for start, n in zip(np.cumsum([0, *lengths]), lengths):
+            path = viterbi_path(emissions[start:start + n], transitions)
+            expected += [model.labels[y] for y in path]
+        given_emissions = emissions.copy()
+        assert model.decode(emissions, lengths) == expected
+        assert np.array_equal(emissions, given_emissions)
+
+    def test_one_sentence_by_default(self):
+        model = self._model(np.array([[0.0, -5.0], [-5.0, 0.0]]))
+        emissions = np.array([[1.0, 0.0], [0.0, 0.5], [0.0, 3.0]])
+        assert model.decode(emissions) == [model.labels[y] for y in viterbi_path(
+            emissions, model.transitions)] == ["L1", "L1", "L1"]
+
+
 def penalized_objective(model, batch_features, batch_labels):
     """(objective, (grad_emissions, grad_transitions)) at the model's weights.
 
@@ -247,7 +307,7 @@ def penalized_objective(model, batch_features, batch_labels):
     part.
     """
     batch = compile_batch(
-        batch_features, batch_labels, labels=model.labels,
+        *per_position(batch_features), batch_labels, labels=model.labels,
         feature_index=model.feature_index, grow_index=False,
     )
     params = np.concatenate([model.emissions.ravel(), model.transitions.ravel()])
@@ -261,14 +321,14 @@ def penalized_objective(model, batch_features, batch_labels):
 class TestObjective:
     def test_uniform_single_token(self):
         model = toy_model()
-        obj, (grad_em, grad_tr) = penalized_objective(model, [one_block([[("fa", 1.0)]])], [["A"]])
+        obj, (grad_em, grad_tr) = penalized_objective(model, [[[("fa", 1.0)]]], [["A"]])
         assert obj == pytest.approx(np.log(2))
         assert grad_em[0, 0] == pytest.approx(-0.5)
         assert grad_em[0, 1] == pytest.approx(0.5)
 
     def test_duplicated_sentence_doubles_smooth_part(self):
         model = toy_model()
-        feats = one_block([[("fa", 1.0)], [("fb", 1.0)]])
+        feats = [[("fa", 1.0)], [("fb", 1.0)]]
         one, _ = penalized_objective(model, [feats], [["A", "B"]])
         two, _ = penalized_objective(model, [feats, feats], [["A", "B"], ["A", "B"]])
         # zero weights: no penalty contribution, so the smooth part doubles
@@ -277,7 +337,7 @@ class TestObjective:
     def test_unknown_gold_label_rejected(self):
         model = toy_model()
         with pytest.raises(CrfError, match="'C'"):
-            penalized_objective(model, [one_block([[("fa", 1.0)]])], [["C"]])
+            penalized_objective(model, [[[("fa", 1.0)]]], [["C"]])
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(8)
@@ -289,11 +349,11 @@ class TestObjective:
             labs = []
             for _t in range(length):
                 feats = [(f"ind{rng.integers(4)}", 1.0), (f"d:{rng.integers(3)}", float(rng.standard_normal()))]
-                sent.append((feats,))
+                sent.append(feats)
                 labs.append(["A", "B", "C"][int(rng.integers(3))])
             sentences.append(sent)
             labels.append(labs)
-        batch = compile_batch(sentences, labels)
+        batch = compile_batch(*per_position(sentences), labels)
         n_params = batch.n_features * len(batch.labels) + len(batch.labels) ** 2
         params = rng.standard_normal(n_params) * 0.5
         c2 = 0.001
@@ -314,8 +374,8 @@ def _enumerated_objective(batch_features, batch_labels, batch, params, c2):
     grad_t = c2 * transitions.copy()
     for sent, labs in zip(batch_features, batch_labels):
         x = np.zeros((len(sent), n_feat))
-        for t, blocks in enumerate(sent):
-            for name, val in chain.from_iterable(blocks):
+        for t, position in enumerate(sent):
+            for name, val in position:
                 x[t, batch.feature_index[name]] += val
         em = x @ weights
         gold = [label_index[lab] for lab in labs]
@@ -358,13 +418,11 @@ class TestPackedKernel:
         else:
             lengths = [1 if shape == "all_one" else data.draw(st.integers(1, 5))] * n_sent
         feature = st.tuples(st.sampled_from(["a", "b", "c", "d"]), st.floats(-2.0, 2.0))
-        position = st.lists(feature, min_size=1, max_size=3, unique_by=lambda f: f[0]).map(
-            lambda feats: (feats,)
-        )
+        position = st.lists(feature, min_size=1, max_size=3, unique_by=lambda f: f[0])
         batch_features = [data.draw(st.lists(position, min_size=n, max_size=n)) for n in lengths]
         batch_labels = [data.draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n))
                         for n in lengths]
-        batch = compile_batch(batch_features, batch_labels, labels=labels)
+        batch = compile_batch(*per_position(batch_features), batch_labels, labels=labels)
         n_params = batch.n_features * n_lab + n_lab * n_lab
         params = np.array(data.draw(
             st.lists(st.floats(-3.0, 3.0), min_size=n_params, max_size=n_params)
@@ -378,9 +436,9 @@ class TestPackedKernel:
         np.testing.assert_allclose(grad, expected_grad, rtol=0, atol=1e-9)
 
     def test_packed_layout(self):
-        feats = one_block([[("f", 1.0)]])
-        batch = compile_batch([feats * 2, feats * 3, feats, feats * 3], [["A"] * 2, ["A"] * 3,
-                              ["A"], ["A"] * 3])
+        feats = [[("f", 1.0)]]
+        batch = compile_batch(*per_position([feats * 2, feats * 3, feats, feats * 3]),
+                              [["A"] * 2, ["A"] * 3, ["A"], ["A"] * 3])
         # longest first, ties in input order: sentences 1, 3, 0, 2 start at rows 2, 6, 0, 5
         assert batch.batch_sizes.tolist() == [4, 3, 2]
         assert batch.packed_rows.tolist() == [2, 6, 0, 5, 3, 7, 1, 4, 8]
@@ -415,12 +473,12 @@ class TestPackedKernel:
         labels = ["A", "B"]
         lengths = [3, 1, 4, 2]
         batch_features = [
-            one_block([("a", float(rng.standard_normal())), ("b", 1.0)] for _ in range(n))
+            [[("a", float(rng.standard_normal())), ("b", 1.0)] for _ in range(n)]
             for n in lengths
         ]
-        batch_features[2][0][0].append(("wide", 1.0))
+        batch_features[2][0].append(("wide", 1.0))
         batch_labels = [[labels[int(rng.integers(2))] for _ in range(n)] for n in lengths]
-        batch = compile_batch(batch_features, batch_labels, labels=labels)
+        batch = compile_batch(*per_position(batch_features), batch_labels, labels=labels)
         weights = rng.standard_normal((batch.n_features, 2))
         weights[batch.feature_index["wide"]] = [0.0, 760.0]
         transitions = np.array([[0.0, 0.0], [-800.0, -800.0]])
@@ -477,7 +535,7 @@ class TestTrain:
             labs = []
             for t in range(3):
                 lab = "A" if (i + t) % 2 == 0 else "B"
-                sent.append(([(f"f{lab}", 1.0)],))
+                sent.append([(f"f{lab}", 1.0)])
                 labs.append(lab)
             sentences.append(sent)
             labels.append(labs)
@@ -485,7 +543,7 @@ class TestTrain:
 
     def test_separable_task_fits_training_set(self):
         sentences, labels = self._separable()
-        model = train(sentences, labels, TrainConfig())
+        model = train(*per_position(sentences), labels, TrainConfig())
         correct = 0
         total = 0
         for sent, labs in zip(sentences, labels):
@@ -496,7 +554,7 @@ class TestTrain:
 
     def test_huge_c1_zeroes_all_weights(self):
         sentences, labels = self._separable()
-        model = train(sentences, labels, TrainConfig(c1=1e6))
+        model = train(*per_position(sentences), labels, TrainConfig(c1=1e6))
         assert np.all(model.emissions == 0.0)
         assert np.all(model.transitions == 0.0)
 
@@ -504,7 +562,7 @@ class TestTrain:
         sentences, labels = self._separable()
         paths = []
         for name in ("m1", "m2"):
-            model = train(sentences, labels, TrainConfig())
+            model = train(*per_position(sentences), labels, TrainConfig())
             path = tmp_path / name
             save_model(path, model)
             paths.append(path.read_bytes())
@@ -512,11 +570,11 @@ class TestTrain:
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(CrfError):
-            train([], [], TrainConfig())
+            train(*per_position([]), [], TrainConfig())
 
     def test_iteration_cap_is_reported_in_meta(self, tmp_path):
         sentences, labels = self._separable()
-        model = train(sentences, labels, TrainConfig(max_iterations=1))
+        model = train(*per_position(sentences), labels, TrainConfig(max_iterations=1))
         assert model.meta["owlqn_stop"] == "max_iterations"
         assert model.meta["owlqn_iterations"] == "1"
         path = tmp_path / "m"
@@ -525,13 +583,13 @@ class TestTrain:
 
     def test_zero_weights_stop_on_zero_pseudo_gradient(self):
         sentences, labels = self._separable()
-        model = train(sentences, labels, TrainConfig(c1=1e6))
+        model = train(*per_position(sentences), labels, TrainConfig(c1=1e6))
         assert model.meta["owlqn_stop"] == "zero_pseudo_gradient"
         assert model.meta["owlqn_iterations"] == "0"
 
     def test_default_training_converges(self):
         sentences, labels = self._separable()
-        model = train(sentences, labels, TrainConfig())
+        model = train(*per_position(sentences), labels, TrainConfig())
         assert model.meta["owlqn_stop"] == "converged"
 
 
@@ -560,9 +618,9 @@ class TestModelFile:
             np.testing.assert_array_equal(again.emissions[fid2], model.emissions[fid])
 
     def test_decode_identical_after_reload(self, tmp_path):
-        sentences = [one_block([[("fa", 1.0)], [("fb", 1.0)], [("fa", 1.0)]])]
+        sentences = [[[("fa", 1.0)], [("fb", 1.0)], [("fa", 1.0)]]]
         labels = [["A", "B", "A"]]
-        model = train(sentences, labels, TrainConfig())
+        model = train(*per_position(sentences), labels, TrainConfig())
         path = tmp_path / "model"
         save_model(path, model)
         again = load_model(path)
@@ -629,11 +687,9 @@ class TestModelFile:
                 st.text(st.characters(blacklist_categories=("C",)), max_size=6), max_size=3,
             )),
         )
-        # tuple blocks, as the feature extractor hands them out
-        block = st.lists(st.tuples(st.sampled_from(names + ["unseen"]), st.just(1.0)), max_size=3)
-        blocks = [tuple(b) for b in data.draw(st.lists(block, min_size=1, max_size=4))]
-        sentence = [tuple(data.draw(st.lists(st.sampled_from(blocks), min_size=1, max_size=3)))
-                    for _ in range(data.draw(st.integers(1, 5)))]
+        pair = st.tuples(st.sampled_from(names + ["unseen"]), st.just(1.0))
+        position = st.lists(pair, max_size=9)
+        sentence = data.draw(st.lists(position, min_size=1, max_size=5))
         emissions = score_one(model, sentence)
         expected = model.decode(emissions)
         path = tmp_path_factory.getbasetemp() / "round-trip-model.txt"

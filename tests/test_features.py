@@ -1,5 +1,5 @@
 import re
-from itertools import chain
+from itertools import chain, groupby
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from sparsetag.features import (
     sentence_features,
     sparse_features,
     token_features,
+    word_types,
 )
 from sparsetag.sparse_coding import SparseCodes
 
@@ -307,6 +308,22 @@ def _resources_and_runs(draw, schemes=_WINDOWED):
     return resources, runs
 
 
+def _reference_features(sentence, t, config, resources):
+    """Token t's features from the per-token oracle, or under fr_w / fr_wc from rich_features."""
+    if config.scheme in ("fr_w", "fr_wc"):
+        chars = config.scheme == "fr_wc"
+        return sorted((name, 1.0) for name in rich_features(sentence, t, include_chars=chars))
+    return token_features_per_token(sentence, t, config, resources)
+
+
+def _by_scheme(runs):
+    """The runs' sentences grouped by (scheme, window), in order of first use."""
+    groups = {}
+    for scheme, window, sentence in runs:
+        groups.setdefault((scheme, window), []).append(sentence)
+    return groups
+
+
 class TestCachedExtractionMatchesPerTokenOracle:
     @settings(max_examples=300, deadline=None)
     @given(_resources_and_runs())
@@ -320,8 +337,11 @@ class TestCachedExtractionMatchesPerTokenOracle:
                 token_features_per_token(sentence, t, config, resources)
                 for t in range(len(sentence))
             ]
-            blocks = sentence_features(sentence, config, resources)
-            assert [list(chain.from_iterable(position)) for position in blocks] == expected
+            ids = sentence_features(sentence, config, resources)
+            types = word_types(config, resources)
+            assert len(ids) == len(sentence)
+            assert [list(chain.from_iterable(types.blocks(ids, t)))
+                    for t in range(len(ids))] == expected
             assert token_features(sentence, 0, config, resources) == expected[0]
 
 
@@ -339,13 +359,13 @@ def _per_word_block(word, offset, scheme, codes, lowercase):
     return sorted((tag + name, 1.0) for name in names)
 
 
-class TestSharedPairs:
+class TestWordTypes:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_blocks_equal_per_word_blocks_and_share_their_pairs(self, data):
+    def test_position_blocks_equal_per_word_blocks_and_token_features(self, data):
         # up to 120 atoms put "+10" before "+2" and "+100" before "+11"; one
-        # resources object serves every run, so pairs made under one scheme
-        # and window are met again under another
+        # resources object serves every run, so types and attributes made
+        # under one scheme and window are met again under another
         m = data.draw(st.integers(1, 120), label="m")
         known = data.draw(st.lists(st.sampled_from(_VOCAB), unique=True), label="known")
         coefficient = st.sampled_from((0.5, -0.25, 1.5, -3.0))
@@ -356,68 +376,94 @@ class TestSharedPairs:
         codes = codes_table(dense, m)
         lowercase = data.draw(st.booleans(), label="lowercase")
         resources = FeatureResources(codes=codes, lowercase_fallback=lowercase)
-        pairs = {}  # tagged name -> the first pair met with that name
         for _ in range(data.draw(st.integers(1, 4), label="runs")):
             scheme = data.draw(st.sampled_from(("sc", "wi_sc")))
             window = data.draw(st.sampled_from((1, 2)))
+            config = FeatureConfig(scheme, window)
             sentence = data.draw(st.lists(st.sampled_from(_FORMS), min_size=1, max_size=7))
-            positions = sentence_features(sentence, FeatureConfig(scheme, window), resources)
-            assert len(positions) == len(sentence)
-            for t, position in enumerate(positions):
+            ids = sentence_features(sentence, config, resources)
+            types = word_types(config, resources)
+            assert len(ids) == len(sentence)
+            for t in range(len(sentence)):
+                blocks = types.blocks(ids, t)
                 inside = [o for o in _tag_order(window) if 0 <= t + o < len(sentence)]
-                assert len(position) == len(inside)
-                for offset, block in zip(inside, position):
-                    assert isinstance(block, tuple)
+                assert len(blocks) == len(inside)
+                for offset, block in zip(inside, blocks):
                     word = sentence[t + offset]
                     assert list(block) == _per_word_block(word, offset, scheme, codes, lowercase)
-                    for pair in block:
-                        assert pairs.setdefault(pair[0], pair) is pair
+                assert list(chain.from_iterable(blocks)) == token_features(
+                    sentence, t, config, resources
+                )
+            # a word is one type, and a name one attribute, however often met
+            assert [ids[sentence.index(word)] for word in sentence] == ids
+            assert len(set(types.attr_names)) == len(types.attr_names)
 
-    def test_dense_blocks_are_sorted_per_word_and_brown_blocks_share_pairs(self):
+    def test_dense_rows_are_sorted_per_word_and_brown_rows_share_attributes(self):
         table = EmbeddingTable(["a", "b"], np.arange(24.0).reshape(2, 12))
         resources = FeatureResources(table=table, clusters={"a": "011010", "b": "011011"})
         # position 0 holds ([+1] b, [0] a) and position 1 ([+1] a, [-1] a, [0] b)
-        dense = sentence_features(["a", "b", "a"], FeatureConfig("dense", 1), resources)
-        a, b = dense[0][1], dense[1][2]
+        config = FeatureConfig("dense", 1)
+        ids = sentence_features(["a", "b", "a"], config, resources)
+        dense = word_types(config, resources)
+        a, b = dense.blocks(ids, 0)[1], dense.blocks(ids, 1)[2]
         assert [name for name, _ in a] == sorted(f"[0]d:{j}" for j in range(12))
         assert [value for _, value in b] == [table.lookup("b")[int(name[5:])] for name, _ in b]
-        assert dense[2][1] is a  # one block per word type and offset
-        brown = sentence_features(["a", "b"], FeatureConfig("brown", 1), resources)
-        a, b = dict((p[0], p) for p in brown[0][1]), dict((p[0], p) for p in brown[1][1])
-        assert a["[0]bp4=0110"] is b["[0]bp4=0110"]
+        assert ids[0] == ids[2] != ids[1]  # one type per word
+        config = FeatureConfig("brown", 1)
+        ids = sentence_features(["a", "b"], config, resources)
+        brown = word_types(config, resources)
+        shared = brown.attr_names.index("bp4=0110")
+        assert all(shared in brown.attrs[i] for i in ids)
+
+    def test_rich_positions_are_types_of_their_own(self):
+        resources = FeatureResources()
+        config = FeatureConfig("fr_w", 1)
+        first = sentence_features(["a", "b", "a"], config, resources)
+        second = sentence_features(["a"], config, resources)
+        assert first + second == [0, 1, 2, 3]
+        types = word_types(config, resources)
+        assert types.offsets == ((0, ""),)
+        assert types.blocks(second, 0) == [tuple(token_features(["a"], 0, config, resources))]
 
 
-class TestBlockScores:
+class TestTagEmissions:
     @settings(max_examples=200, deadline=None)
-    @given(_resources_and_runs(schemes=_WINDOWED + ("fr_wc",)), st.data())
-    def test_block_sums_match_per_feature_oracle(self, setup, data):
-        # every run is scored twice in one call, so the cached per-type
-        # blocks are shared across sentences; fr_wc gives list blocks, "oov"
-        # words empty blocks, and the last sentence is one position with no
-        # blocks at all. A position's emissions are its blocks' rows summed,
-        # which the oracle adds up one feature at a time
+    @given(_resources_and_runs(schemes=_WINDOWED + ("fr_w", "fr_wc")), st.data())
+    def test_emissions_equal_per_offset_sums_over_token_features(self, setup, data):
+        # bit for bit: each offset's features (the names under one tag) are
+        # added in order from zero, then the offsets in the string order of
+        # their tags. "oov" words have no row, capitalized forms reach one
+        # only through the lowercase fallback, and the model lacks some names
         resources, runs = setup
-        sentences = [
-            sentence_features(sentence, FeatureConfig(scheme=scheme, window=window), resources)
-            for scheme, window, sentence in runs
-        ]
-        names = sorted({name for sent in sentences for position in sent
-                        for name, _ in chain.from_iterable(position)})
-        kept = [name for name in names if data.draw(st.booleans())]  # the rest are unseen
-        n_lab = data.draw(st.integers(1, 4))
-        weights = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=len(kept) * n_lab,
-                                     max_size=len(kept) * n_lab))
-        model = CrfModel(
-            [f"L{j}" for j in range(n_lab)], {name: i for i, name in enumerate(kept)},
-            np.reshape(weights, (len(kept), n_lab)), np.zeros((n_lab, n_lab)), c1=1.0, c2=0.0,
-        )
-        batch = sentences + sentences + [[()]]
-        scored = score_sentences(model, batch)
-        assert len(scored) == len(batch)
-        for emissions, sent in zip(scored, batch):
-            expected = score_lattice_per_feature(model, sent)
-            assert emissions.shape == expected.shape
-            assert np.all(np.abs(emissions - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+        n_lab = data.draw(st.integers(1, 4), label="labels")
+        # wide magnitudes make any change in summation order visible
+        weight = st.floats(-1e17, 1e17, allow_nan=False) | st.sampled_from((0.0, 1.0, 1e-17))
+        for (scheme, window), sentences in _by_scheme(runs).items():
+            config = FeatureConfig(scheme=scheme, window=window)
+            reference = [[_reference_features(sentence, t, config, resources)
+                          for t in range(len(sentence))] for sentence in sentences]
+            names = sorted({name for sent in reference for feats in sent for name, _ in feats})
+            kept = [name for name in names if data.draw(st.booleans())]
+            weights = data.draw(st.lists(weight, min_size=len(kept) * n_lab,
+                                         max_size=len(kept) * n_lab))
+            model = CrfModel(
+                [f"L{j}" for j in range(n_lab)], {name: i for i, name in enumerate(kept)},
+                np.reshape(weights, (len(kept), n_lab)), np.zeros((n_lab, n_lab)), c1=1.0, c2=0.0,
+            )
+            batch_ids = [sentence_features(sentence, config, resources) for sentence in sentences]
+            emissions = score_sentences(model, word_types(config, resources), batch_ids)
+
+            def tag(name):
+                return "" if scheme in ("fr_w", "fr_wc") else name[:name.index("]") + 1]
+
+            expected = [
+                score_lattice_per_feature(model, [
+                    [list(block) for _, block in groupby(feats, key=lambda f: tag(f[0]))]
+                    for feats in sent
+                ])
+                for sent in reference
+            ]
+            assert np.array_equal(emissions, np.concatenate(expected))
 
 
 class TestDesignMatrix:
@@ -425,32 +471,34 @@ class TestDesignMatrix:
     @given(_resources_and_runs(schemes=("sc", "dense", "wi_sc", "fr_wc")), st.data())
     def test_products_match_dense_oracle(self, setup, data):
         # the block-factored matrix against X built feature by feature from
-        # the flattened blocks; "oov" words give empty blocks, and the last
-        # sentence is one position with no blocks at all
+        # the reference vectors of the runs under the first run's scheme and
+        # window; "oov" words give empty blocks, and the last sentence is an
+        # "oov" alone, one position with no features outside wi_sc and fr_wc
         resources, runs = setup
-        batch_features = [
-            sentence_features(sentence, FeatureConfig(scheme=scheme, window=window), resources)
-            for scheme, window, sentence in runs
-        ] + [[()]]
-        batch_labels = [["A"] * len(sent) for sent in batch_features]
-        positions = [position for sent in batch_features for position in sent]
+        (scheme, window), sentences = next(iter(_by_scheme(runs).items()))
+        config = FeatureConfig(scheme=scheme, window=window)
+        sentences = sentences + [["oov"]]
+        types = word_types(config, resources)
+        batch_ids = [sentence_features(sentence, config, resources) for sentence in sentences]
+        batch_labels = [["A"] * len(sent) for sent in sentences]
+        positions = [_reference_features(sentence, t, config, resources)
+                     for sentence in sentences for t in range(len(sentence))]
         if data.draw(st.booleans(), label="grow"):
-            batch = compile_batch(batch_features, batch_labels)
+            batch = compile_batch(types, batch_ids, batch_labels)
             # ids follow first occurrence, as if every occurrence were read
             assert list(batch.feature_index) == list(dict.fromkeys(
-                name for position in positions for name, _ in chain.from_iterable(position)
+                name for position in positions for name, _ in position
             ))
         else:  # a fixed index drops the names it lacks, emptying some blocks
-            names = sorted({name for sent in batch_features for position in sent
-                            for name, _ in chain.from_iterable(position)})
+            names = sorted({name for position in positions for name, _ in position})
             kept = [name for name in names if data.draw(st.booleans())]
-            batch = compile_batch(batch_features, batch_labels,
+            batch = compile_batch(types, batch_ids, batch_labels,
                                   feature_index={name: i for i, name in enumerate(kept)},
                                   grow_index=False)
         dense = np.zeros((len(positions), max(batch.n_features, 1)))
         occurrences = 0
         for row, position in enumerate(positions):
-            for name, value in chain.from_iterable(position):
+            for name, value in position:
                 if name in batch.feature_index:
                     dense[row, batch.feature_index[name]] += value
                     occurrences += 1
