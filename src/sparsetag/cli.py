@@ -39,17 +39,20 @@ def _task_format_check(task, fmt):
         raise UsageError(f"task ner requires ner2002 or ner2003, got {fmt}")
 
 
+def _check_resource_flags(scheme, args):
+    """Reject a scheme whose resource flag is missing."""
+    for needs, flag in ((scheme in ("sc", "wi_sc"), "codes"), (scheme == "dense", "embeddings"),
+                        (scheme == "brown", "clusters")):
+        if needs and not getattr(args, flag):
+            raise UsageError(f"scheme {scheme} requires --{flag}")
+
+
 def _resources_for(scheme, args, lowercase=False):
     """Load exactly the resources a scheme needs; reject mismatches."""
+    _check_resource_flags(scheme, args)
     needs_codes = scheme in ("sc", "wi_sc")
     needs_table = scheme == "dense"
     needs_clusters = scheme == "brown"
-    if needs_codes and not args.codes:
-        raise UsageError(f"scheme {scheme} requires --codes")
-    if needs_table and not args.embeddings:
-        raise UsageError(f"scheme {scheme} requires --embeddings")
-    if needs_clusters and not args.clusters:
-        raise UsageError(f"scheme {scheme} requires --clusters")
     codes = None
     if needs_codes:
         from . import sparse_coding
@@ -107,20 +110,25 @@ def _cmd_learn_dict(args):
     return 0
 
 
+def _check_train_flags(args):
+    """Reject flag combinations train cannot run, before any file is read."""
+    _task_format_check(args.task, args.format)
+    if args.tagmap and args.task != "pos":
+        raise UsageError("--tagmap only applies to task pos")
+    if args.iobes and args.task != "ner":
+        raise UsageError("--iobes only applies to task ner")
+    _check_resource_flags(args.scheme, args)
+
+
 def _load_train_data(args):
     dataset = corpus.read_dataset(
         args.train, args.format, use_cpostag=args.cpostag
     )
-    _task_format_check(args.task, args.format)
     if args.first_n is not None:
         dataset = corpus.subset_first_n(dataset, args.first_n)
     if args.tagmap:
-        if args.task != "pos":
-            raise UsageError("--tagmap only applies to task pos")
         dataset = corpus.map_universal(dataset, corpus.load_tagmap(args.tagmap))
     if args.iobes:
-        if args.task != "ner":
-            raise UsageError("--iobes only applies to task ner")
         dataset, repaired = corpus.to_iobes(dataset)
         if repaired:
             print(f"repaired {repaired} ill-formed BIO tag(s)", file=sys.stderr)
@@ -128,18 +136,20 @@ def _load_train_data(args):
 
 
 def _cmd_train(args):
-    dataset = _load_train_data(args)
-    feat_config = features.FeatureConfig(scheme=args.scheme, window=args.window)
-    resources = _resources_for(args.scheme, args, lowercase=args.lowercase)
-    batch_ids = _extract_all(dataset, feat_config, resources)
+    _check_train_flags(args)
     from . import crf  # after the usage checks, so a usage error loads no NumPy
 
+    # before any file is read, so a bad setting costs no reading
     train_config = crf.TrainConfig(
         c1=args.c1,
         c2=args.c2,
         max_iterations=args.max_iterations,
         tolerance=args.tolerance,
     )
+    dataset = _load_train_data(args)
+    feat_config = features.FeatureConfig(scheme=args.scheme, window=args.window)
+    resources = _resources_for(args.scheme, args, lowercase=args.lowercase)
+    batch_ids = _extract_all(dataset, feat_config, resources)
     meta = {
         "scheme": args.scheme,
         "window": str(args.window),

@@ -12,11 +12,17 @@ probabilities (CRFsuite's scaling) over a batch of sentences sorted by
 length; a batch whose products underflow is redone as a whole in log
 space. Sentences come as type ids of a
 :class:`sparsetag.features.WordTypes` table, so the CRF works per
-(window offset, type): training multiplies by a design matrix factored
-through the (offset, type) blocks (:class:`BlockMatrix`), built with
-NumPy alone. Tagging scores each type in use once per offset
-(:func:`score_sentences`), then runs one Viterbi over the whole input,
-packed as in training, with ties broken toward the lower label index.
+(window offset, type). Training multiplies by a design matrix factored
+through the table of the types in use and their attributes: when at
+least 3 % of that table is nonzero, as for m = 64 codes, through the
+table itself with one BLAS product per direction
+(:class:`TypeTableMatrix`), else through the distinct (offset, type)
+blocks with row gathers (:class:`BlockMatrix`), as for m = 1024 codes
+or the feature-rich templates. Both forms are NumPy alone, and neither
+depends on the BLAS thread count. Tagging scores each type in use once
+per offset (:func:`score_sentences`), then runs one Viterbi over the
+whole input, packed as in training, with ties broken toward the lower
+label index.
 """
 
 from __future__ import annotations
@@ -48,8 +54,10 @@ class TrainConfig:
     tolerance: float = 1e-5
 
     def __post_init__(self):
-        if self.c1 < 0 or self.c2 < 0:
-            raise CrfError("c1 and c2 must be >= 0")
+        for name in ("c1", "c2", "tolerance"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise CrfError(f"{name} must be a finite number >= 0, got {value!r}")
         if self.max_iterations < 1:
             raise CrfError("max_iterations must be >= 1")
 
@@ -361,8 +369,9 @@ def score_sentences(model: CrfModel, types, batch_ids):
 
 
 # rows gathered and added per np.add.reduceat call, so that each call's
-# gathered rows stay in cache: one call over all rows takes 2.5 times as
-# long on the ner-tag and fr_wc feature-to-block sums
+# gathered rows stay in cache: one call over all rows took 2.5 times as
+# long on the fr_wc feature-to-block sums (and on ner-tag's, which now
+# go through TypeTableMatrix)
 _CHUNK_ROWS = 4096
 
 
@@ -431,7 +440,24 @@ class _GatherSum:
         return np.take(stack, self.index, axis=0)
 
 
-class BlockMatrix:
+class _DesignMatrix:
+    """What both forms of the design matrix share: ``X.T @ M`` calls ``_rmatmul``."""
+
+    @property
+    def T(self):
+        return _Transposed(self)
+
+
+class _Transposed:
+    def __init__(self, matrix):
+        self._matrix = matrix
+
+    def __matmul__(self, marginals):
+        """X.T @ marginals (n_features, L), for marginals (n_positions, L)."""
+        return self._matrix._rmatmul(marginals)
+
+
+class BlockMatrix(_DesignMatrix):
     """The (positions x features) design matrix, factored through feature blocks.
 
     X = P C, where C (blocks x features) holds each distinct non-empty
@@ -460,32 +486,121 @@ class BlockMatrix:
         """X @ weights (n_positions, L), for weights (n_features, L)."""
         return self._pairs(self._entries(weights))
 
-    @property
-    def T(self):
-        return _TransposedBlockMatrix(self)
+    def _rmatmul(self, marginals):
+        return self._entries_t(self._pairs_t(marginals))
 
 
-class _TransposedBlockMatrix:
-    def __init__(self, matrix):
-        self._matrix = matrix
+# A type table whose nonzeros reach this share of (types in use x
+# attributes in use) is multiplied as a dense matrix (TypeTableMatrix).
+# On random tables of 431 x 64, 233 x 1,474, 1,000 x 256 and 431 x 640
+# with one BLAS thread, the dense products cost less than BlockMatrix's
+# from 2-4 % of nonzeros up; dict-paper's 1 % table takes 1.45 times as
+# long in them, ner-tag's 47 % table a quarter.
+_DENSE_TABLE = 0.03
 
-    def __matmul__(self, marginals):
-        """X.T @ marginals (n_features, L), for marginals (n_positions, L)."""
-        return self._matrix._entries_t(self._matrix._pairs_t(marginals))
+# terms summed by one BLAS call in TypeTableMatrix
+_BLAS_TERMS = 64
+
+
+def _add_product(a, b, out):
+    """out += a @ b, in products over at most _BLAS_TERMS columns of a, added in order.
+
+    OpenBLAS may cut a longer sum into blocks that differ with the thread
+    count: a single A^T G over ner-tag's 431 types changes in the last
+    bits at two threads, and so does the trained model.
+    """
+    for k in range(0, a.shape[1], _BLAS_TERMS):
+        out += a[:, k:k + _BLAS_TERMS] @ b[k:k + _BLAS_TERMS]
+
+
+class TypeTableMatrix(_DesignMatrix):
+    """The (positions x features) design matrix, factored through a dense type table.
+
+    X = sum over offsets o of S_o A E_o, where A (types in use x
+    attributes in use) holds each type's attribute values, S_o
+    (positions x types) a 1 where a position reads a type at offset o,
+    and E_o (attributes x features) a 1 at each attribute's feature id at
+    offset o, the way CRFsuite interns attributes. ``X @ W`` is T = A W3,
+    with W3 holding each attribute's weight rows for every offset side by
+    side (zero for names the index lacks), then one row take per offset,
+    added in the string order of the offset tags. ``X.T @ M`` sums the
+    rows of M per (type, offset) into G3, one :class:`_GatherSum`, then
+    scatters H = A^T G3 into the feature rows.
+
+    :func:`compile_batch` picks this form when the table's entries reach
+    ``_DENSE_TABLE`` (3 %) of (types in use x attributes in use), where
+    the two BLAS products cost less than :class:`BlockMatrix`'s gathers
+    (ner-tag's m = 64 codes fill 47 %); a sparser table, such as m = 1024
+    codes (1 %) or the fr_w / fr_wc templates, stays a BlockMatrix.
+    Every BLAS call reduces over at most ``_BLAS_TERMS`` (64) terms,
+    attributes forward and types backward, and the partial products are
+    added in a fixed order, so the products, and a trained model, do not
+    depend on the BLAS thread count. ``nnz`` counts the token-level
+    occurrences, as for BlockMatrix.
+
+    ``table`` is A, ``features`` (offsets x attributes) holds the feature
+    id of each tagged attribute or -1, and ``readers`` (offsets x
+    positions) the type each position reads at each offset, or the number
+    of types where the offset falls outside the sentence.
+    """
+
+    def __init__(self, n_features, table, features, readers, nnz):
+        n_offsets, n_positions = readers.shape
+        self.shape = (n_positions, n_features)
+        self.nnz = nnz
+        self._table = table
+        n_types = len(table)
+        # rows a * n_offsets + o of W3 and H hold feature features[o, a]
+        by_attr = features.T.ravel()
+        self._rows = np.flatnonzero(by_attr >= 0)
+        self._features = by_attr[self._rows]
+        # row u * n_offsets + o of T is type u's sum at offset o
+        self._takes = readers * n_offsets + np.arange(n_offsets)[:, None]
+        inside = readers < n_types
+        group = self._takes[inside]
+        order = np.argsort(group, kind="stable")
+        position = np.broadcast_to(np.arange(n_positions), readers.shape)[inside]
+        self._by_type = _GatherSum(position[order], group[order], n_types * n_offsets, n_positions)
+
+    def __matmul__(self, weights):
+        """X @ weights (n_positions, L), for weights (n_features, L)."""
+        n_types, n_attrs = self._table.shape
+        n_offsets, n_lab = len(self._takes), weights.shape[1]
+        w3 = np.zeros((n_attrs * n_offsets, n_lab))
+        w3[self._rows] = weights[self._features]
+        sums = np.zeros(((n_types + 1) * n_offsets, n_lab))
+        _add_product(self._table, w3.reshape(n_attrs, n_offsets * n_lab),
+                     sums.reshape(n_types + 1, n_offsets * n_lab)[:n_types])
+        out = np.take(sums, self._takes[0], axis=0)
+        for takes in self._takes[1:]:
+            out += np.take(sums, takes, axis=0)
+        return out
+
+    def _rmatmul(self, marginals):
+        n_types, n_attrs = self._table.shape
+        n_offsets, n_lab = len(self._takes), marginals.shape[1]
+        h = np.zeros((n_attrs, n_offsets * n_lab))
+        _add_product(self._table.T, self._by_type(marginals).reshape(n_types, n_offsets * n_lab), h)
+        out = np.zeros((self.shape[1], n_lab))
+        out[self._features] = h.reshape(n_attrs * n_offsets, n_lab)[self._rows]
+        return out
 
 
 @dataclass
 class CompiledBatch:
-    """Sentences as a block-factored design matrix plus gold indices.
+    """Sentences as a factored design matrix plus gold indices.
 
-    The matrix's rows are the positions in the sentences' order.
+    The matrix is a :class:`TypeTableMatrix` or a :class:`BlockMatrix`
+    (see :func:`compile_batch`); both give ``shape``, ``nnz`` (token-level
+    occurrences), ``@`` and ``.T @``, and number the features alike. Its
+    rows are the positions in the sentences' order.
     ``packed_rows`` lists them in the order the forward-backward kernel
     visits them: sentences sorted by length, longest first (ties in input
     order), and step by step, so step t is the t-th position of the
     ``batch_sizes[t]`` sentences longer than t.
     """
 
-    matrix: BlockMatrix              # (n_positions, n_features)
+    matrix: BlockMatrix | TypeTableMatrix  # (n_positions, n_features)
     gold: np.ndarray                 # (n_positions,) label indices
     packed_rows: np.ndarray          # (n_positions,) matrix row of each packed position
     batch_sizes: np.ndarray          # (max length,) sentences active at each step
@@ -511,43 +626,65 @@ def _first_occurrences(keys):
     return distinct[order], number[inverse]
 
 
-def _blocks(types, batch_ids, feature_index, grow):
-    """The batch's distinct non-empty (offset, type) blocks and their occurrences.
+def _design_matrix(types, batch_ids, feature_index, grow):
+    """The batch's design matrix, a :class:`TypeTableMatrix` or a :class:`BlockMatrix`.
 
-    Returns (n_blocks, ent_block, ent_feature, ent_value, pair_position,
-    pair_block), in :class:`BlockMatrix`'s argument order: each block's
-    (block, feature id, value) entries in row order, and one (position,
-    block) pair per offset inside the sentence, in position order and then
-    in the string order of the offset tags. Blocks are numbered in order of
-    first occurrence among the pairs. Each distinct (offset, attribute) is
-    resolved once; names missing from ``feature_index`` are skipped, or
-    with ``grow`` first added to it in order of first occurrence, as if
-    every occurrence were read. A block left with no entries, and its
-    pairs, are dropped.
+    The type table holds the types in use (rows) and their attributes
+    (columns). It is multiplied as a dense matrix when its entries reach
+    ``_DENSE_TABLE`` of its cells. Blocks, the distinct (offset, type)
+    pairs, are numbered in order of first occurrence over one pair per
+    offset inside the sentence, in position order and then in the string
+    order of the offset tags; each block's entries follow its type's row.
+    Each distinct (offset, attribute) is resolved once; names missing from
+    ``feature_index`` are skipped, or with ``grow`` first added to it in
+    order of first occurrence over those entries, as if every occurrence
+    were read. Both forms therefore number the features alike. A
+    BlockMatrix drops a block left with no entries, and its pairs.
     """
     ids, sources = _window_sources(types, batch_ids)
     n_offsets = len(types.offsets)
-    n_types, n_attrs = max(len(types), 1), max(len(types.attr_names), 1)
+    used, local = np.unique(ids, return_inverse=True)
+    n_types = max(len(used), 1)
+    row, attr, values = _type_entries(types, used.tolist())
+    attrs, attr = np.unique(attr, return_inverse=True)
+    n_attrs = max(len(attrs), 1)
     stream = sources.T.ravel()
     inside = stream >= 0
     pair_position = np.repeat(np.arange(len(ids)), n_offsets)[inside]
     pair_offset = np.tile(np.arange(n_offsets), len(ids))[inside]
-    blocks, pair_block = _first_occurrences(pair_offset * n_types + ids[stream[inside]])
+    blocks, pair_block = _first_occurrences(pair_offset * n_types + local[stream[inside]])
     block_offset, block_type = np.divmod(blocks, n_types)
-    ent_block, attr, values = _type_entries(types, block_type.tolist())
-    keys, ent_key = _first_occurrences(block_offset[ent_block] * n_attrs + attr)
+    # each block's entries are its type's row: one run of the table's entries
+    counts = np.bincount(row, minlength=n_types)
+    sizes = counts[block_type]
+    ent_block = np.repeat(np.arange(len(blocks)), sizes)
+    entry = np.arange(len(ent_block)) + np.repeat((np.cumsum(counts) - counts)[block_type]
+                                                  - (np.cumsum(sizes) - sizes), sizes)
+    keys, ent_key = _first_occurrences(block_offset[ent_block] * n_attrs + attr[entry])
     tags = [tag for _, tag in types.offsets]
     names = [tags[o] + types.attr_names[a]
              for o, a in zip(*(part.tolist() for part in np.divmod(keys, n_attrs)))]
-    ent_feature = _feature_ids(names, feature_index, grow)[ent_key]
+    key_feature = _feature_ids(names, feature_index, grow)
+    n_features = max(len(feature_index), 1)
+    ent_feature = key_feature[ent_key]
     found = ent_feature >= 0
     ent_block = ent_block[found]
+    if len(row) >= _DENSE_TABLE * len(used) * len(attrs):
+        table = np.bincount(row * len(attrs) + attr, values, minlength=len(used) * len(attrs))
+        features = np.full(n_offsets * n_attrs, -1, dtype=np.int64)
+        features[keys] = key_feature
+        readers = np.full((n_offsets, len(ids)), len(used), dtype=np.int64)
+        readers[pair_offset, pair_position] = local[stream[inside]]
+        nnz = int(np.bincount(ent_block, minlength=len(blocks))[pair_block].sum())
+        return TypeTableMatrix(n_features, table.reshape(len(used), len(attrs)),
+                               features.reshape(n_offsets, n_attrs)[:, :len(attrs)], readers, nnz)
     nonempty = np.zeros(len(blocks), dtype=bool)
     nonempty[ent_block] = True
     renumber = np.cumsum(nonempty) - 1
     paired = nonempty[pair_block]
-    return (int(nonempty.sum()), renumber[ent_block], ent_feature[found], values[found],
-            pair_position[paired], renumber[pair_block[paired]])
+    return BlockMatrix(n_features, int(nonempty.sum()), renumber[ent_block], ent_feature[found],
+                       values[entry[found]], pair_position[paired],
+                       renumber[pair_block[paired]], len(ids))
 
 
 def compile_batch(types, batch_ids, batch_labels, labels=None, feature_index=None,
@@ -557,11 +694,13 @@ def compile_batch(types, batch_ids, batch_labels, labels=None, feature_index=Non
     ``batch_ids`` holds each sentence as
     :func:`sparsetag.features.sentence_features` returns it, as ids of the
     types in ``types`` (a :class:`sparsetag.features.WordTypes`). The
-    design matrix (:class:`BlockMatrix`) keeps each distinct non-empty
+    design matrix (:func:`_design_matrix`) is a :class:`TypeTableMatrix`
+    when the table of the types in use and their attributes is dense, and
+    otherwise a :class:`BlockMatrix`, which keeps each distinct non-empty
     (offset, type) block's entries once and a (position, block) pair per
-    occurrence, as :func:`_blocks` lists them. Feature ids follow first
-    occurrence in the positions' flattened blocks, as if every occurrence
-    were read. ``labels`` defaults to the sorted gold alphabet.
+    occurrence. Feature ids follow first occurrence in the positions'
+    flattened blocks, as if every occurrence were read, in either form.
+    ``labels`` defaults to the sorted gold alphabet.
     When an existing ``feature_index`` is supplied and ``grow_index`` is
     off, unseen features are dropped (inference semantics); otherwise new
     features get ids in order of first occurrence.
@@ -587,9 +726,7 @@ def compile_batch(types, batch_ids, batch_labels, labels=None, feature_index=Non
         for prev, y in zip(gold[pos:], gold[pos + 1:]):
             trans_counts[prev, y] += 1.0
 
-    blocks = _blocks(types, batch_ids, feature_index, grow_index)
-    # n_blocks and the entry and pair arrays, in BlockMatrix's argument order
-    matrix = BlockMatrix(max(len(feature_index), 1), *blocks, n_positions=len(gold))
+    matrix = _design_matrix(types, batch_ids, feature_index, grow_index)
     packed_rows, batch_sizes = _packing(list(map(len, batch_ids)))
     return CompiledBatch(
         matrix=matrix,
@@ -615,9 +752,10 @@ def smooth_objective(params, batch: CompiledBatch, c2):
     forward-backward call covers the whole batch, with the emissions
     gathered into its packed order and the marginals scattered back; the
     emission gradient is ``batch.matrix.T @ (marginals - gold)``. Both
-    products add through the feature blocks, so they differ from a
-    token-level sum by rounding only. The gradient is written into one
-    array that starts as ``c2 * params``.
+    products add per (offset, type) first, through the dense type table
+    or through the feature blocks, so they differ from a token-level sum
+    by rounding only, and neither depends on the BLAS thread count. The
+    gradient is written into one array that starts as ``c2 * params``.
     """
     n_feat = max(batch.n_features, 1)
     n_lab = len(batch.labels)

@@ -14,10 +14,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sparsetag
 from sparsetag import cli
+from sparsetag.corpus import write_dataset
+
+from conftest import make_dataset, write_embedding_file
 
 PIPEBENCH = Path(__file__).resolve().parent.parent / "pipebench"
 
@@ -94,10 +98,10 @@ def test_chain_passes_every_independent_check(name, tmp_path, capsys):
     checks.check_beats_baseline(task, scored, baseline)
 
 
-def _learn_dict_bytes_by_blas_threads(tmp_path, spec, m, variant):
-    """The dict.txt and codes.txt bytes of a 2-epoch learn-dict at seed 1,
-    run with one and with two BLAS threads."""
-    inputs = gen.write_inputs(spec, 1, tmp_path / "inputs")
+def _outputs_by_blas_threads(tmp_path, argv, names):
+    """The bytes of the files ``names`` that ``sparsetag.cli`` writes into a
+    fresh directory ``out`` when run with ``argv(out)``, once with one and
+    once with two BLAS threads."""
     src = str(Path(sparsetag.__file__).resolve().parents[1])
     written = []
     for threads in ("1", "2"):
@@ -105,14 +109,21 @@ def _learn_dict_bytes_by_blas_threads(tmp_path, spec, m, variant):
         out.mkdir()
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        subprocess.run([
-            sys.executable, "-m", "sparsetag.cli", "learn-dict",
-            "--embeddings", str(inputs["embeddings"]), "--m", str(m), "--lambda", "0.1",
-            "--variant", variant, "--epochs", "2", "--seed", "1",
-            "--out-dict", str(out / "dict.txt"), "--out-codes", str(out / "codes.txt"),
-        ], env=env, check=True, capture_output=True, timeout=120)
-        written.append([(out / name).read_bytes() for name in ("dict.txt", "codes.txt")])
+        subprocess.run([sys.executable, "-m", "sparsetag.cli", *map(str, argv(out))],
+                       env=env, check=True, capture_output=True, timeout=120)
+        written.append([(out / name).read_bytes() for name in names])
     return written
+
+
+def _learn_dict_bytes_by_blas_threads(tmp_path, spec, m, variant):
+    """The dict.txt and codes.txt bytes of a 2-epoch learn-dict at seed 1,
+    run with one and with two BLAS threads."""
+    inputs = gen.write_inputs(spec, 1, tmp_path / "inputs")
+    return _outputs_by_blas_threads(tmp_path, lambda out: [
+        "learn-dict", "--embeddings", inputs["embeddings"], "--m", m, "--lambda", 0.1,
+        "--variant", variant, "--epochs", 2, "--seed", 1,
+        "--out-dict", out / "dict.txt", "--out-codes", out / "codes.txt",
+    ], ["dict.txt", "codes.txt"])
 
 
 def test_learn_dict_output_does_not_depend_on_blas_threads(tmp_path):
@@ -132,4 +143,49 @@ def test_learn_dict_output_does_not_depend_on_blas_threads_at_paper_shape(tmp_pa
     rewritten in place after each dictionary update."""
     spec = dict(task="pos", stream=1, k=64, vocab=256, train_tokens=300, test_tokens=100)
     one, two = _learn_dict_bytes_by_blas_threads(tmp_path, spec, 1024, "sc1")
+    assert one == two
+
+
+def test_train_output_does_not_depend_on_blas_threads(tmp_path, capsys):
+    """train at the ner-tag shape (sc4 codes with m = 64, --iobes
+    --first-n 150), where the 431 word types in use and their 64 code
+    attributes make a dense type table, writes the same model.txt with one
+    and with two BLAS threads: its products add over the 431 types."""
+    # the benchmark's ner-tag spec with a smaller test set: vectors and
+    # training set are the workload's at seed 1
+    spec = dict(task="ner", stream=3, k=64, vocab=500, train_tokens=2500, test_tokens=100)
+    inputs = gen.write_inputs(spec, 1, tmp_path / "inputs")
+    codes = tmp_path / "codes.txt"
+    _run(capsys, [
+        "learn-dict", "--embeddings", inputs["embeddings"], "--m", 64, "--lambda", 0.1,
+        "--variant", "sc4", "--epochs", 2, "--seed", 1,
+        "--out-dict", tmp_path / "dict.txt", "--out-codes", codes,
+    ])
+    one, two = _outputs_by_blas_threads(tmp_path, lambda out: [
+        "train", "--task", "ner", "--scheme", "sc", "--train", inputs["train"],
+        "--format", "ner2003", "--codes", codes, "--iobes", "--first-n", 150,
+        "--max-iterations", 30, "--out", out / "model.txt",
+    ], ["model.txt"])
+    assert one == two
+
+
+def test_train_output_does_not_depend_on_blas_threads_with_1100_dense_attributes(tmp_path):
+    """The same for the dense scheme on 1100-dimensional vectors: each type
+    then has 1100 attributes, which the type table's product adds up. Two
+    labels keep the parameters below 10,000, the length from which
+    OpenBLAS threads OWL-QN's dot products."""
+    rng = np.random.default_rng(5)
+    words = [f"w{i}" for i in range(250)]
+    vectors = rng.standard_normal((len(words), 1100))
+    write_embedding_file(tmp_path / "vectors.txt", words, vectors)
+    sentences = []
+    for _ in range(150):
+        forms = [words[i] for i in rng.integers(len(words), size=int(rng.integers(4, 12)))]
+        sentences.append([(form, "A" if vectors[int(form[1:]), 0] > 0 else "B") for form in forms])
+    write_dataset(tmp_path / "train.conll", make_dataset(sentences), "conllx")
+    one, two = _outputs_by_blas_threads(tmp_path, lambda out: [
+        "train", "--task", "pos", "--scheme", "dense", "--train", tmp_path / "train.conll",
+        "--format", "conllx", "--embeddings", tmp_path / "vectors.txt",
+        "--max-iterations", 30, "--out", out / "model.txt",
+    ], ["model.txt"])
     assert one == two

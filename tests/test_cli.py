@@ -114,6 +114,25 @@ class TestTrainTagEval:
         assert code == 2
         assert "requires --codes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--c1", "nan"), ("--c1", "inf"), ("--c2", "nan"), ("--c2", "-inf"),
+        ("--tolerance", "nan"), ("--tolerance", "-1e-05"),
+    ])
+    def test_bad_setting_exits_1_before_the_corpus_is_read(self, tmp_path, capsys, flag, value):
+        # the corpus would fail to parse, so the message shows what ran first
+        train = tmp_path / "train.conll"
+        train.write_text("no tab-separated columns here\n", encoding="utf-8")
+        model = tmp_path / "m"
+        code = run(
+            "train", "--task", "pos", "--scheme", "wi", "--train", train, "--format", "conllx",
+            f"{flag}={value}", "--out", model,
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"sparsetag: {flag[2:]} must be a finite number >= 0, got {float(value)!r}\n"
+        )
+        assert not model.exists()
+
     def test_first_n_limits_training(self, small_task_files, tmp_path):
         from sparsetag.corpus import read_conllx, subset_first_n
         from sparsetag.crf import load_model

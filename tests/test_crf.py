@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from sparsetag import crf
 from sparsetag.crf import (
+    BlockMatrix,
     CrfError,
     CrfModel,
     TrainConfig,
+    TypeTableMatrix,
     _log_forward_backward,
     _scaled_forward_backward,
     compile_batch,
@@ -18,7 +20,14 @@ from sparsetag.crf import (
     train,
     viterbi_path,
 )
-from sparsetag.features import WordTypes
+from sparsetag.features import (
+    FeatureConfig,
+    FeatureResources,
+    WordTypes,
+    sentence_features,
+    word_types,
+)
+from sparsetag.sparse_coding import SparseCodes
 
 from conftest import per_position, sentence_forward_backward
 from oracles import (
@@ -339,7 +348,8 @@ class TestObjective:
         with pytest.raises(CrfError, match="'C'"):
             penalized_objective(model, [[[("fa", 1.0)]]], [["C"]])
 
-    def test_gradient_matches_finite_differences(self):
+    @pytest.mark.parametrize("form", [TypeTableMatrix, BlockMatrix], ids=lambda form: form.__name__)
+    def test_gradient_matches_finite_differences(self, form):
         rng = np.random.default_rng(8)
         sentences = []
         labels = []
@@ -353,7 +363,10 @@ class TestObjective:
                 labs.append(["A", "B", "C"][int(rng.integers(3))])
             sentences.append(sent)
             labels.append(labs)
+        if form is BlockMatrix:
+            sentences, labels = _thinned(sentences, labels, ["A", "B", "C"])
         batch = compile_batch(*per_position(sentences), labels)
+        assert type(batch.matrix) is form
         n_params = batch.n_features * len(batch.labels) + len(batch.labels) ** 2
         params = rng.standard_normal(n_params) * 0.5
         c2 = 0.001
@@ -361,6 +374,15 @@ class TestObjective:
         fd = finite_difference_gradient(lambda p: smooth_objective(p, batch, c2)[0], params)
         rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1.0)
         assert rel.max() < 1e-4
+
+
+def _thinned(batch_features, batch_labels, labels):
+    """The batch plus 100 one-position sentences, each with an indicator of
+    its own. Their 100 types and 100 attributes put the type table of a
+    batch of up to 30 positions with up to three entries each under 2 %
+    nonzeros, so compile_batch builds a BlockMatrix."""
+    pad = [[[(f"pad{i}", 1.0)]] for i in range(100)]
+    return batch_features + pad, batch_labels + [[labels[i % len(labels)]] for i in range(100)]
 
 
 def _enumerated_objective(batch_features, batch_labels, batch, params, c2):
@@ -422,7 +444,11 @@ class TestPackedKernel:
         batch_features = [data.draw(st.lists(position, min_size=n, max_size=n)) for n in lengths]
         batch_labels = [data.draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n))
                         for n in lengths]
+        form = data.draw(st.sampled_from([TypeTableMatrix, BlockMatrix]))
+        if form is BlockMatrix:
+            batch_features, batch_labels = _thinned(batch_features, batch_labels, labels)
         batch = compile_batch(*per_position(batch_features), batch_labels, labels=labels)
+        assert type(batch.matrix) is form
         n_params = batch.n_features * n_lab + n_lab * n_lab
         params = np.array(data.draw(
             st.lists(st.floats(-3.0, 3.0), min_size=n_params, max_size=n_params)
@@ -591,6 +617,55 @@ class TestTrain:
         sentences, labels = self._separable()
         model = train(*per_position(sentences), labels, TrainConfig())
         assert model.meta["owlqn_stop"] == "converged"
+
+
+def _sc_batch(n_words, m, nonzeros, seed=0):
+    """Sentences over every one of ``n_words`` words, whose codes hold
+    ``nonzeros`` of m atoms, as a window-1 sc batch."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(n_words)]
+    entries = [(np.sort(rng.choice(m, nonzeros, replace=False)), rng.uniform(-1.0, 1.0, nonzeros))
+               for _ in words]
+    resources = FeatureResources(codes=SparseCodes(words, entries, m))
+    config = FeatureConfig("sc", 1)
+    order = rng.permutation(words).tolist()
+    sentences = [order[i:i + 10] for i in range(0, n_words, 10)]
+    return word_types(config, resources), [sentence_features(s, config, resources) for s in sentences]
+
+
+class TestDesignMatrixForm:
+    """The form compile_batch picks for batches shaped like the benchmark's."""
+
+    def _form(self, types, batch_ids):
+        return type(compile_batch(types, batch_ids, [["A"] * len(ids) for ids in batch_ids]).matrix)
+
+    def test_ner_tag_shape_is_a_dense_table(self):
+        # 431 types in use over m = 64 atoms, 30 nonzeros each: 47 %
+        assert self._form(*_sc_batch(431, 64, 30)) is TypeTableMatrix
+
+    def test_dict_paper_shape_stays_blocks(self):
+        # 233 types over m = 1024 signed atoms, 15 nonzeros each: about 1 %
+        assert self._form(*_sc_batch(233, 1024, 15)) is BlockMatrix
+
+    def test_rich_templates_stay_blocks(self):
+        rng = np.random.default_rng(0)
+        words = [f"w{i}" for i in range(300)]
+        sentences = [rng.choice(words, int(rng.integers(5, 20))).tolist() for _ in range(100)]
+        resources, config = FeatureResources(), FeatureConfig("fr_wc", 1)
+        batch_ids = [sentence_features(s, config, resources) for s in sentences]
+        assert self._form(word_types(config, resources), batch_ids) is BlockMatrix
+
+    def test_words_without_codes_train_a_model_without_features(self):
+        resources = FeatureResources(codes=SparseCodes(["known"], [([0], [1.0])], 4))
+        config = FeatureConfig("sc", 1)
+        sentences = [["a", "b", "a"], ["c"]]
+        batch_ids = [sentence_features(s, config, resources) for s in sentences]
+        # no l1 term, so OWL-QN steps through the transitions
+        model = train(word_types(config, resources), batch_ids, [["X", "Y", "X"], ["Y"]],
+                      TrainConfig(c1=0.0))
+        assert int(model.meta["owlqn_iterations"]) > 0
+        assert model.feature_index == {}
+        assert model.emissions.shape == (0, 2)
 
 
 class TestModelFile:

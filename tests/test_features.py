@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsetag.crf import CrfModel, compile_batch, score_sentences
+from sparsetag import crf
+from sparsetag.crf import BlockMatrix, CrfModel, TypeTableMatrix, compile_batch, score_sentences
 from sparsetag.embeddings import EmbeddingTable
 from sparsetag.features import (
     FeatureConfig,
@@ -466,17 +467,39 @@ class TestTagEmissions:
             assert np.array_equal(emissions, np.concatenate(expected))
 
 
+_RARE = tuple(f"r{i}" for i in range(80))
+
+
+def _with_rare_words(resources):
+    """The same resources plus the words of ``_RARE``, each with a code
+    atom of its own and no vector or cluster."""
+    codes = resources.codes
+    rare = [(np.array([codes.m + i]), np.array([1.5 if i % 2 else -0.25]))
+            for i in range(len(_RARE))]
+    return FeatureResources(
+        codes=SparseCodes(codes.words + list(_RARE), codes.entries + rare, codes.m + len(_RARE)),
+        table=resources.table, clusters=resources.clusters,
+        lowercase_fallback=resources.lowercase_fallback,
+    )
+
+
 class TestDesignMatrix:
     @settings(max_examples=200, deadline=None)
     @given(_resources_and_runs(schemes=("sc", "dense", "wi_sc", "fr_wc")), st.data())
     def test_products_match_dense_oracle(self, setup, data):
-        # the block-factored matrix against X built feature by feature from
-        # the reference vectors of the runs under the first run's scheme and
-        # window; "oov" words give empty blocks, and the last sentence is an
-        # "oov" alone, one position with no features outside wi_sc and fr_wc
+        # either form of the design matrix against X built feature by
+        # feature from the reference vectors of the runs under the first
+        # run's scheme and window; "oov" words give empty blocks, and the
+        # last sentence is an "oov" alone, one position with no features
+        # outside wi_sc and fr_wc
         resources, runs = setup
         (scheme, window), sentences = next(iter(_by_scheme(runs).items()))
         config = FeatureConfig(scheme=scheme, window=window)
+        if data.draw(st.booleans(), label="rare words"):
+            # words with attributes of their own thin out the type table,
+            # so that both sides of the density rule are drawn
+            resources = _with_rare_words(resources)
+            sentences = sentences + [list(_RARE[:40]), list(_RARE[40:])]
         sentences = sentences + [["oov"]]
         types = word_types(config, resources)
         batch_ids = [sentence_features(sentence, config, resources) for sentence in sentences]
@@ -504,15 +527,18 @@ class TestDesignMatrix:
                     occurrences += 1
         assert batch.matrix.shape == dense.shape
         assert batch.matrix.nnz == occurrences
+        used = set(chain.from_iterable(batch_ids))
+        entries = sum(len(types.attrs[i]) for i in used)
+        attrs = len({a for i in used for a in types.attrs[i]})
+        dense_table = entries >= crf._DENSE_TABLE * len(used) * attrs
+        assert type(batch.matrix) is (TypeTableMatrix if dense_table else BlockMatrix)
 
         n_lab = data.draw(st.integers(1, 4), label="labels")
-        value = st.floats(-3.0, 3.0)
-
-        def matrix(rows):
-            entries = data.draw(st.lists(value, min_size=rows * n_lab, max_size=rows * n_lab))
-            return np.reshape(entries, (rows, n_lab))
-
-        weights, marginals = matrix(dense.shape[1]), matrix(dense.shape[0])
+        # from a drawn seed: with rare words there are more entries than
+        # hypothesis draws in one list
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        weights = rng.uniform(-3.0, 3.0, (dense.shape[1], n_lab))
+        marginals = rng.uniform(-3.0, 3.0, (dense.shape[0], n_lab))
         for got, expected in ((batch.matrix @ weights, dense @ weights),
                               (batch.matrix.T @ marginals, dense.T @ marginals)):
             assert got.shape == expected.shape
