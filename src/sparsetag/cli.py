@@ -48,8 +48,8 @@ def _check_resource_flags(scheme, args):
 
 
 def _resources_for(scheme, args, lowercase=False):
-    """Load exactly the resources a scheme needs; reject mismatches."""
-    _check_resource_flags(scheme, args)
+    """Load exactly the resources a scheme needs, whose flags
+    :func:`_check_resource_flags` has accepted."""
     needs_codes = scheme in ("sc", "wi_sc")
     needs_table = scheme == "dense"
     needs_clusters = scheme == "brown"
@@ -198,6 +198,7 @@ def _cmd_tag(args):
     window = int(_model_setting(model, args.model, "window", ("1", "2"), default="1"))
     lowercase = _model_setting(model, args.model, "lowercase", ("0", "1"), default="0") == "1"
     feat_config = features.FeatureConfig(scheme=scheme, window=window)
+    _check_resource_flags(scheme, args)
     resources = _resources_for(scheme, args, lowercase=lowercase)
     # the input's own labels are not written, so they are read as they stand
     dataset = corpus.read_dataset(args.input, args.format, use_cpostag=args.cpostag,

@@ -14,7 +14,7 @@ space. Sentences come as type ids of a
 :class:`sparsetag.features.WordTypes` table, so the CRF works per
 (window offset, type). Training multiplies by a design matrix factored
 through the table of the types in use and their attributes: when at
-least 3 % of that table is nonzero, as for m = 64 codes, through the
+least 5 % of that table is nonzero, as for m = 64 codes, through the
 table itself with one BLAS product per direction
 (:class:`TypeTableMatrix`), else through the distinct (offset, type)
 blocks with row gathers (:class:`BlockMatrix`), as for m = 1024 codes
@@ -470,9 +470,9 @@ class BlockMatrix(_DesignMatrix):
     """
 
     def __init__(self, n_features, n_blocks, ent_block, ent_feature, ent_value,
-                 pair_position, pair_block, n_positions):
+                 pair_position, pair_block, n_positions, nnz):
         self.shape = (n_positions, n_features)
-        self.nnz = int(np.bincount(ent_block, minlength=n_blocks)[pair_block].sum())
+        self.nnz = nnz
         self._entries = _GatherSum(ent_feature, ent_block, n_blocks, n_features, ent_value)
         self._pairs = _GatherSum(pair_block, pair_position, n_positions, n_blocks)
         by_block = np.argsort(pair_block, kind="stable")
@@ -492,11 +492,19 @@ class BlockMatrix(_DesignMatrix):
 
 # A type table whose nonzeros reach this share of (types in use x
 # attributes in use) is multiplied as a dense matrix (TypeTableMatrix).
-# On random tables of 431 x 64, 233 x 1,474, 1,000 x 256 and 431 x 640
-# with one BLAS thread, the dense products cost less than BlockMatrix's
-# from 2-4 % of nonzeros up; dict-paper's 1 % table takes 1.45 times as
-# long in them, ner-tag's 47 % table a quarter.
-_DENSE_TABLE = 0.03
+# The break-even grows with the table. Timing both products of both
+# forms on random signed-code batches (window 1, 17 labels, one BLAS
+# thread), the dense form cost less from under 1.6 % with 128
+# attributes, from 3-4 % with 512 or at 230 x 2,945 (dict-paper's
+# shape), and from 5-6 % at 4,900 x 2,048, where at 3 % it took 2.4 times
+# as long and held 4.7 times the memory (79 against 17 MB). At 5 % the
+# dense form costs at most 1.2 times the blocks on those shapes, and a
+# table kept in blocks below it at most 1.5 times the dense form (128
+# attributes). The rule trades memory for time: at 5 % and 4,900 x 2,048
+# the dense table holds 79 MB against the blocks' 25 MB, though an
+# objective evaluation peaks lower (143 against 169 MB). dict-paper's
+# 1 % table takes 1.45 times as long dense, ner-tag's 47 % table a quarter.
+_DENSE_TABLE = 0.05
 
 # terms summed by one BLAS call in TypeTableMatrix
 _BLAS_TERMS = 64
@@ -528,7 +536,7 @@ class TypeTableMatrix(_DesignMatrix):
     scatters H = A^T G3 into the feature rows.
 
     :func:`compile_batch` picks this form when the table's entries reach
-    ``_DENSE_TABLE`` (3 %) of (types in use x attributes in use), where
+    ``_DENSE_TABLE`` (5 %) of (types in use x attributes in use), where
     the two BLAS products cost less than :class:`BlockMatrix`'s gathers
     (ner-tag's m = 64 codes fill 47 %); a sparser table, such as m = 1024
     codes (1 %) or the fr_w / fr_wc templates, stays a BlockMatrix.
@@ -662,20 +670,22 @@ def _design_matrix(types, batch_ids, feature_index, grow):
                                                   - (np.cumsum(sizes) - sizes), sizes)
     keys, ent_key = _first_occurrences(block_offset[ent_block] * n_attrs + attr[entry])
     tags = [tag for _, tag in types.offsets]
-    names = [tags[o] + types.attr_names[a]
+    # attributes are numbered by column here, and named by their ids in types
+    attr_names = list(map(types.attr_names.__getitem__, attrs.tolist()))
+    names = [tags[o] + attr_names[a]
              for o, a in zip(*(part.tolist() for part in np.divmod(keys, n_attrs)))]
     key_feature = _feature_ids(names, feature_index, grow)
     n_features = max(len(feature_index), 1)
     ent_feature = key_feature[ent_key]
     found = ent_feature >= 0
     ent_block = ent_block[found]
+    nnz = int(np.bincount(ent_block, minlength=len(blocks))[pair_block].sum())
     if len(row) >= _DENSE_TABLE * len(used) * len(attrs):
         table = np.bincount(row * len(attrs) + attr, values, minlength=len(used) * len(attrs))
         features = np.full(n_offsets * n_attrs, -1, dtype=np.int64)
         features[keys] = key_feature
         readers = np.full((n_offsets, len(ids)), len(used), dtype=np.int64)
         readers[pair_offset, pair_position] = local[stream[inside]]
-        nnz = int(np.bincount(ent_block, minlength=len(blocks))[pair_block].sum())
         return TypeTableMatrix(n_features, table.reshape(len(used), len(attrs)),
                                features.reshape(n_offsets, n_attrs)[:, :len(attrs)], readers, nnz)
     nonempty = np.zeros(len(blocks), dtype=bool)
@@ -684,7 +694,7 @@ def _design_matrix(types, batch_ids, feature_index, grow):
     paired = nonempty[pair_block]
     return BlockMatrix(n_features, int(nonempty.sum()), renumber[ent_block], ent_feature[found],
                        values[entry[found]], pair_position[paired],
-                       renumber[pair_block[paired]], len(ids))
+                       renumber[pair_block[paired]], len(ids), nnz)
 
 
 def compile_batch(types, batch_ids, batch_labels, labels=None, feature_index=None,

@@ -483,6 +483,26 @@ def _with_rare_words(resources):
     )
 
 
+def _check_design_matrix(batch, positions, rng, n_lab):
+    """Both products of ``batch.matrix`` against X built feature by feature
+    from ``positions``, the reference (name, value) list of each position."""
+    dense = np.zeros((len(positions), max(batch.n_features, 1)))
+    occurrences = 0
+    for row, position in enumerate(positions):
+        for name, value in position:
+            if name in batch.feature_index:
+                dense[row, batch.feature_index[name]] += value
+                occurrences += 1
+    assert batch.matrix.shape == dense.shape
+    assert batch.matrix.nnz == occurrences
+    weights = rng.uniform(-3.0, 3.0, (dense.shape[1], n_lab))
+    marginals = rng.uniform(-3.0, 3.0, (dense.shape[0], n_lab))
+    for got, expected in ((batch.matrix @ weights, dense @ weights),
+                          (batch.matrix.T @ marginals, dense.T @ marginals)):
+        assert got.shape == expected.shape
+        assert np.all(np.abs(got - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+
+
 class TestDesignMatrix:
     @settings(max_examples=200, deadline=None)
     @given(_resources_and_runs(schemes=("sc", "dense", "wi_sc", "fr_wc")), st.data())
@@ -495,12 +515,18 @@ class TestDesignMatrix:
         resources, runs = setup
         (scheme, window), sentences = next(iter(_by_scheme(runs).items()))
         config = FeatureConfig(scheme=scheme, window=window)
+        forms = _FORMS
         if data.draw(st.booleans(), label="rare words"):
             # words with attributes of their own thin out the type table,
             # so that both sides of the density rule are drawn
             resources = _with_rare_words(resources)
             sentences = sentences + [list(_RARE[:40]), list(_RARE[40:])]
+            forms = _FORMS + _RARE
         sentences = sentences + [["oov"]]
+        # words read before the batch put types and attributes in the table
+        # that the batch may not use
+        sentence_features(data.draw(st.lists(st.sampled_from(forms), max_size=8),
+                                    label="read first"), config, resources)
         types = word_types(config, resources)
         batch_ids = [sentence_features(sentence, config, resources) for sentence in sentences]
         batch_labels = [["A"] * len(sent) for sent in sentences]
@@ -518,28 +544,34 @@ class TestDesignMatrix:
             batch = compile_batch(types, batch_ids, batch_labels,
                                   feature_index={name: i for i, name in enumerate(kept)},
                                   grow_index=False)
-        dense = np.zeros((len(positions), max(batch.n_features, 1)))
-        occurrences = 0
-        for row, position in enumerate(positions):
-            for name, value in position:
-                if name in batch.feature_index:
-                    dense[row, batch.feature_index[name]] += value
-                    occurrences += 1
-        assert batch.matrix.shape == dense.shape
-        assert batch.matrix.nnz == occurrences
         used = set(chain.from_iterable(batch_ids))
         entries = sum(len(types.attrs[i]) for i in used)
         attrs = len({a for i in used for a in types.attrs[i]})
         dense_table = entries >= crf._DENSE_TABLE * len(used) * attrs
         assert type(batch.matrix) is (TypeTableMatrix if dense_table else BlockMatrix)
-
-        n_lab = data.draw(st.integers(1, 4), label="labels")
         # from a drawn seed: with rare words there are more entries than
         # hypothesis draws in one list
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        weights = rng.uniform(-3.0, 3.0, (dense.shape[1], n_lab))
-        marginals = rng.uniform(-3.0, 3.0, (dense.shape[0], n_lab))
-        for got, expected in ((batch.matrix @ weights, dense @ weights),
-                              (batch.matrix.T @ marginals, dense.T @ marginals)):
-            assert got.shape == expected.shape
-            assert np.all(np.abs(got - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+        _check_design_matrix(batch, positions, rng, data.draw(st.integers(1, 4), label="labels"))
+
+    @pytest.mark.parametrize("sentence, form", [
+        (["b", "a", "b"], TypeTableMatrix),
+        (list(_RARE), BlockMatrix),
+    ])
+    def test_names_hold_when_the_table_has_types_the_batch_lacks(self, sentence, form):
+        # "dog" is read first, so its atoms come before the batch's in the
+        # table and the batch's attributes do not start at id 0
+        codes = codes_table({"a": [0, 0.5, 0, 0], "b": [0, 0, -1.5, 0], "dog": [1, 0, 0, 2]}, 4)
+        resources = _with_rare_words(FeatureResources(codes=codes))
+        config = FeatureConfig(scheme="sc", window=1)
+        sentence_features(["dog"], config, resources)
+        batch = compile_batch(word_types(config, resources),
+                              [sentence_features(sentence, config, resources)],
+                              [["A"] * len(sentence)])
+        positions = [_reference_features(sentence, t, config, resources)
+                     for t in range(len(sentence))]
+        assert type(batch.matrix) is form
+        assert list(batch.feature_index) == list(dict.fromkeys(
+            name for position in positions for name, _ in position
+        ))
+        _check_design_matrix(batch, positions, np.random.default_rng(0), 3)
