@@ -1,11 +1,17 @@
 """Names the CLI and every layer share, kept free of NumPy.
 
 The CLI builds its parser and catches the package's errors from here, so
-``--help``, ``eval`` and usage errors never import the numerical layers.
+``--help`` and usage errors import no layer, and ``eval`` no numerical one.
 """
 
 # Objective variants of sparse coding; see :mod:`sparsetag.sparse_coding`.
 VARIANTS = ("sc1", "sc3", "sc4")
+
+# Feature schemes; see :mod:`sparsetag.features`.
+SCHEMES = ("sc", "dense", "brown", "fr_w", "fr_wc", "wi", "wi_sc")
+
+# Corpus file formats; see :mod:`sparsetag.corpus`.
+CORPUS_FORMATS = ("conllx", "conllu", "ner2002", "ner2003")
 
 
 class SparsetagError(Exception):

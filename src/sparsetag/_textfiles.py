@@ -9,7 +9,6 @@ rename it over the target only once it is complete.
 from __future__ import annotations
 
 import os
-import tempfile
 from contextlib import contextmanager
 
 
@@ -109,6 +108,8 @@ def atomic_output(path):
 
     On any failure the temp file is removed and ``path`` is left as it was.
     """
+    import tempfile  # here, so that importing the CLI does not load it
+
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sparsetag-")
     os.close(fd)

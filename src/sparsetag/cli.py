@@ -11,14 +11,12 @@ import argparse
 import os
 import sys
 
-from . import corpus, evaluation, features
-from ._base import VARIANTS, SparsetagError
+from ._base import CORPUS_FORMATS, SCHEMES, VARIANTS, SparsetagError
 from ._textfiles import atomic_output
 
-# crf, sparse_coding and embeddings load NumPy, so each subcommand imports
-# only the layers it runs: --help, eval and usage errors load none of them.
-
-CORPUS_FORMATS = ("conllx", "conllu", "ner2002", "ner2003")
+# Each subcommand imports only the layers it runs, and the parser holds
+# only the invoked subcommand's arguments: --help and usage errors load no
+# layer, and eval none of crf, sparse_coding and embeddings, which load NumPy.
 
 
 class UsageError(Exception):
@@ -50,6 +48,8 @@ def _check_resource_flags(scheme, args):
 def _resources_for(scheme, args, lowercase=False):
     """Load exactly the resources a scheme needs, whose flags
     :func:`_check_resource_flags` has accepted."""
+    from . import features
+
     needs_codes = scheme in ("sc", "wi_sc")
     needs_table = scheme == "dense"
     needs_clusters = scheme == "brown"
@@ -74,6 +74,8 @@ def load_embeddings(path, format="text"):
 
 
 def _extract_all(dataset, config, resources):
+    from . import features
+
     return [
         features.sentence_features([tok.form for tok in sent], config, resources)
         for sent in dataset.sentences
@@ -110,17 +112,24 @@ def _cmd_learn_dict(args):
     return 0
 
 
-def _check_train_flags(args):
-    """Reject flag combinations train cannot run, before any file is read."""
+def _check_task_flags(args):
+    """Reject a --task that does not fit --format or --tagmap, before any file is read."""
     _task_format_check(args.task, args.format)
     if args.tagmap and args.task != "pos":
         raise UsageError("--tagmap only applies to task pos")
+
+
+def _check_train_flags(args):
+    """Reject flag combinations train cannot run, before any file is read."""
+    _check_task_flags(args)
     if args.iobes and args.task != "ner":
         raise UsageError("--iobes only applies to task ner")
     _check_resource_flags(args.scheme, args)
 
 
 def _load_train_data(args):
+    from . import corpus
+
     dataset = corpus.read_dataset(
         args.train, args.format, use_cpostag=args.cpostag
     )
@@ -137,7 +146,8 @@ def _load_train_data(args):
 
 def _cmd_train(args):
     _check_train_flags(args)
-    from . import crf  # after the usage checks, so a usage error loads no NumPy
+    # after the usage checks, so a usage error loads no layer
+    from . import crf, features
 
     # before any file is read, so a bad setting costs no reading
     train_config = crf.TrainConfig(
@@ -186,10 +196,10 @@ def _model_setting(model, path, key, choices, default=None):
 
 
 def _cmd_tag(args):
-    from . import crf
+    from . import corpus, crf, features
 
     model = crf.load_model(args.model)
-    scheme = _model_setting(model, args.model, "scheme", features.SCHEMES)
+    scheme = _model_setting(model, args.model, "scheme", SCHEMES)
     if scheme is None:
         raise UsageError("model carries no feature scheme metadata")
     task = _model_setting(model, args.model, "task", ("pos", "ner"))
@@ -213,6 +223,9 @@ def _cmd_tag(args):
 
 
 def _cmd_eval(args):
+    _check_task_flags(args)
+    from . import corpus, evaluation
+
     # entity_f1 reads spans as the IOB1 normalization does, so the gold
     # file is scored as written
     gold = corpus.read_dataset(args.gold, args.format, use_cpostag=args.cpostag, normalize=False)
@@ -220,7 +233,6 @@ def _cmd_eval(args):
         gold = corpus.map_universal(gold, corpus.load_tagmap(args.tagmap))
     pred = corpus.read_dataset(args.pred, args.format, normalize=False)
     pred_labels = pred.labels()
-    _task_format_check(args.task, args.format)
     if args.task == "pos":
         metric, value = "accuracy", evaluation.token_accuracy(gold, pred_labels)
         print(f"accuracy {value:.6f}")
@@ -248,7 +260,7 @@ def _cmd_eval(args):
 
 
 def _cmd_coverage(args):
-    from . import embeddings
+    from . import corpus, embeddings
 
     table = load_embeddings(args.embeddings)
     dataset = corpus.read_dataset(args.data, args.format, use_cpostag=args.cpostag)
@@ -279,14 +291,7 @@ def _cmd_analyze_basis(args):
 # ---------------------------------------------------------------------------
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="sparsetag",
-        description="Sparse-coded word-embedding features for CRF sequence labeling.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("learn-dict", help="learn a dictionary and sparse codes")
+def _learn_dict_arguments(p):
     p.add_argument("--embeddings", required=True, type=_existing_path)
     p.add_argument("--format", default="text", choices=("text", "word2vec-text"))
     p.add_argument("--m", type=int, default=1024)
@@ -300,9 +305,10 @@ def _build_parser():
     p.add_argument("--out-codes", required=True)
     p.set_defaults(func=_cmd_learn_dict)
 
-    p = sub.add_parser("train", help="train a CRF sequence labeler")
+
+def _train_arguments(p):
     p.add_argument("--task", required=True, choices=("pos", "ner"))
-    p.add_argument("--scheme", required=True, choices=features.SCHEMES)
+    p.add_argument("--scheme", required=True, choices=SCHEMES)
     p.add_argument("--train", required=True, type=_existing_path)
     p.add_argument("--format", required=True, choices=CORPUS_FORMATS)
     p.add_argument("--codes", type=_existing_path)
@@ -323,7 +329,8 @@ def _build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("tag", help="label a corpus with a trained model")
+
+def _tag_arguments(p):
     p.add_argument("--model", required=True, type=_existing_path)
     p.add_argument("--input", required=True, type=_existing_path)
     p.add_argument("--format", required=True, choices=CORPUS_FORMATS)
@@ -334,7 +341,8 @@ def _build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_tag)
 
-    p = sub.add_parser("eval", help="score predictions against gold labels")
+
+def _eval_arguments(p):
     p.add_argument("--gold", required=True, type=_existing_path)
     p.add_argument("--pred", required=True, type=_existing_path)
     p.add_argument("--format", required=True, choices=CORPUS_FORMATS)
@@ -349,7 +357,8 @@ def _build_parser():
     p.add_argument("--sparsity", type=float, default=None)
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("coverage", help="embedding coverage of a corpus")
+
+def _coverage_arguments(p):
     p.add_argument("--embeddings", required=True, type=_existing_path)
     p.add_argument("--data", required=True, type=_existing_path)
     p.add_argument("--format", required=True, choices=CORPUS_FORMATS)
@@ -357,12 +366,52 @@ def _build_parser():
     p.add_argument("--lowercase", action="store_true")
     p.set_defaults(func=_cmd_coverage)
 
-    p = sub.add_parser("analyze-basis", help="per-basis norms and usage frequencies")
+
+def _analyze_basis_arguments(p):
     p.add_argument("--dict", required=True, type=_existing_path)
     p.add_argument("--codes", required=True, type=_existing_path)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_analyze_basis)
 
+
+# name, help and the function that adds the arguments of each subcommand,
+# in the order top-level help lists them
+_SUBCOMMANDS = (
+    ("learn-dict", "learn a dictionary and sparse codes", _learn_dict_arguments),
+    ("train", "train a CRF sequence labeler", _train_arguments),
+    ("tag", "label a corpus with a trained model", _tag_arguments),
+    ("eval", "score predictions against gold labels", _eval_arguments),
+    ("coverage", "embedding coverage of a corpus", _coverage_arguments),
+    ("analyze-basis", "per-basis norms and usage frequencies", _analyze_basis_arguments),
+)
+
+
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser, which adds its arguments when it first parses.
+
+    Top-level help and errors show only the subcommands' names and help, so
+    a run builds the arguments of the one subcommand it invokes.
+    """
+
+    def __init__(self, *, arguments, **kwargs):
+        super().__init__(**kwargs)
+        self._arguments = arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._arguments is not None:
+            add, self._arguments = self._arguments, None
+            add(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _build_parser():
+    parser = argparse.ArgumentParser(
+        prog="sparsetag",
+        description="Sparse-coded word-embedding features for CRF sequence labeling.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    for name, summary, arguments in _SUBCOMMANDS:
+        sub.add_parser(name, help=summary, arguments=arguments)
     return parser
 
 

@@ -1000,56 +1000,65 @@ def load_model(path) -> CrfModel:
     labels = None
     meta = {}
     meta_lines = {}
-    weights = {"[transitions]": [], "[emissions]": []}
-    for lineno, line in lines:
-        if not line:
-            continue
-        if line in ("[meta]", "[transitions]", "[emissions]"):
-            # exact match only: feature names may start with '['
-            section = line
-            continue
-        if section == "[meta]":
-            key, _, value = line.partition(" ")
-            if key in ("c1", "c2"):
-                penalties[key] = _model_number(value, path, lineno, key)
-                if penalties[key] < 0:
-                    raise CrfError(f"{path}:{lineno}: {key} {value!r} is negative")
-            elif key == "labels":
-                labels = value.split(" ")
+    # (line number, line) of each weight line, split and parsed once all are read
+    weight_lines = {"[transitions]": [], "[emissions]": []}
+    try:
+        for lineno, line in lines:
+            if not line:
+                continue
+            if line in ("[meta]", "[transitions]", "[emissions]"):
+                # exact match only: feature names may start with '['
+                section = line
+            elif section in weight_lines:
+                weight_lines[section].append((lineno, line))
+            elif section is None:
+                raise CrfError(f"{path}:{lineno}: content outside any section")
             else:
-                meta[key] = value
-                meta_lines[key] = lineno
-        elif section is None:
-            raise CrfError(f"{path}:{lineno}: content outside any section")
-        else:
-            fields = line.split(" ")
-            if len(fields) != 3:
-                raise CrfError(
-                    f"{path}:{lineno}: expected {_WEIGHT_LINES[section]}, "
-                    f"found {len(fields)} field(s)"
-                )
-            weight = _model_number(fields[2], path, lineno, "weight")
-            weights[section].append((lineno, fields[0], fields[1], weight))
+                key, _, value = line.partition(" ")
+                if key in ("c1", "c2"):
+                    penalties[key] = _model_number(value, path, lineno, key)
+                    if penalties[key] < 0:
+                        raise CrfError(f"{path}:{lineno}: {key} {value!r} is negative")
+                elif key == "labels":
+                    labels = value.split(" ")
+                else:
+                    meta[key] = value
+                    meta_lines[key] = lineno
+    except CrfError:
+        _parse_weights(path, weight_lines)  # a bad weight line before this one is named first
+        raise
+    weights = _parse_weights(path, weight_lines)
     if len(penalties) != 2 or labels is None:
         raise CrfError(f"{path}: incomplete [meta] section")
     label_index = {lab: i for i, lab in enumerate(labels)}
-
-    def label_id(lab, lineno):
-        if lab not in label_index:
-            raise CrfError(f"{path}:{lineno}: label {lab!r} is not in the model's labels")
-        return label_index[lab]
-
     n_lab = len(labels)
+
+    def label_ids(section, *columns):
+        """The label ids in each column; a missing label names the first line holding one."""
+        ids = [list(map(label_index.get, weights[section][col])) for col in columns]
+        if any(None in col_ids for col_ids in ids):
+            columns = [weights[section][col] for col in columns]
+            for (lineno, _), *labs in zip(weight_lines[section], *columns):
+                for lab in labs:
+                    if lab not in label_index:
+                        raise CrfError(
+                            f"{path}:{lineno}: label {lab!r} is not in the model's labels"
+                        )
+        return ids
+
+    def fill(table, section, rows, cols):
+        flat = np.array(rows, dtype=np.intp) * n_lab + np.array(cols, dtype=np.intp)
+        # a later line for the same cell wins, as in a line-by-line fill
+        flat, last = np.unique(flat[::-1], return_index=True)
+        table.flat[flat] = weights[section][2][::-1][last]
+
     transitions = np.zeros((n_lab, n_lab))
-    for lineno, a, b, weight in weights["[transitions]"]:
-        transitions[label_id(a, lineno), label_id(b, lineno)] = weight
-    feature_index = {}
-    for _, name, _, _ in weights["[emissions]"]:
-        if name not in feature_index:
-            feature_index[name] = len(feature_index)
+    fill(transitions, "[transitions]", *label_ids("[transitions]", 0, 1))
+    names = weights["[emissions]"][0]
+    feature_index = {name: i for i, name in enumerate(dict.fromkeys(names))}
     emissions = np.zeros((len(feature_index), n_lab))
-    for lineno, name, lab, weight in weights["[emissions]"]:
-        emissions[feature_index[name], label_id(lab, lineno)] = weight
+    [cols] = label_ids("[emissions]", 1)
+    fill(emissions, "[emissions]", list(map(feature_index.__getitem__, names)), cols)
     model = CrfModel(
         labels=labels,
         feature_index=feature_index,
@@ -1061,3 +1070,37 @@ def load_model(path) -> CrfModel:
     )
     model.meta_lines = meta_lines
     return model
+
+
+def _parse_weights(path, weight_lines):
+    """(rows, labels, weights) of each section's (line number, line) pairs.
+
+    Each section is split with one join and parsed with one
+    :func:`parse_numbers` call. If a line does not hold three fields or a
+    finite weight, the lines are walked in file order to name the first
+    bad one in a ``CrfError``.
+    """
+    try:
+        parsed = {}
+        for section, entries in weight_lines.items():
+            lines = [line for _, line in entries]
+            if list(map(str.count, lines, repeat(" "))).count(2) != len(lines):
+                raise ValueError
+            fields = " ".join(lines).split(" ") if lines else []
+            values = np.array(parse_numbers(fields[2::3]), dtype=float)
+            parsed[section] = (fields[0::3], fields[1::3], values)
+        if all(np.isfinite(values).all() for _, _, values in parsed.values()):
+            return parsed
+    except ValueError:
+        pass
+    for lineno, section, line in sorted(
+        (lineno, section, line) for section, entries in weight_lines.items()
+        for lineno, line in entries
+    ):
+        fields = line.split(" ")
+        if len(fields) != 3:
+            raise CrfError(
+                f"{path}:{lineno}: expected {_WEIGHT_LINES[section]}, found {len(fields)} field(s)"
+            )
+        _model_number(fields[2], path, lineno, "weight")
+    raise AssertionError("a weight line failed in bulk but on no line")

@@ -30,10 +30,8 @@ import re
 from dataclasses import dataclass, field
 from itertools import chain
 
-from ._base import SparsetagError
+from ._base import SCHEMES, SparsetagError
 from ._textfiles import read_lines
-
-SCHEMES = ("sc", "dense", "brown", "fr_w", "fr_wc", "wi", "wi_sc")
 
 _NUMBER_RE = re.compile(r"^[+-]?\d+([.,]\d+)*$")
 

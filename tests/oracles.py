@@ -263,3 +263,83 @@ def load_codes_by_line(path, m=None):
         seen.add(word)
     return [row[1] for row in rows], [(idx, val) for _, _, idx, val in rows], m
 
+
+def load_model_by_line(path):
+    """A model file read one line at a time, checking each line as it comes.
+
+    Returns (labels, c1, c2, meta, meta_lines, transitions, emissions):
+    transitions map (from, to) and emissions (feature, label) to the
+    weight of the last line that names them, emissions in the order
+    features first occur. Label checks follow all lines, transitions
+    first. A bad file raises ValueError with the message ``load_model``
+    must give.
+    """
+    forms = {"[transitions]": "'from_label to_label weight'",
+             "[emissions]": "'feature label weight'"}
+
+    def number(text, where, what):
+        try:
+            if not text or not set(text) <= _NUMBER_CHARS:
+                raise ValueError
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"{where}: {text!r} is not a number") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{where}: {what} {text!r} is not finite")
+        return value
+
+    with open(path, "rb") as fh:
+        raw_lines = fh.read().splitlines()  # at '\n', '\r\n' and '\r' only
+    section, labels, penalties, meta, meta_lines = None, None, {}, {}, {}
+    weights = {"[transitions]": [], "[emissions]": []}
+    for lineno, raw in enumerate(raw_lines, 1):
+        where = f"{path}:{lineno}"
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(
+                f"{where}: not UTF-8 ({exc.reason} at byte {exc.start + 1})"
+            ) from None
+        if lineno == 1:
+            if line != "sparsetag-crf 1":
+                raise ValueError(f"{path}: not a model file")
+        elif not line:
+            pass
+        elif line in ("[meta]", "[transitions]", "[emissions]"):
+            section = line
+        elif section is None:
+            raise ValueError(f"{where}: content outside any section")
+        elif section == "[meta]":
+            key, _, value = line.partition(" ")
+            if key in ("c1", "c2"):
+                penalties[key] = number(value, where, key)
+                if penalties[key] < 0:
+                    raise ValueError(f"{where}: {key} {value!r} is negative")
+            elif key == "labels":
+                labels = value.split(" ")
+            else:
+                meta[key] = value
+                meta_lines[key] = lineno
+        else:
+            fields = line.split(" ")
+            if len(fields) != 3:
+                raise ValueError(
+                    f"{where}: expected {forms[section]}, found {len(fields)} field(s)"
+                )
+            weights[section].append((where, fields[0], fields[1], number(fields[2], where, "weight")))
+    if not raw_lines:
+        raise ValueError(f"{path}: not a model file")
+    if len(penalties) != 2 or labels is None:
+        raise ValueError(f"{path}: incomplete [meta] section")
+    tables = {}
+    for section, label_fields in (("[transitions]", (1, 2)), ("[emissions]", (2,))):
+        tables[section] = {}
+        for entry in weights[section]:
+            for field in label_fields:
+                if entry[field] not in labels:
+                    raise ValueError(
+                        f"{entry[0]}: label {entry[field]!r} is not in the model's labels"
+                    )
+            tables[section][entry[1], entry[2]] = entry[3]
+    return (labels, penalties["c1"], penalties["c2"], meta, meta_lines,
+            tables["[transitions]"], tables["[emissions]"])

@@ -1,7 +1,12 @@
+import argparse
+import contextlib
+import io
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsetag import cli
 from sparsetag.corpus import read_conll_ner, write_dataset
@@ -269,6 +274,27 @@ class TestTrainTagEval:
         )
         assert code == 2
 
+    def test_eval_task_format_mismatch_exits_2_before_reading(self, small_task_files, capsys):
+        # the CoNLL-X gold file would fail to parse as ner2003
+        test = small_task_files["test"]
+        code = run("eval", "--gold", test, "--pred", test, "--format", "ner2003", "--task", "pos")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "sparsetag: task pos requires a POS corpus format, got ner2003\n"
+        )
+
+    def test_eval_tagmap_outside_task_pos_exits_2_before_reading(self, tmp_path, capsys):
+        gold = tmp_path / "gold.ner"
+        write_dataset(gold, make_dataset([[("John", "B-PER"), ("ran", "O")]], task="ner"), "ner2003")
+        tagmap = tmp_path / "map.tsv"
+        tagmap.write_text("not a tag map\n", encoding="utf-8")
+        code = run(
+            "eval", "--gold", gold, "--pred", gold, "--format", "ner2003", "--task", "ner",
+            "--tagmap", tagmap,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "sparsetag: --tagmap only applies to task pos\n"
+
     def test_dense_scheme_pipeline(self, small_task_files, tmp_path, capsys):
         model = tmp_path / "dense-model"
         assert run(
@@ -486,22 +512,31 @@ class TestImports:
             "True", "sparsetag.crf sparsetag.embeddings sparsetag.sparse_coding",
         ]
 
+    # what importing the CLI, --help and a usage error load none of: the
+    # layers, and the standard modules only the layers import
+    NOT_AT_START_UP = (
+        "numpy", "typing", "dataclasses", "tempfile",
+        "sparsetag.corpus", "sparsetag.evaluation", "sparsetag.features",
+    )
+    # site may import these, through a .pth file or otherwise, which hides a
+    # start-up import of them from every probe but the one run with -S
+    SITE_MODULES = {"typing", "tempfile"}
+
     def test_cli_import_without_site_leaves_out_numpy_and_typing(self):
-        # site may import typing through a .pth file, which would hide a
-        # start-up import of it from the probes above; -S runs without site
         src = str(Path(cli.__file__).resolve().parents[1])
         out = self.run_python(
             "-S", "-c",
             f"import sys\nsys.path.insert(0, {src!r})\nimport sparsetag.cli\n"
-            "print('numpy' in sys.modules, 'typing' in sys.modules)",
+            "print('sparsetag._base' in sys.modules, "
+            f"*(m in sys.modules for m in {self.NOT_AT_START_UP!r}))",
         ).stdout
-        assert out.split() == ["False", "False"]
+        assert out.split() == ["True"] + ["False"] * len(self.NOT_AT_START_UP)
 
     def test_help_leaves_out_numpy(self):
         code, loaded = self.cli_imports("--help")
         assert code == 0
-        assert "sparsetag.features" in loaded
-        assert "numpy" not in loaded
+        assert "sparsetag._base" in loaded
+        assert not loaded & (set(self.NOT_AT_START_UP) - self.SITE_MODULES)
 
     def test_eval_leaves_out_numpy(self, small_task_files):
         test = small_task_files["test"]
@@ -513,16 +548,29 @@ class TestImports:
         assert "numpy" not in loaded
 
     def test_usage_errors_leave_out_numpy(self, small_task_files, tmp_path):
-        code, loaded = self.cli_imports("tag", "--format", "conllx")
-        assert code == 2
-        assert "numpy" not in loaded
+        test = small_task_files["test"]
+        for argv in [
+            ("tag", "--format", "conllx"),
+            ("bogus",),
+            ("train", "--task", "pos", "--scheme", "sc", "--train", small_task_files["train"],
+             "--format", "conllx", "--out", tmp_path / "model.txt"),
+            ("eval", "--gold", test, "--pred", test, "--format", "ner2003", "--task", "pos"),
+            ("eval", "--gold", test, "--pred", test, "--format", "ner2003", "--task", "ner",
+             "--tagmap", test),
+        ]:
+            code, loaded = self.cli_imports(*argv)
+            assert code == 2, argv
+            assert "sparsetag._base" in loaded
+            assert not loaded & (set(self.NOT_AT_START_UP) - self.SITE_MODULES), argv
+
+    def test_learn_dict_leaves_out_the_corpus_layers(self, small_task_files, tmp_path):
         code, loaded = self.cli_imports(
-            "train", "--task", "pos", "--scheme", "sc", "--train", small_task_files["train"],
-            "--format", "conllx", "--out", tmp_path / "model.txt",
+            "learn-dict", "--embeddings", small_task_files["embeddings"], "--m", 4,
+            "--epochs", 1, "--out-dict", tmp_path / "d.txt", "--out-codes", tmp_path / "c.txt",
         )
-        assert code == 2
-        assert "sparsetag.corpus" in loaded
-        assert "numpy" not in loaded
+        assert code == 0
+        assert "sparsetag.sparse_coding" in loaded
+        assert not loaded & {"sparsetag.corpus", "sparsetag.evaluation", "sparsetag.features"}
 
     def test_tag_leaves_out_scipy_sparse(self, small_task_files, trained_sc_model, tmp_path):
         # importing scipy.sparse costs a large share of a short tag run
@@ -551,6 +599,95 @@ class TestImports:
             "print('scipy' in sys.modules, 'scipy.sparse' in sys.modules)"
         )
         assert out.strip().splitlines()[-1] == "False False"
+
+
+def _parse(parser, argv):
+    """(parsed arguments or exit code, stdout, stderr) of ``parser.parse_args(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _full_parser():
+    """The CLI's parser as plain argparse builds it, every subcommand's arguments added."""
+    cli_parser = cli._build_parser()
+    parser = argparse.ArgumentParser(prog=cli_parser.prog, description=cli_parser.description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, summary, add_arguments in cli._SUBCOMMANDS:
+        add_arguments(sub.add_parser(name, help=summary))
+    return parser
+
+
+SUBCOMMANDS = [name for name, _, _ in cli._SUBCOMMANDS]
+
+
+def _option_strings(name):
+    """The option strings of one subcommand, -h and --help included."""
+    parser = argparse.ArgumentParser()
+    cli._SUBCOMMANDS[SUBCOMMANDS.index(name)][2](parser)
+    return sorted(parser._option_string_actions)
+
+
+class TestParser:
+    """The parser adds only the invoked subcommand's arguments, and parses
+    as one built with every argument does."""
+
+    def test_only_the_invoked_subcommand_gets_its_arguments(self, monkeypatch):
+        added = []
+        monkeypatch.setattr(cli, "_SUBCOMMANDS", tuple(
+            (name, summary, lambda p, name=name, add=add: (added.append(name), add(p)))
+            for name, summary, add in cli._SUBCOMMANDS
+        ))
+        for argv, expected in [(["--help"], []), (["bogus"], []), (["tag", "--help"], ["tag"]),
+                               (["eval", "--task", "pos"], ["eval"])]:
+            added.clear()
+            _parse(cli._build_parser(), argv)
+            assert added == expected, argv
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], [], ["bogus"], ["-h", "train"],
+        *([name, "--help"] for name in SUBCOMMANDS), *([name] for name in SUBCOMMANDS),
+    ])
+    def test_help_and_errors_match_the_full_parser(self, argv):
+        lazy = _parse(cli._build_parser(), argv)
+        assert lazy == _parse(_full_parser(), argv)
+        assert isinstance(lazy[0], int)
+        assert lazy[1] or lazy[2]
+
+    # values an argument may take or reject; __file__ is a path that exists
+    VALUES = [
+        "1", "2", "0.5", "-1", "nan", "x", "pos", "ner", "sc", "wi", "conllx", "ner2003",
+        "text", "sc4", __file__, "/no/such/path", "--", "-h", "train", "eval",
+    ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_any_argv_parses_as_with_every_argument(self, data):
+        name = data.draw(st.sampled_from(SUBCOMMANDS))
+        tokens = st.sampled_from(_option_strings(name) + self.VALUES)
+        argv = [name, *data.draw(st.lists(tokens, max_size=12))]
+        assert _parse(cli._build_parser(), argv) == _parse(_full_parser(), argv)
+
+    def test_console_script_path_matches_the_full_parser(self, monkeypatch):
+        import os
+        import subprocess
+        import sys
+
+        # argparse wraps help at $COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        for argv in (["--help"], ["train", "--help"], ["bogus"], []):
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 f"import sys\nsys.argv[1:] = {argv!r}\n"
+                 "from sparsetag.cli import main\nsys.exit(main())"],
+                capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+            )
+            assert (proc.returncode, proc.stdout, proc.stderr) == _parse(_full_parser(), argv)
 
 
 class TestAnalyzeBasis:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsetag import crf
@@ -33,6 +33,7 @@ from conftest import per_position, sentence_forward_backward
 from oracles import (
     crf_enumerate,
     finite_difference_gradient,
+    load_model_by_line,
     path_score,
     score_lattice_per_feature,
     viterbi_enumerate,
@@ -739,6 +740,46 @@ class TestModelFile:
         except CrfError:
             return
         assert model.emissions.shape == (len(model.feature_index), len(model.labels))
+
+    # lines a model file may hold after a valid [meta] section or in place
+    # of it: duplicate cells and each kind of bad line included
+    _WEIGHT_CASE_LINE = st.sampled_from([
+        "[meta]", "[transitions]", "[emissions]", "c1 1", "c2 0.5", "c2 -1", "labels A B",
+        "task pos", "A B 1.5", "A B 0.25", "B A -2", "A C 1", "B A nan", "A B", "A B 1_0",
+        "f A 2", "f A -0.5", "g B 1e-3", "f B 1e999", "f A", "f A 1 2", "h C 1", "",
+    ])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.booleans(), st.lists(_WEIGHT_CASE_LINE, max_size=14))
+    # the line-by-line order of errors, and a later line winning a cell
+    @example(True, ["[transitions]", "A B 1_0", "[meta]", "c2 -1"])
+    @example(True, ["[transitions]", "A B 1_0", "A B"])
+    @example(True, ["[emissions]", "f A 1 2", "[transitions]", "B A nan"])
+    @example(True, ["[transitions]", "A C 1", "B A nan"])
+    @example(True, ["[transitions]", "A B 1.5", "A B 0.25", "[emissions]", "f A 2", "f A -0.5"])
+    def test_load_matches_a_line_by_line_reading(self, tmp_path_factory, head, lines):
+        path = tmp_path_factory.getbasetemp() / "by-line-model.txt"
+        meta = ["[meta]", "c1 1", "c2 0.5", "labels A B"] if head else []
+        path.write_text("\n".join([crf._MODEL_MAGIC, *meta, *lines]), encoding="utf-8")
+        try:
+            labels, c1, c2, meta, meta_lines, transitions, emissions = load_model_by_line(path)
+        except ValueError as exc:
+            with pytest.raises(CrfError) as caught:
+                load_model(path)
+            assert str(caught.value) == str(exc)
+            return
+        model = load_model(path)
+        assert (model.labels, model.c1, model.c2) == (labels, c1, c2)
+        assert (model.meta, model.meta_lines) == (meta, meta_lines)
+        assert list(model.feature_index) == list(dict.fromkeys(name for name, _ in emissions))
+        expected = np.zeros_like(model.transitions)
+        for (a, b), weight in transitions.items():
+            expected[labels.index(a), labels.index(b)] = weight
+        assert model.transitions.tobytes() == expected.tobytes()
+        expected = np.zeros_like(model.emissions)
+        for (name, lab), weight in emissions.items():
+            expected[model.feature_index[name], labels.index(lab)] = weight
+        assert model.emissions.tobytes() == expected.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
