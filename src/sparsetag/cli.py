@@ -130,11 +130,15 @@ def _check_train_flags(args):
 def _load_train_data(args):
     from . import corpus
 
+    # every line is checked on read, but only the kept sentences of a
+    # 2003 file are normalized to BIO
     dataset = corpus.read_dataset(
-        args.train, args.format, use_cpostag=args.cpostag
+        args.train, args.format, use_cpostag=args.cpostag, normalize=False
     )
     if args.first_n is not None:
         dataset = corpus.subset_first_n(dataset, args.first_n)
+    if args.format == "ner2003":
+        dataset = corpus.from_iobes(dataset)
     if args.tagmap:
         dataset = corpus.map_universal(dataset, corpus.load_tagmap(args.tagmap))
     if args.iobes:

@@ -128,9 +128,9 @@ def read_conll_ner(path, fmt="2003", normalize=True) -> Dataset:
     normalized to BIO on read (unless ``normalize`` is off, e.g. for
     prediction files that are already canonical): each sentence's spans,
     as :func:`~sparsetag.evaluation.extract_spans` reads them, are
-    rewritten with a B- tag on every span start. Tags must look like
-    ``O`` or ``B-TYPE``/``I-TYPE`` (``E-``/``S-`` accepted so IOBES
-    prediction files can be re-read).
+    rewritten with a B- tag on every span start (:func:`from_iobes`). Tags
+    must look like ``O`` or ``B-TYPE``/``I-TYPE`` (``E-``/``S-`` accepted
+    so IOBES prediction files can be re-read).
     """
     if fmt not in ("2002", "2003"):
         raise CorpusError(f"unsupported NER format: {fmt!r}")
@@ -148,10 +148,8 @@ def read_conll_ner(path, fmt="2003", normalize=True) -> Dataset:
             raise CorpusError(f"{path}:{lineno}: malformed NER tag {tag!r}")
         return Token(cols[0], tag)
 
-    sentences = _read_sentences(path, token)
-    if fmt == "2003" and normalize:
-        sentences = [_respan(sent, iobes=False)[0] for sent in sentences]
-    return Dataset(sentences=sentences, task="ner")
+    dataset = Dataset(sentences=_read_sentences(path, token), task="ner")
+    return from_iobes(dataset) if fmt == "2003" and normalize else dataset
 
 
 def load_tagmap(path) -> dict:
@@ -238,7 +236,11 @@ def to_iobes(dataset: Dataset):
 
 
 def from_iobes(dataset: Dataset) -> Dataset:
-    """Inverse of :func:`to_iobes`: the same spans, rewritten in BIO."""
+    """Inverse of :func:`to_iobes`: the same spans, rewritten in BIO.
+
+    Spans are read as the scorer reads them, so this also normalizes IOB1
+    (2003-style) tags: a B- tag goes on every span start.
+    """
     sentences = [_respan(sent, iobes=False)[0] for sent in dataset.sentences]
     return Dataset(sentences=sentences, task=dataset.task)
 

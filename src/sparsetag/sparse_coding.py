@@ -11,10 +11,11 @@ The sparse step is an l1-regularized least-squares problem solved exactly
 by an active-set (feature-sign) search. ``encode`` and ``solve_lasso`` run
 it word by word on the precomputed Gram matrix. Dictionary learning codes
 the words of each sparse pass together. When the dictionary has no more
-atoms than dimensions (m <= k), each mini-batch is first seeded by a fixed
-number of batched FISTA iterations from the words' previous codes, and the
-Newton point on each seed's signed support is kept when it passes the
-exact solver's own stopping tests. Every other word (at m > k, the
+atoms than dimensions (m <= k), the pass's words are first seeded as one
+block by a fixed number of FISTA iterations from their previous codes,
+and the Newton point on each seed's signed support is kept when it passes
+the exact solver's own stopping tests; the words that fail take more
+iterations and are tested again. Every word still left (at m > k, the
 paper's shape, every word) goes to one search per pass that runs the
 words in lockstep in k-space: one matrix product gives every row's
 correlations each round, and no Gram matrix is formed. The dictionary
@@ -45,13 +46,31 @@ _KKT_TOL = 1e-7
 # active set counts as exactly stationary.
 _SUPPORT_TOL = 1e-9
 
-# FISTA iterations that seed each mini-batch's codes in learn_dictionary
-# when m <= k. On the seed-1 ner-tag inputs (522 words, m = k = 64, sc4,
-# one BLAS thread), 30 / 50 / 70 / 100 iterations left 342 / 114 / 62 / 23
-# of the 1,566 solves to the exact solver, and learn_dictionary took a
-# median 0.18-0.23 / 0.11-0.13 / 0.13-0.15 / 0.13-0.16 s in process,
-# against 0.57 s with every solve per word.
+# FISTA iterations that seed each block's codes in learn_dictionary when
+# m <= k. On the seed-1 ner-tag inputs (522 words, m = k = 64, sc4, one
+# BLAS thread), 30 / 50 / 70 / 100 iterations, each seed certified once,
+# left 342 / 114 / 62 / 23 of the 1,566 solves to the exact solver, and
+# learn_dictionary took a median 0.18-0.23 / 0.11-0.13 / 0.13-0.15 /
+# 0.13-0.16 s in process, against 0.57 s with every solve per word.
 _SEED_ITERATIONS = 50
+
+# FISTA iterations that each later round gives only the rows certification
+# rejected, before they are certified again. With 50 seed iterations, on
+# the ner-tag inputs at seeds 1, 3 and 7 (m = k = 64, sc4, one BLAS
+# thread), 10 / 15 / 20 / 25 / 35 iterations left 3 / 3 / 0 / 1 / 2 of the
+# 3 x 1,566 solves to the exact solver (20 took 3-6 rounds a pass), and
+# learn_dictionary took medians summed over the three seeds of 184 / 181 /
+# 175-181 / 180-184 / 187 ms, against 264 ms when every row certification
+# rejected went to the search.
+_RETRY_ITERATIONS = 20
+
+# Rows that one FISTA block codes at once when m <= k, which bounds the
+# n x m arrays a large table makes. On 16,384 noisy copies of the seed-1
+# ner-tag vectors (m = k = 64, sc4, one epoch, one BLAS thread), blocks of
+# 512 / 1,024 / 2,048 / 4,096 / 16,384 rows took 1.13-1.15 / 1.16-1.20 /
+# 1.30 / 1.47 / 1.56 s, and the traced peak was 40 MB up to 2,048 rows,
+# 43 MB at 4,096, 68 MB at 8,192 and 119 MB at 16,384.
+_FISTA_ROWS = 1024
 
 # An atom whose squared distance from the span of the active atoms is at
 # most this fraction of its squared norm counts as lying in that span.
@@ -726,32 +745,60 @@ def _significant(idx, val):
     return idx[keep], val[keep]
 
 
-def _fista(gram, C, start, lam, nonneg, iterations):
-    """Run accelerated proximal gradient (FISTA) on every row of C at once.
+class _Fista:
+    """Accelerated proximal gradient (FISTA, Beck & Teboulle 2009) on a block of lassos.
 
     Each row of C is the c of one lasso problem 0.5 a^T G a - c^T a +
-    lam*||a||_1 (a >= 0 when nonneg). The run starts at ``start`` with
-    step 1/lambda_max(G), and every iteration is one matrix product for
-    the whole block. A zero Gram matrix gives no step, so ``start`` is
-    returned unchanged.
+    lam*||a||_1 (a >= 0 when nonneg). The run starts at (a copy of)
+    ``start`` with step 1/lambda_max(G), and every iteration is one matrix
+    product for the block, written into preallocated buffers. ``keep``
+    narrows the block to some of its rows, which go on from where they
+    are, momentum included. A zero Gram matrix gives no step, so the
+    iterate stays ``start``.
     """
-    lam_max = float(np.linalg.eigvalsh(gram)[-1])
-    if not lam_max > 0.0:
-        return start
-    step = 1.0 / lam_max
-    cut = step * lam
-    x = y = start
-    t = 1.0
-    for _ in range(iterations):
-        z = y - step * (y @ gram - C)
-        if nonneg:
-            new = np.maximum(z - cut, 0.0)
-        else:
-            new = np.sign(z) * np.maximum(np.abs(z) - cut, 0.0)
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        y = new + ((t - 1.0) / t_next) * (new - x)
-        x, t = new, t_next
-    return x
+
+    def __init__(self, gram, C, start, lam, nonneg):
+        lam_max = float(np.linalg.eigvalsh(gram)[-1])
+        self.step = 1.0 / lam_max if lam_max > 0.0 else 0.0
+        self.cut = self.step * lam
+        self.gram, self.C, self.nonneg = gram, C, nonneg
+        self.x, self.y = start.copy(), start.copy()
+        self.new, self.tmp = np.empty_like(start), np.empty_like(start)
+        self.t = 1.0
+
+    def run(self, iterations):
+        """Take ``iterations`` steps; returns the iterate, one row per row of C."""
+        if not self.step:
+            return self.x
+        gram, C, step, cut = self.gram, self.C, self.step, self.cut
+        x, y, new, tmp, t = self.x, self.y, self.new, self.tmp, self.t
+        for _ in range(iterations):
+            # new = prox(y - step * (y G - C)); y = new + (t - 1) / t_next * (new - x)
+            np.matmul(y, gram, out=tmp)
+            tmp -= C
+            tmp *= step
+            np.subtract(y, tmp, out=new)
+            if self.nonneg:
+                new -= cut
+                np.maximum(new, 0.0, out=new)
+            else:
+                np.abs(new, out=tmp)
+                tmp -= cut
+                np.maximum(tmp, 0.0, out=tmp)
+                np.sign(new, out=new)
+                new *= tmp
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            np.subtract(new, x, out=y)
+            y *= (t - 1.0) / t_next
+            y += new
+            x, new, t = new, x, t_next
+        self.x, self.new, self.t = x, new, t
+        return x
+
+    def keep(self, rows):
+        """Go on with the given rows of the block only."""
+        self.C, self.x, self.y = self.C[rows], self.x[rows], self.y[rows]
+        self.new, self.tmp = self.new[: rows.size], self.tmp[: rows.size]
 
 
 def _certify(gram, C, seed, lam, nonneg):
@@ -763,7 +810,8 @@ def _certify(gram, C, seed, lam, nonneg):
     S. A row is certified when it passes the tests that end
     ``_ActiveSetLasso.solve``, against a fresh rho = c - G a: every sign
     kept, the support residual within _SUPPORT_TOL, and no zero coordinate
-    above lam + _KKT_TOL. A singular group certifies none of its rows.
+    above lam + _KKT_TOL. A group whose stacked solve meets a singular
+    G_SS is solved row by row, and only the singular rows fail.
     Returns (codes, certified); the codes of uncertified rows are
     meaningless.
     """
@@ -776,14 +824,16 @@ def _certify(gram, C, seed, lam, nonneg):
         rows = np.flatnonzero(sizes == size)
         idx = on[rows].nonzero()[1].reshape(rows.size, size)
         pick = rows[:, None], idx
+        blocks = gram[idx[:, :, None], idx[:, None, :]]
+        targets = (C[pick] - lam * sign[pick])[:, :, None]
         try:
-            coef = np.linalg.solve(
-                gram[idx[:, :, None], idx[:, None, :]], (C[pick] - lam * sign[pick])[:, :, None]
-            )
-        except np.linalg.LinAlgError:
-            certified[rows] = False
-            continue
-        codes[pick] = coef[:, :, 0]
+            codes[pick] = np.linalg.solve(blocks, targets)[:, :, 0]
+        except np.linalg.LinAlgError:  # one row at a time, to reject only the singular ones
+            for i, row in enumerate(rows.tolist()):
+                try:
+                    codes[row, idx[i]] = np.linalg.solve(blocks[i], targets[i])[:, 0]
+                except np.linalg.LinAlgError:
+                    certified[row] = False
     rho = C - codes @ gram
     with np.errstate(invalid="ignore"):
         kept = np.all(~on | (codes * sign > 0.0), axis=1)
@@ -801,38 +851,62 @@ def _dense(entries, m):
     return block
 
 
-def _code_pass(X, D, gram, slices, entries, lam, nonneg):
-    """Code every row of X against D into ``entries``; returns the residuals x - D a.
+def _entries(codes):
+    """Each row's (indices, values) of the coefficients of ``codes`` that count.
 
-    With a Gram matrix D^T D (m <= k), each mini-batch X[lo:hi] of
-    ``slices`` is seeded by _SEED_ITERATIONS FISTA iterations from its
-    rows' current entries, and the rows that ``_certify`` accepts keep
-    their Newton points. Every other row, or every row when ``gram`` is
-    None, is coded by one cold ``_LockstepLasso`` search, whose state is
-    freed on return. ``entries`` holds each row's (strictly increasing
-    indices, values).
+    A coefficient below NONZERO_EPS in magnitude is left out. Every entry
+    is a view of two arrays made for the whole block.
     """
-    m = D.shape[1]
+    keep = np.abs(codes) >= NONZERO_EPS
+    idx, val = keep.nonzero()[1], codes[keep]
+    ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
+    return [(idx[a:b], val[a:b]) for a, b in zip([0, *ends], ends)]
+
+
+def _search(X, D, lam, nonneg):
+    """(entries, residuals) of one cold ``_LockstepLasso`` search over the rows of X.
+
+    The search's state is freed on return.
+    """
+    return _LockstepLasso(D, lam, nonneg, min(_LOCKSTEP_ROWS, len(X))).solve(X)
+
+
+def _code_pass(X, D, gram, codes, lam, nonneg):
+    """Code every row of X against D (m <= k) into ``codes``; returns the residuals x - D a.
+
+    ``codes`` is a dense block with one row per row of X, which holds the
+    previous pass's codes and is overwritten with this pass's. X is coded
+    ``_FISTA_ROWS`` rows at a time: the block's rows take _SEED_ITERATIONS
+    FISTA iterations from their codes (see ``_Fista``), and the rows that
+    ``_certify`` accepts keep their Newton points. The rows it rejects
+    take _RETRY_ITERATIONS more and are certified again, until none is
+    left or a round certifies none. The rows left by every block are coded
+    by one cold ``_LockstepLasso`` search.
+    """
     resid = np.empty_like(X)
-    search = np.arange(len(X))
-    if gram is not None:
-        left = []
-        for lo, hi in slices:
-            C = X[lo:hi] @ D
-            seed = _fista(gram, C, _dense(entries[lo:hi], m), lam, nonneg, _SEED_ITERATIONS)
-            codes, certified = _certify(gram, C, seed, lam, nonneg)
-            rows = np.flatnonzero(certified)
-            for row in rows.tolist():
-                idx = codes[row].nonzero()[0]
-                entries[lo + row] = idx, codes[row, idx]
-            resid[lo + rows] = X[lo + rows] - codes[rows] @ D.T
-            left.append(lo + np.flatnonzero(~certified))
-        search = np.concatenate(left)
+    left = []
+    for lo in range(0, len(X), _FISTA_ROWS):
+        hi = min(lo + _FISTA_ROWS, len(X))
+        rows = np.arange(lo, hi)
+        fista = _Fista(gram, X[lo:hi] @ D, codes[lo:hi], lam, nonneg)
+        iterations = _SEED_ITERATIONS
+        while True:
+            found, certified = _certify(gram, fista.C, fista.run(iterations), lam, nonneg)
+            codes[rows[certified]] = found[certified]
+            rejected = np.flatnonzero(~certified)
+            if rejected.size in (0, rows.size):
+                break
+            rows = rows[rejected]
+            fista.keep(rejected)
+            iterations = _RETRY_ITERATIONS
+        left.append(rows[rejected])
+        resid[lo:hi] = X[lo:hi] - codes[lo:hi] @ D.T
+    search = np.concatenate(left)
     if search.size:
-        search_rows = min(_LOCKSTEP_ROWS, search.size)
-        found, resid[search] = _LockstepLasso(D, lam, nonneg, search_rows).solve(X[search])
-        for row, entry in zip(search.tolist(), found):
-            entries[row] = entry
+        found, resid[search] = _search(X[search], D, lam, nonneg)
+        codes[search] = 0.0
+        for row, (idx, val) in zip(search.tolist(), found):
+            codes[row, idx] = val
     return resid
 
 
@@ -913,15 +987,20 @@ def learn_dictionary(table, config: SparseCodingConfig):
     final sparse refit against the finished dictionary produces the
     returned codes.
 
-    When m <= k, each mini-batch starts from one dense block of the words'
-    codes in the previous sparse pass (zeros in the first), moved by
-    _SEED_ITERATIONS FISTA iterations (Beck & Teboulle 2009) with step
-    1/lambda_max(D^T D). Each row's Newton point on its seed's signed
-    support is certified together with the others (see ``_certify``) and
-    kept only if it passes the tests the exact solver stops on. Every other
-    row, and at m > k every row, is coded by one cold lockstep feature-sign
-    search per pass in k-space (see ``_LockstepLasso``), which forms no Gram
-    matrix. Either way every code meets the same KKT tolerances.
+    When m <= k, a pass's codes are one dense block, which seeds the next
+    pass (zeros seed the first) and from which the words' entries are
+    built once, after the final refit. The pass moves the block, up to
+    _FISTA_ROWS rows at a time, by _SEED_ITERATIONS FISTA iterations
+    (Beck & Teboulle 2009) with step 1/lambda_max(D^T D). Each row's
+    Newton point on its seed's signed support is certified together with
+    the others (see ``_certify``) and kept only if it passes the tests the
+    exact solver stops on; the rows that fail take _RETRY_ITERATIONS more
+    and are certified again, until none is left or a round certifies none
+    (see ``_code_pass``). Every row still left, and at m > k every row, is
+    coded by one cold lockstep feature-sign search per pass in k-space
+    (see ``_LockstepLasso``), which forms no Gram matrix. Either way every
+    code meets the same KKT tolerances. The mini-batches of
+    ``batch_size`` words drive the statistics and the dictionary step.
 
     The m x m arrays are A and, when m <= k, the Gram matrix D^T D that
     FISTA and certification use, which is computed once from the initial
@@ -946,22 +1025,30 @@ def learn_dictionary(table, config: SparseCodingConfig):
     D = _init_dictionary(X, m, config.variant, rng)
     sum_sq = float(np.sum(X * X))
     slices = _batch_slices(n, config.batch_size)
-    entries = [(np.zeros(0, dtype=np.int64), np.zeros(0))] * n
     objectives = []
     # With m <= k the Gram matrix can be full rank, the lasso is then
     # strongly convex and FISTA converges linearly: on the ner-tag inputs
     # (m = k = 64, one BLAS thread) FISTA and certification code the three
-    # passes in 0.13 s, the lockstep search in 0.33 s. With m > k it is
+    # passes in 0.05 s, the lockstep search in 0.33 s. With m > k it is
     # singular and the batch products grow with m^2: on the dict-paper
     # inputs (m = 1024, k = 64) 50 batched iterations of the first pass
     # cost 0.71-0.79 s and certified 57 of 256 rows, while the lockstep
     # search codes both passes in 0.13-0.14 s, against 0.31 s word by word.
     gram = D.T @ D if m <= k else None
     lam = config.lam
+    # With m <= k a pass's codes are one dense block, which seeds the next
+    # pass; with m > k no pass is seeded, and each word keeps its (indices,
+    # values), since an n x m block would grow with m.
+    codes = np.zeros((n, m)) if gram is not None else None
+    entries = None
 
     def code(label):
-        """Code every word against D into ``entries``; returns the residuals."""
-        resid = _code_pass(X, D, gram, slices, entries, lam, config.nonneg)
+        """Code every word against D; returns the residuals."""
+        nonlocal entries
+        if gram is None:
+            entries, resid = _search(X, D, lam, config.nonneg)
+        else:
+            resid = _code_pass(X, D, gram, codes, lam, config.nonneg)
         if not np.all(np.isfinite(resid)):
             raise SparseCodingError(f"non-finite codes during {label}")
         return resid
@@ -971,7 +1058,7 @@ def learn_dictionary(table, config: SparseCodingConfig):
         B = np.zeros((k, m))
         l1_sum = 0.0
         for lo, hi in slices:
-            alpha = _dense(entries[lo:hi], m)
+            alpha = codes[lo:hi] if gram is not None else _dense(entries[lo:hi], m)
             if lo:
                 A += alpha.T @ alpha
             else:  # the first product is A itself, not added to a zero block
@@ -992,9 +1079,13 @@ def learn_dictionary(table, config: SparseCodingConfig):
 
     resid = code("final refit")
     quad = float(np.einsum("ij,ij->", resid, resid))
-    l1_sum = sum(float(np.abs(val).sum()) for _, val in entries)
+    if gram is None:
+        l1_sum = sum(float(np.abs(val).sum()) for _, val in entries)
+        entries = [_significant(idx, val) for idx, val in entries]
+    else:
+        l1_sum = float(np.abs(codes).sum())
+        entries = _entries(codes)
     objectives.append(_objective(D, quad, l1_sum, lam, config.tau, config.variant, n))
-    entries = [_significant(idx, val) for idx, val in entries]
     dictionary = Dictionary(
         atoms=D,
         variant=config.variant,
@@ -1002,8 +1093,7 @@ def learn_dictionary(table, config: SparseCodingConfig):
         tau=config.tau,
         objectives=objectives,
     )
-    codes = SparseCodes(table.words, entries, m)
-    return dictionary, codes
+    return dictionary, SparseCodes(table.words, entries, m)
 
 
 def encode(dictionary: Dictionary, table) -> SparseCodes:

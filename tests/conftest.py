@@ -1,5 +1,6 @@
 """Shared fixtures: tiny embedding files and the synthetic labeling task."""
 
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -11,6 +12,17 @@ sys.path.insert(0, str(Path(__file__).parent))
 from sparsetag.corpus import Dataset, Token, write_dataset
 from sparsetag.crf import _scaled_forward_backward
 from sparsetag.features import WordTypes
+
+
+PIPEBENCH = Path(__file__).resolve().parent.parent / "pipebench"
+
+
+def load_pipebench(name):
+    """The benchmark's module ``pipebench/<name>.py``, loaded from its path."""
+    spec = importlib.util.spec_from_file_location(f"pipebench_{name}", PIPEBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def write_embedding_file(path, words, vectors, header=False):

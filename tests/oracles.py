@@ -264,6 +264,73 @@ def load_codes_by_line(path, m=None):
     return [row[1] for row in rows], [(idx, val) for _, _, idx, val in rows], m
 
 
+def load_embeddings_by_line(path, format="text"):
+    """An embedding file read one line at a time: (words, vectors).
+
+    ``vectors`` is a list of value lists. Checks run in the order of the
+    line-by-line reader: each line's decoding, the header on line 1, each
+    record's field count and values, in line order, then each word's
+    uniqueness. A bad file raises ValueError with the message
+    ``load_embeddings`` must give.
+    """
+    def number(text, kind):
+        if not text or not set(text) <= _NUMBER_CHARS:
+            raise ValueError
+        return kind(text)
+
+    def is_header(fields):
+        try:
+            [number(text, int) for text in fields]
+        except ValueError:
+            return False
+        return len(fields) == 2
+
+    with open(path, "rb") as fh:
+        raw_lines = fh.read().splitlines()  # at '\n', '\r\n' and '\r' only
+    words, vectors, wheres, dim = [], [], [], None
+    for lineno, raw in enumerate(raw_lines, 1):
+        where = f"{path}:{lineno}"
+        try:
+            fields = raw.decode("utf-8").split()
+        except UnicodeDecodeError as exc:
+            raise ValueError(
+                f"{where}: not UTF-8 ({exc.reason} at byte {exc.start + 1})"
+            ) from None
+        if not fields:
+            continue
+        if lineno == 1 and format == "word2vec-text" and not is_header(fields):
+            raise ValueError(f"{where}: word2vec-text requires a '|V| k' header line")
+        if lineno == 1 and is_header(fields):
+            continue
+        if len(fields) < 2:
+            raise ValueError(f"{where}: expected 'word v1 ... vk'")
+        if dim is None:
+            dim = len(fields) - 1
+        if len(fields) - 1 != dim:
+            raise ValueError(f"{where}: expected {dim} values, found {len(fields) - 1}")
+        vector = []
+        for text in fields[1:]:
+            try:
+                vector.append(number(text, float))
+            except ValueError:
+                raise ValueError(
+                    f"{where}: non-numeric field (could not convert {text!r} to a number)"
+                ) from None
+        if not all(math.isfinite(value) for value in vector):
+            raise ValueError(f"{where}: non-finite value")
+        words.append(fields[0])
+        vectors.append(vector)
+        wheres.append(where)
+    if not words:
+        raise ValueError(f"{path}: no embedding records found")
+    seen = set()
+    for where, word in zip(wheres, words):
+        if word in seen:
+            raise ValueError(f"{where}: duplicate word in vocabulary: {word!r}")
+        seen.add(word)
+    return words, vectors
+
+
 def load_model_by_line(path):
     """A model file read one line at a time, checking each line as it comes.
 

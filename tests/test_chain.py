@@ -8,7 +8,6 @@ objective, Viterbi optimality of every predicted path under the model
 file, and the printed score.
 """
 
-import importlib.util
 import os
 import subprocess
 import sys
@@ -21,20 +20,10 @@ import sparsetag
 from sparsetag import cli
 from sparsetag.corpus import write_dataset
 
-from conftest import make_dataset, write_embedding_file
+from conftest import load_pipebench, make_dataset, write_embedding_file
 
-PIPEBENCH = Path(__file__).resolve().parent.parent / "pipebench"
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"pipebench_{name}", PIPEBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-gen = _load("gen")
-checks = _load("checks")
+gen = load_pipebench("gen")
+checks = load_pipebench("checks")
 
 # (spec, format). At seed 1 these sizes leave each trained model more than
 # 0.05 above the majority baseline (POS accuracy 0.837 against 0.770, NER
@@ -127,9 +116,10 @@ def _learn_dict_bytes_by_blas_threads(tmp_path, spec, m, variant):
 
 
 def test_learn_dict_output_does_not_depend_on_blas_threads(tmp_path):
-    """learn-dict at the ner-tag shape (m = k = 64, sc4), where FISTA seeds
-    each mini-batch through matrix products, writes the same bytes with one
-    and with two BLAS threads."""
+    """learn-dict at the ner-tag shape (m = k = 64, sc4), where FISTA codes
+    all 522 words as one block through matrix products, and the rows
+    certification rejects go on in smaller blocks, writes the same bytes
+    with one and with two BLAS threads."""
     # the benchmark's ner-tag spec with fewer tokens: the vectors, drawn
     # before the corpora, are the same 522 as the workload's at seed 1
     spec = dict(task="ner", stream=3, k=64, vocab=500, train_tokens=300, test_tokens=100)
@@ -139,8 +129,9 @@ def test_learn_dict_output_does_not_depend_on_blas_threads(tmp_path):
 
 def test_learn_dict_output_does_not_depend_on_blas_threads_at_paper_shape(tmp_path):
     """The same at the dict-paper shape (m = 1024 > k = 64, sc1, 256 words),
-    where every word is solved on its own against a Gram matrix that is
-    rewritten in place after each dictionary update."""
+    where no Gram matrix is formed: each pass codes every word by one
+    lockstep feature-sign search in k-space, whose rounds take the
+    correlations of 128 rows with all 1,024 atoms in one matrix product."""
     spec = dict(task="pos", stream=1, k=64, vocab=256, train_tokens=300, test_tokens=100)
     one, two = _learn_dict_bytes_by_blas_threads(tmp_path, spec, 1024, "sc1")
     assert one == two

@@ -402,6 +402,43 @@ class TestNerPipeline:
             "bad.ner", "ner-model", "test.ner", "train.ner",
         ]
 
+    @pytest.mark.parametrize("iobes", [False, True])
+    def test_first_n_normalizes_only_the_kept_sentences(self, tmp_path, capsys, monkeypatch,
+                                                        iobes):
+        # IOB1: an entity that does not follow one of its type starts with I-
+        kept = "Ann I-PER\nmet O\nBob I-PER\nLee I-PER\n\nin O\nRome I-LOC\n\n"
+        dropped = "Eve I-PER\nsaw O\nOslo I-LOC\n\nParis I-LOC\nB-ORG B-ORG\n\n"
+        full, head = tmp_path / "full.ner", tmp_path / "head.ner"
+        full.write_text("-DOCSTART- O\n\n" + kept + dropped, encoding="utf-8")
+        head.write_text(kept, encoding="utf-8")
+        from sparsetag import corpus
+
+        respan = corpus._respan
+        rewritten = []
+        monkeypatch.setattr(corpus, "_respan",
+                            lambda sent, iobes: rewritten.append(sent) or respan(sent, iobes))
+        outputs = []
+        for path, first_n in ((full, ["--first-n", 2]), (head, [])):
+            model = tmp_path / f"model-{path.stem}"
+            rewritten.clear()
+            assert run(
+                "train", "--task", "ner", "--scheme", "wi", "--train", path,
+                "--format", "ner2003", *first_n, *(["--iobes"] if iobes else []), "--out", model,
+            ) == 0
+            outputs.append((model.read_bytes(), capsys.readouterr().err, len(rewritten)))
+        # the same model and messages; the two kept sentences are rewritten
+        # once to BIO, and once more to IOBES
+        assert outputs[0] == outputs[1]
+        assert outputs[0][2] == (4 if iobes else 2)
+        # a malformed line among the dropped sentences is still reported
+        full.write_text(kept + dropped.replace("B-ORG B-ORG", "B-ORG X-ORG"), encoding="utf-8")
+        assert run(
+            "train", "--task", "ner", "--scheme", "wi", "--train", full, "--format", "ner2003",
+            "--first-n", 2, "--out", tmp_path / "bad-model",
+        ) == 1
+        assert capsys.readouterr().err == f"sparsetag: {full}:14: malformed NER tag 'X-ORG'\n"
+        assert not (tmp_path / "bad-model").exists()
+
     def test_iobes_singletons_train_as_two_entities(self, tmp_path, capsys):
         train = tmp_path / "train.ner"
         train.write_text("Ann S-PER\nBob S-PER\nmet O\n\n", encoding="utf-8")

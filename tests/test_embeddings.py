@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsetag import embeddings
 from sparsetag.embeddings import (
     EmbeddingError,
     EmbeddingTable,
@@ -12,6 +13,7 @@ from sparsetag.embeddings import (
 )
 
 from conftest import make_dataset, write_embedding_file
+from oracles import load_embeddings_by_line
 
 
 class TestLoad:
@@ -92,6 +94,36 @@ class TestLoad:
             return
         assert table.vectors.shape == (len(table.words), table.dim)
         assert np.all(np.isfinite(table.vectors))
+
+    _RECORDS = st.lists(
+        st.tuples(_LINE | st.sampled_from(["x\x1c1 2", "a\u2028 1 2", "g 1 -0 +2.5e-3"]),
+                  st.sampled_from(["\n", "\r\n", "\r"])),
+        max_size=8,
+    ).map(lambda lines: "".join(a + b for a, b in lines).encode("utf-8"))
+
+    @settings(max_examples=400, deadline=None)
+    @given(content=st.binary(max_size=120) | _RECORDS
+           | st.tuples(_RECORDS, st.binary(max_size=3), _RECORDS).map(b"".join),
+           format=st.sampled_from(["text", "word2vec-text"]),
+           chunk=st.sampled_from([1, 2, 3, 4096]))
+    def test_blocks_load_as_the_line_by_line_reader(self, tmp_path_factory, content, format,
+                                                   chunk):
+        # the block reader loads what the line-by-line reader loads, and
+        # fails where it fails, with its message, whatever the block size
+        path = tmp_path_factory.getbasetemp() / "fuzzed-blocks.vec"
+        path.write_bytes(content)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(embeddings, "_EMBEDDING_ROWS", chunk)
+            try:
+                words, vectors = load_embeddings_by_line(path, format)
+            except ValueError as exc:
+                with pytest.raises(EmbeddingError) as caught:
+                    load_embeddings(path, format=format)
+                assert str(caught.value) == str(exc)
+                return
+            table = load_embeddings(path, format=format)
+        assert table.words == words
+        assert table.vectors.dtype == np.float64 and table.vectors.tolist() == vectors
 
     def test_round_trip_preserves_values(self, tmp_path):
         rng = np.random.default_rng(11)
